@@ -8,6 +8,7 @@ transform stack, and weight-sweep experiments for their trace limits.
 __version__ = "0.1.0"
 
 from .bergman import (
+    BandedOperator,
     TruncatedOperator,
     TruncatedSpace,
     coherent_vector,
@@ -18,6 +19,7 @@ from .bergman import (
 from .channel import (
     ChannelParams,
     apply_channel,
+    banded_trace,
     functional_trace,
     pk_star_vector,
     projection_coefficients,
@@ -51,6 +53,7 @@ from .transforms import (
 
 __all__ = [
     "__version__",
+    "BandedOperator",
     "TruncatedOperator",
     "TruncatedSpace",
     "coherent_vector",
@@ -59,6 +62,7 @@ __all__ = [
     "monomial_norm_sq",
     "ChannelParams",
     "apply_channel",
+    "banded_trace",
     "functional_trace",
     "pk_star_vector",
     "projection_coefficients",

@@ -25,6 +25,7 @@ from .specfun import validate_weight
 __all__ = [
     "TruncatedSpace",
     "TruncatedOperator",
+    "BandedOperator",
     "TruncationTailError",
     "monomial_norm_sq",
     "log_monomial_norm_sq",
@@ -104,12 +105,65 @@ class TruncatedOperator:
     def space(self) -> TruncatedSpace:
         return TruncatedSpace(self.weight, self.degree)
 
+    @property
+    def is_diagonal(self) -> bool:
+        """Exact test: every entry off the main diagonal is zero."""
+        return np.count_nonzero(self.matrix) == np.count_nonzero(
+            np.diagonal(self.matrix)
+        )
+
     def trace(self) -> complex:
         t = np.trace(self.matrix)
         return t.real if self.hermitian else t
 
     def hs_norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
+
+
+@dataclass(frozen=True)
+class BandedOperator:
+    """A banded operator matrix in the orthonormal monomial basis.
+
+    ``bands[off]`` is the diagonal ``np.diagonal(matrix, off)``: entries
+    (t, t + off) for off >= 0 and (t - off, t) for off < 0.  Absent offsets
+    are zero.  A Hermitian operator stores only off >= 0; its lower triangle
+    is the conjugate mirror.  Storage is O(degree * bandwidth); ``matrix`` is
+    the explicit dense conversion, meant for small degrees.
+    """
+
+    weight: float
+    degree: int
+    bands: dict[int, np.ndarray]
+    hermitian: bool = False
+
+    def __post_init__(self):
+        validate_weight(self.weight)
+        for off, band in self.bands.items():
+            if self.hermitian and off < 0:
+                raise ValueError("a Hermitian operator stores offsets >= 0 only")
+            if abs(off) > self.degree or band.shape != (self.degree + 1 - abs(off),):
+                raise ValueError(f"band {off} has shape {band.shape}")
+
+    @property
+    def bandwidth(self) -> int:
+        return max((abs(off) for off in self.bands), default=0)
+
+    @property
+    def is_diagonal(self) -> bool:
+        """Exact test: every entry off the main diagonal is zero."""
+        return not any(np.any(band) for off, band in self.bands.items() if off)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense (degree+1)^2 matrix; allocated anew on every access."""
+        out = np.zeros((self.degree + 1, self.degree + 1), dtype=complex)
+        for off, band in self.bands.items():
+            base = np.arange(band.size)
+            rows, cols = (base, base + off) if off >= 0 else (base - off, base)
+            out[rows, cols] = band
+            if self.hermitian and off > 0:
+                out[cols, rows] = np.conj(band)
+        return out
 
 
 def kernel_eval(nu: float, x: complex, y: complex):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .bergman import TruncatedOperator, log_monomial_norm_sq
+from .bergman import BandedOperator, TruncatedOperator, log_monomial_norm_sq
 from .specfun import log_channel_constant_sq, validate_weight
 
 __all__ = [
@@ -33,7 +33,9 @@ __all__ = [
     "diagonal_output_spectrum",
     "response_tail_bound",
     "output_trace_interval",
+    "power_sum",
     "functional_trace",
+    "banded_trace",
     "sqrt_series_coefficient",
     "sqrt_series_coefficients",
 ]
@@ -211,12 +213,13 @@ def _weight_grid(params: ChannelParams, p_max: int, m_max: int) -> np.ndarray:
     return np.where(valid, V, 0.0)
 
 
-def apply_channel(A: TruncatedOperator, params: ChannelParams) -> TruncatedOperator:
+def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator:
     """T(A) = P_k (A x I) P_k* on H_{mu+nu+2k}, by exact finite sums.
 
     Entry (q, p) of the output is sum_m V[p, m] A[m - (p-q), m] V[q, m - (p-q)];
-    grade conservation makes the sum band-limited by A's bandwidth, so the cost
-    is O(L * bandwidth * support).  Hermiticity propagates exactly (the
+    grade conservation makes the output banded with A's bandwidth, so the
+    cost is O(L * bandwidth * support) and the result is returned in band
+    storage of O(L * bandwidth) entries.  Hermiticity propagates exactly (the
     coupling weights are real).
     """
     if A.weight != params.mu:
@@ -227,17 +230,18 @@ def apply_channel(A: TruncatedOperator, params: ChannelParams) -> TruncatedOpera
     k = params.k
     d = A.degree
     nz_rows, nz_cols = np.nonzero(np.abs(A.matrix) > 0)
-    out = np.zeros((L + 1, L + 1), dtype=complex)
+    bands = {}
     if len(nz_rows) == 0:
-        return TruncatedOperator(params.target_weight, out, hermitian=A.hermitian)
+        return BandedOperator(params.target_weight, L, bands, hermitian=A.hermitian)
     m_top = min(d, L + k)
     V = _weight_grid(params, L, m_top)
     offsets = np.unique(nz_cols - nz_rows)  # off = m - m' = p - q
     if A.hermitian:
-        offsets = offsets[offsets >= 0]  # mirror the lower triangle exactly
+        offsets = offsets[offsets >= 0]  # the lower triangle is the mirror
     for off in offsets.tolist():
-        m_lo, m_hi = max(0, off), min(m_top, d + off)
-        if m_lo > m_hi:
+        # both m and m - off stay on the grid (m_top <= d)
+        m_lo, m_hi = max(0, off), min(m_top, m_top + off)
+        if m_lo > m_hi or abs(off) > L:
             continue
         ms = np.arange(m_lo, m_hi + 1)
         diag = A.matrix[ms - off, ms]  # entries with m - m' = off
@@ -246,11 +250,8 @@ def apply_channel(A: TruncatedOperator, params: ChannelParams) -> TruncatedOpera
         base = np.arange(L + 1 - abs(off))
         ps, qs = (base + off, base) if off >= 0 else (base, base - off)
         # entry (q, p) = sum_m V[p, m] A[m - off, m] V[q, m - off]
-        block = (V[ps][:, ms] * V[qs][:, ms - off]) @ diag
-        out[qs, ps] = block
-        if A.hermitian and off > 0:
-            out[ps, qs] = np.conj(block)
-    return TruncatedOperator(params.target_weight, out, hermitian=A.hermitian)
+        bands[off] = (V[ps][:, ms] * V[qs][:, ms - off]) @ diag
+    return BandedOperator(params.target_weight, L, bands, hermitian=A.hermitian)
 
 
 def diagonal_response(params: ChannelParams, m: int, p) -> np.ndarray:
@@ -371,7 +372,29 @@ def output_trace_interval(
     return trace_cut, tail_est, tail_bound
 
 
-def functional_trace(B: TruncatedOperator, psi) -> float:
+def _check_psi(psi) -> np.ndarray:
+    psi = np.asarray(psi, dtype=float)
+    if psi.size == 0 or psi[0] != 0.0:
+        raise ValueError("psi must be a polynomial with psi(0) = 0")
+    return psi
+
+
+def power_sum(psi, values: np.ndarray) -> float | complex:
+    """sum_j a_j sum_i values_i^j for psi = [0, a1, a2, ...].
+
+    Applied to a spectrum this is Tr psi(B).  Real values give a float,
+    complex values a complex.
+    """
+    total = 0.0
+    power = values.copy()
+    for a in psi[1:]:
+        if a != 0.0:
+            total += a * np.sum(power).item()
+        power = power * values
+    return total
+
+
+def functional_trace(B: TruncatedOperator | BandedOperator, psi) -> float:
     """Tr psi(B) for a polynomial psi with psi(0) = 0.
 
     ``psi`` is the ascending coefficient list [0, a1, a2, ...].  B must be
@@ -379,31 +402,88 @@ def functional_trace(B: TruncatedOperator, psi) -> float:
     evaluation); a spectrum outside the window raises
     :class:`SpectrumWindowError` since the channel is a complete contraction.
     Exactly diagonal matrices use their diagonal as the spectrum; everything
-    else goes through a Hermitian eigendecomposition.
+    else goes through a Hermitian eigendecomposition of ``B.matrix``, so
+    banded operators pay a dense conversion here (see :func:`banded_trace`).
     """
-    psi = np.asarray(psi, dtype=float)
-    if psi.size == 0 or psi[0] != 0.0:
-        raise ValueError("psi must be a polynomial with psi(0) = 0")
+    psi = _check_psi(psi)
     if not B.hermitian:
         raise ValueError("functional calculus requires a Hermitian operator")
-    off = B.matrix - np.diag(np.diag(B.matrix))
-    if np.all(off == 0):
-        eigs = np.real(np.diag(B.matrix))
+    M = B.matrix
+    if B.is_diagonal:
+        eigs = np.real(np.diag(M))
     else:
-        eigs = np.linalg.eigvalsh(B.matrix)
+        eigs = np.linalg.eigvalsh(M)
     if eigs.min() < -SPECTRUM_SLACK or eigs.max() > 1.0 + SPECTRUM_SLACK:
         raise SpectrumWindowError(
             f"spectrum [{eigs.min():.3e}, {eigs.max():.3e}] outside "
             f"[-{SPECTRUM_SLACK}, 1+{SPECTRUM_SLACK}]"
         )
-    eigs = np.clip(eigs, 0.0, 1.0)
-    total = 0.0
-    power = eigs.copy()
-    for a in psi[1:]:
-        if a != 0.0:
-            total += a * float(np.sum(power))
-        power = power * eigs
+    return power_sum(psi, np.clip(eigs, 0.0, 1.0))
+
+
+def _row_bands(B: BandedOperator) -> tuple[int, np.ndarray]:
+    """(b, R) with R[b + off, i] = B[i, i + off], zero outside the matrix."""
+    n, b = B.degree + 1, B.bandwidth
+    R = np.zeros((2 * b + 1, n), dtype=complex)
+    for off, band in B.bands.items():
+        R[b + off, max(0, -off) : n - max(0, off)] = band
+        if B.hermitian and off > 0:
+            R[b - off, off:] = np.conj(band)
+    return b, R
+
+
+def _band_product(X: tuple[int, np.ndarray], Y: tuple[int, np.ndarray]):
+    """Row-indexed bands of X @ Y: C[i, i+c] = sum_a X[i, i+a] Y[i+a, i+c]."""
+    (bx, RX), (by, RY) = X, Y
+    n = RX.shape[1]
+    C = np.zeros((2 * (bx + by) + 1, n), dtype=complex)
+    for ia, a in enumerate(range(-bx, bx + 1)):
+        lo, hi = max(0, -a), min(n, n - a)
+        C[ia : ia + 2 * by + 1, lo:hi] += RX[ia, lo:hi] * RY[:, lo + a : hi + a]
+    bc = min(bx + by, n - 1)  # offsets past n - 1 are empty
+    return bc, C[bx + by - bc : bx + by + bc + 1]
+
+
+def _band_pairing(X: tuple[int, np.ndarray], Y: tuple[int, np.ndarray]) -> complex:
+    """Tr(X @ Y) = sum_a sum_i X[i, i+a] Y[i+a, i], O(n * bandwidth)."""
+    (bx, RX), (by, RY) = X, Y
+    n = RX.shape[1]
+    total = 0j
+    for a in range(-min(bx, by), min(bx, by) + 1):
+        lo, hi = max(0, -a), min(n, n - a)
+        total += RX[bx + a, lo:hi] @ RY[by - a, lo + a : hi + a]
     return total
+
+
+def banded_trace(B: BandedOperator, psi) -> float | complex:
+    """sum_j a_j Tr B^j from the bands of B: exact, with no eigensolve.
+
+    Over the spectrum this is sum_j a_j sum_i lambda_i^j = Tr psi(B); unlike
+    :func:`functional_trace` it applies no spectrum window.  A diagonal B is
+    summed over its diagonal.  Otherwise Tr B = sum of the diagonal, and
+    Tr B^{2h} = Tr(B^h B^h), Tr B^{2h+1} = Tr(B^{h+1} B^h) are O(n * bandwidth)
+    pairings of band powers B^h, h <= ceil(deg psi / 2), built by
+    band-times-band products (Tr B^2 is the squared Frobenius norm for
+    Hermitian B).  Hermitian B gives a float, otherwise a complex.
+    """
+    psi = _check_psi(psi)
+    if B.is_diagonal:
+        diag = B.bands.get(0, np.zeros(B.degree + 1, dtype=complex))
+        return power_sum(psi, diag.real if B.hermitian else diag)
+    powers = [None, _row_bands(B)]
+    for _ in range(2, psi.size // 2 + 1):  # B^h up to h = ceil(deg / 2)
+        powers.append(_band_product(powers[-1], powers[1]))
+    total = 0j
+    for j, a in enumerate(psi):
+        if j == 0 or a == 0.0:
+            continue
+        if j == 1:
+            b, R = powers[1]
+            tr = np.sum(R[b])
+        else:
+            tr = _band_pairing(powers[(j + 1) // 2], powers[j // 2])
+        total += a * tr
+    return total.real if B.hermitian else complex(total)
 
 
 def sqrt_series_coefficient(i: int) -> float:

@@ -24,8 +24,10 @@ from .bergman import TruncatedOperator
 from .channel import (
     ChannelParams,
     apply_channel,
+    banded_trace,
     diagonal_output_spectrum,
     diagonal_response,
+    power_sum,
     response_tail_bound,
 )
 from .disk import build_quadrature
@@ -313,16 +315,6 @@ def _input_state(cfg: ExperimentConfig) -> TruncatedOperator:
     return _random_state(cfg, cfg.mu)
 
 
-def _psi_sum(psi, values: np.ndarray) -> float:
-    total = 0.0
-    power = values.copy()
-    for a in psi[1:]:
-        if a != 0.0:
-            total += a * float(np.sum(power))
-        power = power * values
-    return total
-
-
 def _husimi_target(cfg: ExperimentConfig, state: TruncatedOperator) -> tuple[float, str]:
     """int psi(H_mu^k(state)) d iota: closed form for the lowest state,
     quadrature otherwise (labeled in the report note)."""
@@ -356,13 +348,13 @@ def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
     params = ChannelParams(cfg.mu, float(nu), cfg.k)
     cut = cfg.truncation_l or max(64 * nu, 4096)
     diag_in = np.real(np.diag(state.matrix))
-    offdiag = state.matrix - np.diag(np.diag(state.matrix))
-    if np.all(np.abs(offdiag) < 1e-15):
+    if state.is_diagonal:
         spectrum = diagonal_output_spectrum(params, diag_in, cut)
+        measured = power_sum(cfg.psi, spectrum) / nu
     else:
+        # sum_j a_j Tr T(A)^j from the bands: the sum of psi over the spectrum
         big = ChannelParams(cfg.mu, float(nu), cfg.k, output_degree=cut)
-        spectrum = np.linalg.eigvalsh(apply_channel(state, big).matrix)
-    measured = _psi_sum(cfg.psi, spectrum) / nu
+        measured = banded_trace(apply_channel(state, big), cfg.psi) / nu
     # dropped mass: |psi(x)| <= (sum_j |a_j|) x on [0, 1], so the truncation
     # bias is bounded by that slope times the trace tail (exact out to 8*cut,
     # rigorous remainder bound past that)
@@ -392,12 +384,12 @@ def _row_toeplitz_trace(cfg: ExperimentConfig, nu: int) -> ReportRow:
     )
     cut = cfg.truncation_l or 80 * nu
     diag = toeplitz_diagonal(f, float(nu), cut)
-    measured = _psi_sum(cfg.psi, diag) / (nu - 1.0)
+    measured = power_sum(cfg.psi, diag) / (nu - 1.0)
     # entries decay like m^{-s} with s = decay * lowest psi power; the dropped
     # psi mass is bounded by the integral test anchored at the last entry
     j_min = min((j for j, a in enumerate(cfg.psi) if a != 0.0 and j >= 1), default=1)
     s_min = f.min_decay * j_min
-    edge = abs(_psi_sum(cfg.psi, diag[-1:]))
+    edge = abs(power_sum(cfg.psi, diag[-1:]))
     tail = edge * (cut + 1.0) / max(s_min - 1.0, 1e-9) / (nu - 1.0)
     return ReportRow(nu=nu, measured=measured, target=target, tail_bound=tail,
                      note="closed-form")

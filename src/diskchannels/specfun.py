@@ -21,7 +21,6 @@ __all__ = [
     "HypergeometricPoleError",
     "pochhammer",
     "log_pochhammer",
-    "log_factorial",
     "gauss_2f1_unit",
     "channel_constant_sq",
     "log_channel_constant_sq",
@@ -89,11 +88,6 @@ def log_pochhammer(a: float, n: int) -> tuple[float, float]:
         head = a + neg_count  # > 0 here (zero case handled above)
         log_abs += gammaln(head + (n - neg_count)) - gammaln(head)
     return log_abs, sign
-
-
-def log_factorial(n):
-    """log(n!) for scalar or array n."""
-    return gammaln(np.asarray(n, dtype=float) + 1.0)
 
 
 def gauss_2f1_unit(n: int, b: float, c: float) -> float:

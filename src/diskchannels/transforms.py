@@ -271,7 +271,7 @@ def husimi_grid(A: TruncatedOperator, index: int, ws) -> np.ndarray:
         raise ValueError("Husimi values are defined for Hermitian operators")
     ws = np.asarray(ws, dtype=complex).ravel()
     diag = np.real(np.diag(A.matrix))
-    is_diag = np.all(A.matrix == np.diag(np.diag(A.matrix)))
+    is_diag = A.is_diagonal
     out = np.empty(ws.shape)
     chunk = max(1, (1 << 22) // (A.degree + 1))
     for i0 in range(0, ws.size, chunk):

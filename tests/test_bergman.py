@@ -196,6 +196,12 @@ class TestTruncatedOperator:
         with pytest.raises(ValueError):
             TruncatedOperator(2, np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
 
+    def test_is_diagonal_exact(self):
+        assert TruncatedOperator(2, np.diag([0.5, 0.0, 0.2])).is_diagonal
+        tiny = np.diag([0.5, 0.2]).astype(complex)
+        tiny[0, 1] = 1e-300j
+        assert not TruncatedOperator(2, tiny).is_diagonal
+
     def test_trace_and_norm(self):
         m = np.array([[1.0, 2.0], [2.0, 3.0]])
         op = TruncatedOperator(2, m, hermitian=True)

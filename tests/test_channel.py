@@ -5,9 +5,12 @@ and never touch the coefficient algebra they are checking.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     gammaform_eigenvalue_oracle,
     lowest_state,
@@ -19,7 +22,9 @@ from diskchannels.bergman import TruncatedOperator
 from diskchannels.channel import (
     ChannelParams,
     SpectrumWindowError,
+    _weight_grid,
     apply_channel,
+    banded_trace,
     diagonal_output_spectrum,
     diagonal_response,
     functional_trace,
@@ -283,3 +288,130 @@ class TestSchattenBounds:
             nuclear_out = float(np.sum(np.linalg.svd(out, compute_uv=False)))
             assert nuclear_out <= factor * nuclear_in * (1 + 1e-12)
             assert float(np.linalg.norm(out)) <= math.sqrt(factor) * frob_in
+
+
+def dense_channel_reference(A, params):
+    """The dense scatter loop apply_channel ran before it returned bands.
+
+    One change: m_hi keeps m - off on the weight grid.  The loop read past
+    the grid (IndexError) when cut + k < degree and A has entries below the
+    diagonal; wherever it ran, the clipped range is the same.
+    """
+    L = params.default_output_degree()
+    k = params.k
+    d = A.degree
+    nz_rows, nz_cols = np.nonzero(np.abs(A.matrix) > 0)
+    out = np.zeros((L + 1, L + 1), dtype=complex)
+    if len(nz_rows) == 0:
+        return out
+    m_top = min(d, L + k)
+    V = _weight_grid(params, L, m_top)
+    offsets = np.unique(nz_cols - nz_rows)
+    if A.hermitian:
+        offsets = offsets[offsets >= 0]
+    for off in offsets.tolist():
+        m_lo, m_hi = max(0, off), min(m_top, d + off, m_top + off)
+        if m_lo > m_hi:
+            continue
+        ms = np.arange(m_lo, m_hi + 1)
+        diag = A.matrix[ms - off, ms]
+        if not np.any(np.abs(diag) > 0):
+            continue
+        base = np.arange(L + 1 - abs(off))
+        ps, qs = (base + off, base) if off >= 0 else (base, base - off)
+        block = (V[ps][:, ms] * V[qs][:, ms - off]) @ diag
+        out[qs, ps] = block
+        if A.hermitian and off > 0:
+            out[ps, qs] = np.conj(block)
+    return out
+
+
+def dense_psi_trace(M, psi, hermitian):
+    """(sum_j a_j Tr M^j, the same sum over absolute values) from M densely.
+
+    Hermitian M goes through eigvalsh; otherwise through dense matrix powers,
+    since eigvalsh reads one triangle only.  The absolute sum bounds every
+    product the trace adds up, so it is the scale of the rounding error.
+    """
+    if hermitian:
+        lam = np.linalg.eigvalsh(M)
+        pairs = [(np.sum(lam**j), np.sum(np.abs(lam) ** j)) for j in range(len(psi))]
+    else:
+        absM = np.abs(M)
+        pairs = [
+            (np.trace(np.linalg.matrix_power(M, j)),
+             np.trace(np.linalg.matrix_power(absM, j)))
+            for j in range(len(psi))
+        ]
+    value = sum(a * pairs[j][0] for j, a in enumerate(psi) if j)
+    scale = sum(abs(a) * pairs[j][1] for j, a in enumerate(psi) if j)
+    return value, scale
+
+
+@st.composite
+def banded_cases(draw):
+    hermitian = draw(st.booleans())
+    d = draw(st.integers(0, 12))
+    offsets = draw(st.sets(st.integers(0 if hermitian else -d, d), min_size=1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = np.zeros((d + 1, d + 1), dtype=complex)
+    idx = np.arange(d + 1)
+    for off in offsets:
+        rows = idx[max(0, -off) : d + 1 - max(0, off)]
+        vals = rng.normal(size=rows.size)
+        if not (hermitian and off == 0):
+            vals = vals + 1j * rng.normal(size=rows.size)
+        M[rows, rows + off] = vals
+        if hermitian:
+            M[rows + off, rows] = np.conj(vals)
+    mu = draw(st.sampled_from([2, 3]))
+    params = ChannelParams(
+        mu, draw(st.integers(2, 40)), draw(st.sampled_from([0, 1, 2])),
+        output_degree=draw(st.integers(0, 512)),
+    )
+    psi = [0.0] + draw(
+        st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4)
+    )
+    return TruncatedOperator(mu, M, hermitian=hermitian), params, psi
+
+
+class TestBandedOutput:
+    @given(case=banded_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_bands_match_dense_loop_and_spectrum(self, case):
+        A, params, psi = case
+        B = apply_channel(A, params)
+        dense = B.matrix
+        assert dense.tobytes() == dense_channel_reference(A, params).tobytes()
+        assert B.is_diagonal == TruncatedOperator(A.weight, dense).is_diagonal
+        value, scale = dense_psi_trace(dense, psi, A.hermitian)
+        assert abs(banded_trace(B, psi) - value) <= 1e-12 * scale
+
+    def test_cut_below_input_degree(self):
+        # entries below the diagonal with cut + k < degree
+        A = TruncatedOperator(2, np.tril(np.ones((6, 6))))
+        params = ChannelParams(2, 2, 1, output_degree=2)
+        dense = apply_channel(A, params).matrix
+        assert dense.tobytes() == dense_channel_reference(A, params).tobytes()
+
+    def test_dense_sweep_shape(self):
+        # degree-23 rank-3 state at cut 2048, as in the channel-limit runner
+        A = random_psd(2, 24, 3, seed=1)
+        B = apply_channel(A, ChannelParams(2, 10, 1, output_degree=2048))
+        assert B.bandwidth == 23
+        lam = np.linalg.eigvalsh(B.matrix)
+        for psi in ([0, 0, 1], [0, 0.3, -0.2, 0.5, 1.0]):
+            value = sum(a * np.sum(lam**j) for j, a in enumerate(psi) if j)
+            assert banded_trace(B, psi) == pytest.approx(value, rel=1e-12)
+
+    def test_band_storage_at_nu_800_auto_cut(self):
+        # cut 64 nu = 51200: the dense output would take 42 GB
+        A = random_psd(2, 24, 3, seed=8)
+        tracemalloc.start()
+        try:
+            B = apply_channel(A, ChannelParams(2, 800, 1, output_degree=51200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(band.nbytes for band in B.bands.values()) <= 24 * 51201 * 16
+        assert peak <= 200 * 2**20

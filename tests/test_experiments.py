@@ -171,6 +171,28 @@ timing = off
         # errors still shrink toward the quadrature target
         assert rep.rows[1].abs_error < rep.rows[0].abs_error
 
+    def test_channel_limit_random_state_at_nu_800(self):
+        # auto cut 64 nu = 51200: a dense output would need 42 GB
+        rep = run_experiment(
+            parse_config(
+                """
+experiment = channel-limit
+mu = 2
+k = 1
+nu_list = 800
+input_state = rank-r-random
+psi = 0,0,1
+quadrature_radial = 60
+quadrature_angular = 64
+seed = 1
+timing = off
+"""
+            )
+        )
+        (row,) = rep.rows
+        assert row.error == ""
+        assert math.isfinite(row.measured) and row.measured > 0.0
+
     def test_toeplitz_trace_converges(self):
         rep = run_experiment(
             parse_config(
