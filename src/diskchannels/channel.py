@@ -77,36 +77,83 @@ class ChannelParams:
         return max(int(4 * (self.nu + self.k)), 512)
 
 
+def _derivative_terms(params: ChannelParams) -> list[tuple[int, float]]:
+    """(j, (-1)^{k-j} binom(k,j) / ((mu)_j (nu)_{k-j})) for j = 0..k."""
+    mu, nu, k = params.mu, params.nu, params.k
+    terms = []
+    for j in range(k + 1):
+        denom = math.exp(
+            gammaln(mu + j) - gammaln(mu) + gammaln(nu + k - j) - gammaln(nu)
+        )
+        terms.append((j, (-1.0) ** (k - j) * math.comb(k, j) / denom))
+    return terms
+
+
 def _derivative_sum(params: ChannelParams, m, n):
     """S(m,n) = sum_j (-1)^{k-j} binom(k,j) (m)_j^fall (n)_{k-j}^fall / ((mu)_j (nu)_{k-j}).
 
     c_{m,n} = C * S(m,n), signed so that the adjoint sends the constant to
     +C (z-w)^k (the integral-form convention; the derivative and integral
     forms of the intertwiner differ by (-1)^k and only this sign makes them
-    mutually adjoint).  Vectorized over broadcast m, n arrays; k is small, the
-    falling factorials are short products, and no cancellation trouble arises
-    because successive terms drop by ~n per order.
+    mutually adjoint).  Vectorized over broadcast integer m, n >= 0; a term
+    with j > m or k - j > n vanishes exactly, since its falling factorial
+    carries the factor 0.  k is small, the falling factorials are short
+    products, and no cancellation trouble arises because successive terms
+    drop by ~n per order.
     """
-    mu, nu, k = params.mu, params.nu, params.k
+    k = params.k
     m = np.asarray(m, dtype=float)
     n = np.asarray(n, dtype=float)
     total = np.zeros(np.broadcast(m, n).shape)
-    for j in range(k + 1):
-        fall_m = np.ones_like(total)
+    for j, coeff in _derivative_terms(params):
+        fall_m = 1.0
         for i in range(j):
             fall_m = fall_m * (m - i)
-        fall_n = np.ones_like(total)
+        fall_n = 1.0
         for i in range(k - j):
             fall_n = fall_n * (n - i)
-        denom = math.exp(
-            gammaln(mu + j) - gammaln(mu) + gammaln(nu + k - j) - gammaln(nu)
-        )
-        coeff = (-1.0) ** (k - j) * math.comb(k, j) / denom
-        term = coeff * fall_m * fall_n
-        # derivative terms vanish outside 0 <= j <= m, k-j <= n
-        term = np.where((m >= j) & (n >= k - j), term, 0.0)
-        total = total + term
+        total = total + coeff * fall_m * fall_n
     return total
+
+
+class _Couplings:
+    """The coupling weights w^{(p)}_{m,n}, n = p + k - m, for 0 <= p <= p_max.
+
+    log C^2, log ||zeta^p||^2 (p <= p_max) and log ||w^n||^2 (n <= p_max + k)
+    are tabulated once; :meth:`terms` reads them for any broadcast p and m.
+    """
+
+    def __init__(self, params: ChannelParams, p_max: int):
+        self.params = params
+        self.log_c2 = log_channel_constant_sq(params.mu, params.nu, params.k)
+        self.log_p = log_monomial_norm_sq(params.target_weight, np.arange(p_max + 1))
+        self.log_n = log_monomial_norm_sq(params.nu, np.arange(p_max + params.k + 1))
+
+    def terms(self, p, m):
+        """(S, log|S|, log ||zeta^p||^2/(||z^m||^2 ||w^n||^2)); S = 0 unless m, n >= 0."""
+        p, m = np.asarray(p), np.asarray(m)
+        n = p + self.params.k - m
+        valid = (m >= 0) & (n >= 0)
+        n = np.where(valid, n, 0)
+        S = np.where(valid, _derivative_sum(self.params, m, n), 0.0)
+        with np.errstate(divide="ignore"):
+            log_S = np.log(np.abs(S), where=S != 0, out=np.full_like(S, -np.inf))
+        log_scale = (
+            self.log_p[p]
+            - log_monomial_norm_sq(self.params.mu, np.maximum(m, 0))
+            - self.log_n[n]
+        )
+        return S, log_S, log_scale
+
+    def weights(self, p, m) -> np.ndarray:
+        """Signed w^{(p)}_{m,n} = C S(m,n) ||zeta^p|| / (||z^m|| ||w^n||)."""
+        S, log_S, log_scale = self.terms(p, m)
+        return np.sign(S) * np.exp(0.5 * self.log_c2 + log_S + 0.5 * log_scale)
+
+    def responses(self, p, m) -> np.ndarray:
+        """lambda_p(m) = (w^{(p)}_{m,n})^2."""
+        _, log_S, log_scale = self.terms(p, m)
+        return np.exp(self.log_c2 + 2.0 * log_S + log_scale)
 
 
 @dataclass(frozen=True)
@@ -144,23 +191,9 @@ def isometry_weights(params: ChannelParams, p: int, n=None) -> np.ndarray:
     Defaults to the full row n = 0..p+k; pass ``n`` (array) to select entries.
     The full row has unit square sum.
     """
-    mu, nu, k = params.mu, params.nu, params.k
-    s = params.target_weight
     if n is None:
-        n = np.arange(p + k + 1)
-    n = np.asarray(n)
-    m = p + k - n
-    S = _derivative_sum(params, m, n)
-    log_c = 0.5 * log_channel_constant_sq(mu, nu, k)
-    log_scale = 0.5 * (
-        log_monomial_norm_sq(s, p)
-        - log_monomial_norm_sq(mu, m)
-        - log_monomial_norm_sq(nu, n)
-    )
-    with np.errstate(divide="ignore"):
-        out = np.sign(S) * np.exp(log_c + np.log(np.abs(S), where=S != 0,
-                                                 out=np.full_like(S, -np.inf)) + log_scale)
-    return np.where((m >= 0) & (n >= 0), out, 0.0)
+        n = np.arange(p + params.k + 1)
+    return _Couplings(params, p).weights(p, p + params.k - np.asarray(n))
 
 
 def pk_star_vector(params: ChannelParams, p: int) -> list[tuple[int, int, float]]:
@@ -171,46 +204,22 @@ def pk_star_vector(params: ChannelParams, p: int) -> list[tuple[int, int, float]
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    mu, nu, k = params.mu, params.nu, params.k
-    s = params.target_weight
-    out = []
-    for n in range(p + k + 1):
-        m = p + k - n
-        S = float(_derivative_sum(params, m, n))
-        if S == 0.0:
-            continue
-        log_mag = (
-            0.5 * log_channel_constant_sq(mu, nu, k)
-            + math.log(abs(S))
-            + log_monomial_norm_sq(s, p)
-            - log_monomial_norm_sq(mu, m)
-            - log_monomial_norm_sq(nu, n)
-        )
-        out.append((m, n, math.copysign(math.exp(log_mag), S)))
-    return out
+    couplings = _Couplings(params, p)
+    ms = p + params.k - np.arange(p + params.k + 1)
+    S, log_S, log_scale = couplings.terms(p, ms)
+    log_mag = 0.5 * couplings.log_c2 + log_S + log_scale
+    return [
+        (m, p + params.k - m, math.copysign(math.exp(mag), s))
+        for m, s, mag in zip(ms.tolist(), S.tolist(), log_mag.tolist())
+        if s != 0.0
+    ]
 
 
 def _weight_grid(params: ChannelParams, p_max: int, m_max: int) -> np.ndarray:
     """V[p, m] = w^{(p)}_{m, p+k-m} for 0 <= p <= p_max, 0 <= m <= m_max."""
-    mu, nu, k = params.mu, params.nu, params.k
-    s = params.target_weight
     ps = np.arange(p_max + 1)[:, None]
     ms = np.arange(m_max + 1)[None, :]
-    ns = ps + k - ms
-    valid = ns >= 0
-    ns_safe = np.where(valid, ns, 0)
-    S = _derivative_sum(params, ms, ns_safe)
-    log_scale = 0.5 * (
-        log_monomial_norm_sq(s, ps)
-        - log_monomial_norm_sq(mu, ms)
-        - log_monomial_norm_sq(nu, ns_safe)
-    )
-    with np.errstate(divide="ignore"):
-        log_S = np.log(np.abs(S), where=S != 0, out=np.full_like(S, -np.inf))
-    V = np.sign(S) * np.exp(
-        0.5 * log_channel_constant_sq(mu, nu, k) + log_S + log_scale
-    )
-    return np.where(valid, V, 0.0)
+    return _Couplings(params, p_max).weights(ps, ms)
 
 
 def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator:
@@ -262,21 +271,7 @@ def diagonal_response(params: ChannelParams, m: int, p) -> np.ndarray:
     Vectorized over an array of output indices ``p``.
     """
     p = np.asarray(p)
-    n = p + params.k - m
-    mu, nu, k = params.mu, params.nu, params.k
-    s = params.target_weight
-    valid = n >= 0
-    n_safe = np.where(valid, n, 0)
-    S = _derivative_sum(params, m, n_safe)
-    log_scale = (
-        log_monomial_norm_sq(s, p)
-        - log_monomial_norm_sq(mu, m)
-        - log_monomial_norm_sq(nu, n_safe)
-    )
-    with np.errstate(divide="ignore"):
-        log_S2 = 2.0 * np.log(np.abs(S), where=S != 0, out=np.full_like(S, -np.inf))
-    lam = np.exp(log_channel_constant_sq(mu, nu, k) + log_S2 + log_scale)
-    return np.where(valid, lam, 0.0)
+    return _Couplings(params, int(np.max(p, initial=0))).responses(p, m)
 
 
 def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarray:
@@ -284,14 +279,16 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
 
     For diagonal A the output is exactly diagonal (grade conservation), so
     this is its full spectrum up to the cut — no matrix is materialized,
-    which matters for weight sweeps where cut ~ 64 nu.
+    which matters for weight sweeps where cut ~ 64 nu.  For any A it is the
+    diagonal of T(A), which depends only on the diagonal of A.
     """
     diag = np.asarray(diag, dtype=float)
-    ps = np.arange(cut + 1)
+    couplings = _Couplings(params, cut)
     out = np.zeros(cut + 1)
-    for m in range(diag.size):
-        if diag[m] != 0.0:
-            out += diag[m] * diagonal_response(params, m, ps)
+    for m in np.flatnonzero(diag).tolist():
+        lo = max(0, m - params.k)  # lambda_p(m) = 0 for p < m - k
+        if lo <= cut:
+            out[lo:] += diag[m] * couplings.responses(np.arange(lo, cut + 1), m)
     return out
 
 
@@ -314,14 +311,11 @@ def response_tail_bound(params: ChannelParams, m: int, cut: int) -> float:
     # |S(m,n)| <= n^k * D(n0) for n >= n0 (each term's n-power bounded, then
     # the leftover n^{-j} factors evaluated at the smallest tail n)
     D = 0.0
-    for j in range(k + 1):
+    for j, coeff in _derivative_terms(params):
         fall_m = 1.0
         for i in range(j):
             fall_m *= max(m - i, 0)
-        denom = math.exp(
-            gammaln(mu + j) - gammaln(mu) + gammaln(nu + k - j) - gammaln(nu)
-        )
-        D += math.comb(k, j) * fall_m / (denom * n0**j)
+        D += abs(coeff) * fall_m / n0**j
     if D == 0.0:
         return 0.0
     # (nu)_n/n! <= (n + nu - 1)^{nu-1}/(nu-1)! and n <= p + k:
@@ -357,19 +351,13 @@ def output_trace_interval(
         raise ValueError("weight mismatch")
     extend_to = extend_to or 100 * cut
     diag = np.real(np.diag(A.matrix))
-    ps_head = np.arange(cut + 1)
-    ps_tail = np.arange(cut + 1, extend_to + 1)
-    trace_cut = 0.0
-    tail_est = 0.0
-    tail_bound = 0.0
-    for m in range(A.degree + 1):
-        if diag[m] == 0.0:
-            continue
-        trace_cut += diag[m] * float(np.sum(diagonal_response(params, m, ps_head)))
-        tail_sum = float(np.sum(diagonal_response(params, m, ps_tail)))
-        tail_est += diag[m] * (tail_sum + response_tail_bound(params, m, extend_to))
-        tail_bound += diag[m] * response_tail_bound(params, m, cut)
-    return trace_cut, tail_est, tail_bound
+    spectrum = diagonal_output_spectrum(params, diag, extend_to)
+    ms = np.flatnonzero(diag).tolist()
+    tail_est = float(np.sum(spectrum[cut + 1 :])) + sum(
+        diag[m] * response_tail_bound(params, m, extend_to) for m in ms
+    )
+    tail_bound = sum((diag[m] * response_tail_bound(params, m, cut) for m in ms), 0.0)
+    return float(np.sum(spectrum[: cut + 1])), tail_est, tail_bound
 
 
 def _check_psi(psi) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 from oracles import (
     gammaform_eigenvalue_oracle,
     lowest_state,
@@ -18,7 +19,7 @@ from oracles import (
     random_psd,
 )
 
-from diskchannels.bergman import TruncatedOperator
+from diskchannels.bergman import TruncatedOperator, log_monomial_norm_sq
 from diskchannels.channel import (
     ChannelParams,
     SpectrumWindowError,
@@ -36,6 +37,7 @@ from diskchannels.channel import (
     sqrt_series_coefficient,
     sqrt_series_coefficients,
 )
+from diskchannels.specfun import log_channel_constant_sq
 
 
 class TestProjectionCoefficients:
@@ -415,3 +417,125 @@ class TestBandedOutput:
             tracemalloc.stop()
         assert sum(band.nbytes for band in B.bands.values()) <= 24 * 51201 * 16
         assert peak <= 200 * 2**20
+
+
+def derivative_sum_reference(params, m, n):
+    """The derivative sum S(m, n) with the explicit support masks."""
+    mu, nu, k = params.mu, params.nu, params.k
+    m = np.asarray(m, dtype=float)
+    n = np.asarray(n, dtype=float)
+    total = np.zeros(np.broadcast(m, n).shape)
+    for j in range(k + 1):
+        fall_m = np.ones_like(total)
+        for i in range(j):
+            fall_m = fall_m * (m - i)
+        fall_n = np.ones_like(total)
+        for i in range(k - j):
+            fall_n = fall_n * (n - i)
+        denom = math.exp(
+            gammaln(mu + j) - gammaln(mu) + gammaln(nu + k - j) - gammaln(nu)
+        )
+        term = (-1.0) ** (k - j) * math.comb(k, j) / denom * fall_m * fall_n
+        total = total + np.where((m >= j) & (n >= k - j), term, 0.0)
+    return total
+
+
+def diagonal_response_reference(params, m, p):
+    """lambda_p(m) assembled per entry, each log-norm computed at its index."""
+    p = np.asarray(p)
+    n = p + params.k - m
+    valid = n >= 0
+    n_safe = np.where(valid, n, 0)
+    S = derivative_sum_reference(params, m, n_safe)
+    log_scale = (
+        log_monomial_norm_sq(params.target_weight, p)
+        - log_monomial_norm_sq(params.mu, m)
+        - log_monomial_norm_sq(params.nu, n_safe)
+    )
+    with np.errstate(divide="ignore"):
+        log_S2 = 2.0 * np.log(np.abs(S), where=S != 0, out=np.full_like(S, -np.inf))
+    log_c2 = log_channel_constant_sq(params.mu, params.nu, params.k)
+    return np.where(valid, np.exp(log_c2 + log_S2 + log_scale), 0.0)
+
+
+def isometry_weights_reference(params, p, n):
+    """Signed w^{(p)}_{m,n} over the given n, assembled per entry."""
+    n = np.asarray(n)
+    m = p + params.k - n
+    S = derivative_sum_reference(params, m, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_scale = 0.5 * (
+            log_monomial_norm_sq(params.target_weight, p)
+            - log_monomial_norm_sq(params.mu, m)
+            - log_monomial_norm_sq(params.nu, n)
+        )
+        log_S = np.log(np.abs(S), where=S != 0, out=np.full_like(S, -np.inf))
+        log_c = 0.5 * log_channel_constant_sq(params.mu, params.nu, params.k)
+        out = np.sign(S) * np.exp(log_c + log_S + log_scale)
+    return np.where((m >= 0) & (n >= 0), out, 0.0)
+
+
+def assert_matches_reference(new, ref, k):
+    """Bit for bit at k <= 1, else within 1e-15 relative per entry."""
+    if k <= 1:
+        assert new.tobytes() == ref.tobytes()
+    else:
+        assert np.all(np.abs(new - ref) <= 1e-15 * np.abs(ref))
+
+
+@st.composite
+def coupling_cases(draw):
+    params = ChannelParams(
+        draw(st.sampled_from([2, 2.5, 3])),
+        draw(st.sampled_from([2, 3.5, 40, 800])),
+        draw(st.integers(0, 3)),
+    )
+    m = draw(st.integers(0, 40))
+    p_top = draw(st.sampled_from([60, 5000, 400_000]))
+    picks = draw(st.lists(st.integers(0, p_top), min_size=1, max_size=40))
+    # every p below m - k, where lambda_p(m) vanishes, plus scattered p
+    p = np.array(list(range(m + 2)) + picks)
+    return params, m, p
+
+
+class TestCouplingKernel:
+    @given(case=coupling_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_diagonal_response_matches_reference(self, case):
+        params, m, p = case
+        ref = diagonal_response_reference(params, m, p)
+        assert_matches_reference(diagonal_response(params, m, p), ref, params.k)
+
+    @given(case=coupling_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_isometry_weights_match_reference(self, case):
+        params, m, picks = case
+        for p in (m, int(picks[-1])):
+            # full row, then n past p + k where m < 0
+            n = np.arange(p + params.k + 1) if p <= 5000 else picks % (p + params.k + 1)
+            n = np.concatenate([n, [p + params.k + 1, p + params.k + 7]])
+            ref = isometry_weights_reference(params, p, n)
+            assert_matches_reference(isometry_weights(params, p, n), ref, params.k)
+        full = isometry_weights(params, m)
+        ref = isometry_weights_reference(params, m, np.arange(m + params.k + 1))
+        assert_matches_reference(full, ref, params.k)
+
+    @given(
+        mu=st.sampled_from([2, 2.5, 3]),
+        nu=st.sampled_from([2, 3.5, 40, 800]),
+        k=st.integers(0, 3),
+        cut=st.sampled_from([0, 2, 9, 300, 20_000, 400_000]),
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(0, 12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_output_spectrum_matches_per_m_sum(self, mu, nu, k, cut, seed, degree):
+        params = ChannelParams(mu, nu, k)
+        rng = np.random.default_rng(seed)
+        diag = rng.random(degree + 1) * (rng.random(degree + 1) < 0.7)
+        ps = np.arange(cut + 1)
+        ref = np.zeros(cut + 1)
+        for m in range(degree + 1):
+            if diag[m] != 0.0:
+                ref += diag[m] * diagonal_response_reference(params, m, ps)
+        assert_matches_reference(diagonal_output_spectrum(params, diag, cut), ref, k)

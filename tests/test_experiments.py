@@ -5,11 +5,13 @@ import math
 
 import pytest
 
+from diskchannels.channel import ChannelParams, output_trace_interval
 from diskchannels.cli import main as cli_main
 from diskchannels.experiments import (
     ConfigError,
     ExperimentReport,
     ReportRow,
+    _input_state,
     emit_report,
     parse_config,
     report_from_json,
@@ -67,6 +69,14 @@ class TestConfigParsing:
     def test_unparseable_value(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(BASE + "seed = not-a-number\n")
+
+    def test_channel_limit_needs_integer_mu(self):
+        # the rigorous trace-tail bound of every row needs an integer weight
+        with pytest.raises(ConfigError, match="mu:"):
+            parse_config(BASE.replace("mu = 2", "mu = 2.5"))
+        assert parse_config(BASE.replace("mu = 2", "mu = 3.0")).mu == 3.0
+        other = BASE.replace("channel-limit", "e-identity").replace("mu = 2", "mu = 2.5")
+        assert parse_config(other).mu == 2.5
 
 
 class TestEmitReport:
@@ -192,6 +202,35 @@ timing = off
         (row,) = rep.rows
         assert row.error == ""
         assert math.isfinite(row.measured) and row.measured > 0.0
+
+    @pytest.mark.parametrize("state", ["lowest", "toeplitz", "rank-r-random"])
+    def test_tail_bound_is_library_trace_tail(self, state):
+        # the row's trace tail is output_trace_interval's tail estimate
+        cfg = parse_config(
+            f"""
+experiment = channel-limit
+mu = 3
+k = 2
+nu_list = 5,9
+input_state = {state}
+f = radial:0,0,1
+truncation_n = 30
+state_dim = 8
+psi = 0,0.5,-1,2
+truncation_l = 300
+quadrature_radial = 40
+quadrature_angular = 32
+seed = 2
+timing = off
+"""
+        )
+        rep = run_experiment(cfg)
+        state_op = _input_state(cfg)
+        for row in rep.rows:
+            assert row.error == ""
+            params = ChannelParams(cfg.mu, float(row.nu), cfg.k)
+            tail = output_trace_interval(state_op, params, 300, 8 * 300)[1]
+            assert row.tail_bound * row.nu / 3.5 == pytest.approx(tail, rel=1e-12)
 
     def test_toeplitz_trace_converges(self):
         rep = run_experiment(
