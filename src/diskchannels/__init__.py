@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .bergman import (
     BandedOperator,
     TruncatedOperator,
-    TruncatedSpace,
     coherent_vector,
     group_action_matrix,
     kernel_eval,
@@ -55,7 +54,6 @@ __all__ = [
     "__version__",
     "BandedOperator",
     "TruncatedOperator",
-    "TruncatedSpace",
     "coherent_vector",
     "group_action_matrix",
     "kernel_eval",

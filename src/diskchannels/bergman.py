@@ -4,11 +4,12 @@ Monomial norms, reproducing kernels, coherent vectors, operators as matrices
 in the orthonormal basis e_j = ((nu)_j/j!)^{1/2} z^j, and matrices of the
 SU(1,1) action.
 
-Transported basis vectors g . z^j are built by a stable recursion (column 0 in
-closed form, then multiply by (az - conj b) and solve the bidiagonal system
-for the (-bz + conj a) division).  The recursion is lower triangular, so every
-retained coefficient is exact; truncation only drops mass above the cut, and
-that deficit is reported as the tail.
+Transported basis vectors g . z^j are built by a stable recursion (column 0 is
+a phase times the scaled basis values at b/conj(a), then multiply by
+(az - conj b) and solve the bidiagonal system for the (-bz + conj a)
+division).  The recursion is lower triangular, so every retained coefficient
+is exact; truncation only drops mass above the cut, and that deficit is
+reported as the tail.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.special import gammaln
 
+from .disk import check_determinant
 from .specfun import validate_weight
 
 __all__ = [
-    "TruncatedSpace",
     "TruncatedOperator",
     "BandedOperator",
     "TruncationTailError",
@@ -57,26 +57,6 @@ def log_monomial_norm_sq(nu: float, j):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class TruncatedSpace:
-    """A weight-nu Bergman space truncated at monomial degree ``degree``."""
-
-    weight: float
-    degree: int
-
-    def __post_init__(self):
-        validate_weight(self.weight)
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-
-    @property
-    def dim(self) -> int:
-        return self.degree + 1
-
-    def log_norms_sq(self) -> np.ndarray:
-        return log_monomial_norm_sq(self.weight, np.arange(self.dim))
-
-
 @dataclass
 class TruncatedOperator:
     """A finite operator matrix in the orthonormal monomial basis."""
@@ -100,10 +80,6 @@ class TruncatedOperator:
     @property
     def degree(self) -> int:
         return self.matrix.shape[0] - 1
-
-    @property
-    def space(self) -> TruncatedSpace:
-        return TruncatedSpace(self.weight, self.degree)
 
     @property
     def is_diagonal(self) -> bool:
@@ -189,56 +165,24 @@ def coherent_vector(nu: float, w: complex, degree: int) -> tuple[np.ndarray, flo
     The full vector is ((nu)_i/i!)^{1/2} conj(w)^i (1-|w|^2)^{nu/2}; the
     returned tail is the exact mass 1 - ||truncation||^2 above ``degree``.
     """
-    nu = validate_weight(nu)
-    w = complex(w)
-    t = abs(w) ** 2
-    if t >= 1.0:
-        raise ValueError("w must lie in the open unit disk")
-    i = np.arange(degree + 1)
-    log_mod = -0.5 * log_monomial_norm_sq(nu, i) + 0.5 * nu * np.log1p(-t)
-    if w == 0:
-        coeffs = np.zeros(degree + 1, dtype=complex)
-        coeffs[0] = 1.0
-        return coeffs, 0.0
-    log_mod = log_mod + i * np.log(abs(w))
-    phase = np.exp(-1j * i * np.angle(w))
-    coeffs = np.exp(log_mod) * phase
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(coeffs) ** 2)))
-    return coeffs, tail
+    coeffs = np.conj(scaled_basis_values(nu, complex(w), degree)[:, 0])
+    return coeffs, max(0.0, 1.0 - float(np.sum(np.abs(coeffs) ** 2)))
 
 
-def _lowest_transported(g, nu: float, degree: int, count: int) -> np.ndarray:
-    """Orthonormal coefficients of g . 1 (column 0), vectorized over ``count``
-    identical group elements or arrays of (a, b)."""
-    a, b = np.asarray(g[0], dtype=complex), np.asarray(g[1], dtype=complex)
-    ts = np.arange(degree + 1)
-    if np.all(b == 0):
-        out = np.zeros((degree + 1, count), dtype=complex)
-        out[0, :] = np.conj(a) ** (-nu)
-        return out
-    x = b / np.conj(a)  # |x| = |g.0| < 1
-    log_nb = (gammaln(nu + ts) - gammaln(nu) - gammaln(ts + 1.0))[:, None]
-    with np.errstate(divide="ignore"):
-        log_mod = (
-            log_nb
-            + ts[:, None] * np.where(np.abs(x) > 0, np.log(np.abs(x)), -np.inf)[None, :]
-            + 0.5 * (gammaln(ts + 1.0) - (gammaln(nu + ts) - gammaln(nu)))[:, None]
-            - nu * np.log(np.abs(a))[None, :]
-        )
-    phase = np.exp(
-        1j * (ts[:, None] * np.angle(x)[None, :] - nu * np.angle(np.conj(a))[None, :])
-    )
-    out = np.exp(log_mod) * phase
-    zero = np.abs(x) == 0
-    if np.any(zero):
-        out[:, zero] = 0.0
-        out[0, zero] = np.conj(a[zero]) ** (-nu)
-    return out
+def _lowest_transported(a, b, nu: float, degree: int) -> np.ndarray:
+    """Orthonormal coefficients of g . 1, one column per (a, b) pair.
+
+    g . 1 = (-bz + conj a)^{-nu} has coefficients ((nu)_t/t!)^{1/2} x^t
+    conj(a)^{-nu} with x = b/conj(a); the scaled basis values at x carry
+    (1-|x|^2)^{nu/2} = |a|^{-nu}, so the column is those values times the
+    phase conj(a)^{-nu} |a|^nu = e^{i nu arg a} (integer nu).
+    """
+    phase = np.conj(a) ** (-nu) * np.abs(a) ** nu
+    return phase * scaled_basis_values(nu, b / np.conj(a), degree)
 
 
-def _raise_transported(v: np.ndarray, g, nu: float, j: int) -> np.ndarray:
+def _raise_transported(v: np.ndarray, a, b, nu: float, j: int) -> np.ndarray:
     """Coefficients of g . e_{j+1} from those of g . e_j (lower triangular)."""
-    a, b = np.asarray(g[0], dtype=complex), np.asarray(g[1], dtype=complex)
     n = v.shape[0]
     ts = np.arange(n)
     shift = np.sqrt(ts[1:] / (nu + ts[1:] - 1.0))  # z e_{t-1} = shift_t e_t
@@ -246,16 +190,7 @@ def _raise_transported(v: np.ndarray, g, nu: float, j: int) -> np.ndarray:
     y[0] = -np.conj(b) * v[0]
     y[1:] = a * shift[:, None] * v[:-1] - np.conj(b) * v[1:]
     scale = math.sqrt((nu + j) / (j + 1.0))
-    if np.all(b == 0):
-        return (y / np.conj(a)) * scale
-    if v.shape[1] == 1:
-        # bidiagonal solve: conj(a) h_t - b shift_t h_{t-1} = y_t
-        bands = np.zeros((2, n), dtype=complex)
-        bands[0, :] = np.conj(a)
-        bands[1, :-1] = -b * shift
-        h = solve_banded((1, 0), bands, y[:, 0])[:, None]
-        return h * scale
-    # vectorized recursion across columns (distinct group elements)
+    # bidiagonal solve conj(a) h_t - b shift_t h_{t-1} = y_t, one column per g
     h = np.empty_like(v)
     ca = np.conj(a)
     h[0] = y[0] / ca
@@ -269,9 +204,11 @@ def transported_basis_vectors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal coefficients of g . e_index for one or many group elements.
 
+    ``elements`` is one :class:`~diskchannels.disk.GroupElement` or a pair
+    ``(a, b)`` of equal-length coefficient arrays, one element per entry.
     Returns ``(coeffs, tails)`` where coeffs has shape (degree+1,) for a single
-    :class:`~diskchannels.disk.GroupElement` and (degree+1, n) for a sequence;
-    tails are the exact masses above the cut (the full vectors are unit).
+    element and (degree+1, n) for arrays; tails are the exact masses above the
+    cut (the full vectors are unit).
     """
     nu = validate_weight(nu)
     if float(nu) != math.floor(nu):
@@ -280,17 +217,16 @@ def transported_basis_vectors(
         raise ValueError("index must be >= 0")
     single = hasattr(elements, "a")
     if single:
-        gs = ([elements.a], [elements.b])
+        a, b = np.asarray([elements.a]), np.asarray([elements.b])
     else:
-        gs = ([g.a for g in elements], [g.b for g in elements])
-    a = np.asarray(gs[0], dtype=complex)
-    b = np.asarray(gs[1], dtype=complex)
-    base = np.abs(np.conj(b) / np.conj(a))
-    if np.any(base >= 1.0):
+        a = np.asarray(elements[0], dtype=complex)
+        b = np.asarray(elements[1], dtype=complex)
+        check_determinant(a, b)
+    if np.any(np.abs(b) >= np.abs(a)):
         raise ValueError("|g.0| must be < 1")
-    v = _lowest_transported((a, b), nu, degree, len(a))
+    v = _lowest_transported(a, b, nu, degree)
     for j in range(index):
-        v = _raise_transported(v, (a, b), nu, j)
+        v = _raise_transported(v, a, b, nu, j)
     tails = np.maximum(0.0, 1.0 - np.sum(np.abs(v) ** 2, axis=0))
     if single:
         return v[:, 0], float(tails[0])
@@ -316,10 +252,10 @@ def group_action_matrix(
     av, bv = np.asarray([g.a]), np.asarray([g.b])
     if abs(g.base_point) > _MAX_BASE_POINT:
         raise ValueError(f"|g.0| must be <= {_MAX_BASE_POINT}")
-    v = _lowest_transported((av, bv), nu, degree, 1)
+    v = _lowest_transported(av, bv, nu, degree)
     M[:, 0] = v[:, 0]
     for j in range(degree):
-        v = _raise_transported(v, (av, bv), nu, j)
+        v = _raise_transported(v, av, bv, nu, j)
         M[:, j + 1] = v[:, 0]
     tail = float(np.maximum(0.0, 1.0 - np.sum(np.abs(M) ** 2, axis=0)).max())
     if tail_tol is not None and tail > tail_tol:

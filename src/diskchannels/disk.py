@@ -11,7 +11,7 @@ while the induced weight-nu function action composes covariantly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -20,9 +20,10 @@ __all__ = [
     "GroupElement",
     "mobius",
     "transporter",
+    "transporter_coefficients",
+    "check_determinant",
     "DiskQuadrature",
     "build_quadrature",
-    "integrate",
     "invariant_measure_check",
 ]
 
@@ -39,11 +40,7 @@ class GroupElement:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        det = abs(self.a) ** 2 - abs(self.b) ** 2
-        # scale-aware: near the boundary |a|^2 ~ (1-|g.0|^2)^{-1} amplifies roundoff
-        scale = max(1.0, abs(self.a) ** 2)
-        if abs(det - 1.0) > _DET_TOL * scale:
-            raise ValueError(f"|a|^2 - |b|^2 = {det}, not 1 within {_DET_TOL} relative")
+        check_determinant(self.a, self.b)
 
     @classmethod
     def identity(cls) -> "GroupElement":
@@ -73,6 +70,16 @@ class GroupElement:
         )
 
 
+def check_determinant(a, b):
+    """Raise ValueError unless |a|^2 - |b|^2 = 1 for every (a, b) pair."""
+    det = np.abs(a) ** 2 - np.abs(b) ** 2
+    # scale-aware: near the boundary |a|^2 ~ (1-|g.0|^2)^{-1} amplifies roundoff
+    bad = np.abs(det - 1.0) > _DET_TOL * np.maximum(1.0, np.abs(a) ** 2)
+    if np.any(bad):
+        worst = np.asarray(det)[bad].flat[0]
+        raise ValueError(f"|a|^2 - |b|^2 = {worst}, not 1 within {_DET_TOL} relative")
+
+
 def mobius(g: GroupElement, z):
     """g . z = (a z - conj b) / (-b z + conj a); accepts scalars or arrays."""
     z = np.asarray(z, dtype=complex)
@@ -80,13 +87,19 @@ def mobius(g: GroupElement, z):
     return complex(out) if out.ndim == 0 else out
 
 
-def transporter(w: complex) -> GroupElement:
-    """The canonical g with g . 0 = w: a = (1-|w|^2)^{-1/2} > 0, b = -conj(w) a."""
-    w = complex(w)
-    if abs(w) >= 1.0:
+def transporter_coefficients(w):
+    """(a, b) of the canonical g with g . 0 = w, elementwise over an array w:
+    a = (1-|w|^2)^{-1/2} > 0, b = -conj(w) a."""
+    w = np.asarray(w, dtype=complex)
+    if np.any(np.abs(w) >= 1.0):
         raise ValueError("w must lie in the open unit disk")
-    a = 1.0 / np.sqrt(1.0 - abs(w) ** 2)
-    return GroupElement(a, -np.conj(w) * a)
+    a = 1.0 / np.sqrt(1.0 - np.abs(w) ** 2)
+    return a, -np.conj(w) * a
+
+
+def transporter(w: complex) -> GroupElement:
+    """The canonical g with g . 0 = w (see :func:`transporter_coefficients`)."""
+    return GroupElement(*transporter_coefficients(complex(w)))
 
 
 @dataclass(frozen=True)
@@ -104,8 +117,6 @@ class DiskQuadrature:
     radial_count: int
     angular_count: int
     min_decay: float
-    radial_u: np.ndarray = field(repr=False)
-    radial_weight: np.ndarray = field(repr=False)  # weight on du against (1-u)^{-2}
     exactness_degree: int = 0
 
     def weights_with_decay(self, s: float) -> np.ndarray:
@@ -169,16 +180,8 @@ def build_quadrature(
         radial_count=radial_count,
         angular_count=angular_count,
         min_decay=float(min_decay),
-        radial_u=u,
-        radial_weight=radial_weight,
         exactness_degree=exactness,
     )
-
-
-def integrate(quadrature: DiskQuadrature, f) -> complex:
-    """Integrate a callable or an array of node values against d iota."""
-    values = f(quadrature.nodes) if callable(f) else np.asarray(f)
-    return quadrature.integrate(values)
 
 
 def invariant_measure_check(g: GroupElement, h, quadrature: DiskQuadrature) -> float:

@@ -124,10 +124,13 @@ class ExperimentConfig:
             raise ConfigError("tol_abs: must be > 0 when set")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output_format: must be csv or json")
-        if self.samples < 1:
-            raise ConfigError("samples: must be >= 1")
-        if self.chain_length < 1:
-            raise ConfigError("chain_length: must be >= 1")
+        for name in ("state_rank", "state_dim", "quadrature_radial",
+                     "quadrature_angular", "sample_points", "samples",
+                     "chain_length"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be >= 1")
+        if self.kmax < 0:
+            raise ConfigError("kmax: must be >= 0")
         if self.input_state not in ("lowest", "rank-r-random", "toeplitz"):
             raise ConfigError(
                 "input_state: must be lowest, rank-r-random, or toeplitz"

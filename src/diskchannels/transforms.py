@@ -17,7 +17,7 @@ from scipy.special import gammaln
 
 from . import bergman
 from .bergman import TruncatedOperator
-from .disk import DiskQuadrature, transporter
+from .disk import DiskQuadrature, transporter_coefficients
 from .specfun import channel_constant_sq, pochhammer, validate_weight
 
 __all__ = [
@@ -57,7 +57,6 @@ class DiskFunction:
     boundary: complex = 1.0 + 0j
     values: np.ndarray | None = None
     quadrature: DiskQuadrature | None = None
-    sup_bound: float | None = None
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -79,15 +78,11 @@ class DiskFunction:
         return self.form == "radial_poly"
 
 
-def radial_poly(coeffs, sup_bound: float | None = None) -> DiskFunction:
+def radial_poly(coeffs) -> DiskFunction:
     """f(z) = sum_s coeffs[s] (1-|z|^2)^s."""
     coeffs = tuple(float(c) for c in coeffs)
     decay = next((s for s, c in enumerate(coeffs) if c != 0.0), 0)
-    if sup_bound is None:
-        sup_bound = float(sum(abs(c) for c in coeffs))
-    return DiskFunction(
-        form="radial_poly", min_decay=float(decay), coeffs=coeffs, sup_bound=sup_bound
-    )
+    return DiskFunction(form="radial_poly", min_decay=float(decay), coeffs=coeffs)
 
 
 def eigen_function(lam: float, boundary: complex = 1.0 + 0j) -> DiskFunction:
@@ -98,18 +93,12 @@ def eigen_function(lam: float, boundary: complex = 1.0 + 0j) -> DiskFunction:
     return DiskFunction(form="eigen", min_decay=0.5, lam=float(lam), boundary=b)
 
 
-def grid_function(
-    values, quadrature: DiskQuadrature, min_decay: float, sup_bound=None
-) -> DiskFunction:
+def grid_function(values, quadrature: DiskQuadrature, min_decay: float) -> DiskFunction:
     values = np.asarray(values)
     if values.shape != quadrature.nodes.shape:
         raise ValueError("values must be sampled on the quadrature nodes")
     return DiskFunction(
-        form="grid",
-        min_decay=float(min_decay),
-        values=values,
-        quadrature=quadrature,
-        sup_bound=sup_bound,
+        form="grid", min_decay=float(min_decay), values=values, quadrature=quadrature
     )
 
 
@@ -264,8 +253,10 @@ def husimi(A: TruncatedOperator, index: int, w: complex) -> float:
 def husimi_grid(A: TruncatedOperator, index: int, ws) -> np.ndarray:
     """Husimi values at many points at once (vectorized transport recursion).
 
-    Points are processed in chunks so the transported-vector workspace stays
-    bounded even for quadrature-sized grids against large operators.
+    Each point w is carried by the coefficient arrays of its canonical
+    transporter.  Points are processed in chunks so the transported-vector
+    workspace stays bounded even for quadrature-sized grids against large
+    operators.
     """
     if not A.hermitian:
         raise ValueError("Husimi values are defined for Hermitian operators")
@@ -275,8 +266,8 @@ def husimi_grid(A: TruncatedOperator, index: int, ws) -> np.ndarray:
     out = np.empty(ws.shape)
     chunk = max(1, (1 << 22) // (A.degree + 1))
     for i0 in range(0, ws.size, chunk):
-        gs = [transporter(w) for w in ws[i0 : i0 + chunk]]
-        vecs, _ = bergman.transported_basis_vectors(A.weight, gs, index, A.degree)
+        g = transporter_coefficients(ws[i0 : i0 + chunk])
+        vecs, _ = bergman.transported_basis_vectors(A.weight, g, index, A.degree)
         if is_diag:
             out[i0 : i0 + chunk] = diag @ (np.abs(vecs) ** 2)
         else:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -359,7 +360,7 @@ class TestCli:
         out = str(tmp_path / "report.csv")
         code = cli_main(["constants", "--config", cfg, "--out", out, "--format", "csv"])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "nu,measured,target,abs_error,tail_bound,seconds"
         assert len(lines) == 3
         assert "report written" in capsys.readouterr().out
@@ -368,6 +369,32 @@ class TestCli:
         cfg = self._write(tmp_path, "experiment = constants\nnu_list = 2,3\nbogus = 1\n")
         assert cli_main(["constants", "--config", cfg]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("channel-limit", "state_rank", 0),
+            ("channel-limit", "state_dim", 0),
+            ("channel-limit", "quadrature_radial", 0),
+            ("channel-limit", "quadrature_angular", 0),
+            ("husimi-check", "state_rank", 0),
+            ("husimi-check", "quadrature_radial", 0),
+            ("e-identity", "sample_points", 0),
+            ("constants", "kmax", -1),
+        ],
+    )
+    def test_size_below_range_is_config_error(
+        self, tmp_path, capsys, experiment, key, value
+    ):
+        cfg = self._write(
+            tmp_path,
+            f"experiment = {experiment}\nnu_list = 3\ninput_state = rank-r-random\n"
+            f"{key} = {value}\n",
+        )
+        assert cli_main([experiment, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}:")
+        assert "Traceback" not in err
 
     def test_subcommand_mismatch(self, tmp_path):
         cfg = self._write(tmp_path, "experiment = constants\nnu_list = 2,3\n")
@@ -394,8 +421,8 @@ class TestCli:
         cli_main(["kernel-chain", "--config", cfg, "--out", out1, "--format", "json"])
         cli_main(["kernel-chain", "--config", cfg, "--out", out2, "--format", "json",
                   "--seed", "2"])
-        a = json.load(open(out1))["rows"][0]["measured"]
-        b = json.load(open(out2))["rows"][0]["measured"]
+        a = json.loads(Path(out1).read_text())["rows"][0]["measured"]
+        b = json.loads(Path(out2).read_text())["rows"][0]["measured"]
         assert a != b
 
 
