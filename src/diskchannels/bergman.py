@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .disk import check_determinant
+from .disk import _check_determinant
 from .specfun import validate_weight
 
 __all__ = [
@@ -175,9 +175,10 @@ def _lowest_transported(a, b, nu: float, degree: int) -> np.ndarray:
     g . 1 = (-bz + conj a)^{-nu} has coefficients ((nu)_t/t!)^{1/2} x^t
     conj(a)^{-nu} with x = b/conj(a); the scaled basis values at x carry
     (1-|x|^2)^{nu/2} = |a|^{-nu}, so the column is those values times the
-    phase conj(a)^{-nu} |a|^nu = e^{i nu arg a} (integer nu).
+    phase conj(a)^{-nu} |a|^nu = (|a|/conj a)^nu (integer nu), a power of a
+    unit number, so that no power of |a| can overflow.
     """
-    phase = np.conj(a) ** (-nu) * np.abs(a) ** nu
+    phase = (np.abs(a) / np.conj(a)) ** nu
     return phase * scaled_basis_values(nu, b / np.conj(a), degree)
 
 
@@ -221,7 +222,7 @@ def transported_basis_vectors(
     else:
         a = np.asarray(elements[0], dtype=complex)
         b = np.asarray(elements[1], dtype=complex)
-        check_determinant(a, b)
+        _check_determinant(a, b)
     if np.any(np.abs(b) >= np.abs(a)):
         raise ValueError("|g.0| must be < 1")
     v = _lowest_transported(a, b, nu, degree)

@@ -21,7 +21,6 @@ __all__ = [
     "mobius",
     "transporter",
     "transporter_coefficients",
-    "check_determinant",
     "DiskQuadrature",
     "build_quadrature",
     "invariant_measure_check",
@@ -40,7 +39,7 @@ class GroupElement:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        check_determinant(self.a, self.b)
+        _check_determinant(self.a, self.b)
 
     @classmethod
     def identity(cls) -> "GroupElement":
@@ -70,7 +69,7 @@ class GroupElement:
         )
 
 
-def check_determinant(a, b):
+def _check_determinant(a, b):
     """Raise ValueError unless |a|^2 - |b|^2 = 1 for every (a, b) pair."""
     det = np.abs(a) ** 2 - np.abs(b) ** 2
     # scale-aware: near the boundary |a|^2 ~ (1-|g.0|^2)^{-1} amplifies roundoff
