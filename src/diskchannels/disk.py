@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import eval_jacobi, roots_jacobi, roots_legendre
 
 __all__ = [
     "GroupElement",
@@ -63,11 +63,6 @@ class GroupElement:
         """g . 0 = -conj(b)/conj(a)."""
         return -np.conj(self.b) / np.conj(self.a)
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.a, self.b], [np.conj(self.b), np.conj(self.a)]], dtype=complex
-        )
-
 
 def _check_determinant(a, b):
     """Raise ValueError unless |a|^2 - |b|^2 = 1 for every (a, b) pair."""
@@ -105,10 +100,11 @@ def transporter(w: complex) -> GroupElement:
 class DiskQuadrature:
     """Nodes and weights for integrals against the invariant measure.
 
-    ``sum(weights * h(nodes))`` approximates the d iota integral of h and is
-    exact (to roundoff) for h = u^m (1-u)^s with u = |z|^2, s >= min_decay and
-    m + s - 2 within the radial rule's degree, times any angular harmonic
-    e^{i m theta} with |m| < angular_count.
+    ``sum(weights * h(nodes))`` approximates the d iota integral of h.  With
+    u = |z|^2, it is exact (to roundoff) for h = (1-u)^c p(u) e^{i m theta},
+    where p is a polynomial of degree <= exactness_degree = 2 radial_count - 1
+    and |m| < angular_count; c = 2 for the Legendre radial rule and
+    c = min_decay for the Jacobi one.
     """
 
     nodes: np.ndarray
@@ -117,17 +113,6 @@ class DiskQuadrature:
     angular_count: int
     min_decay: float
     exactness_degree: int = 0
-
-    def weights_with_decay(self, s: float) -> np.ndarray:
-        """Node weights with an extra (1-|z|^2)^s factor folded in.
-
-        Assembled in log domain so huge s (weight sweeps, nu ~ 10^3) underflow
-        gracefully to 0 instead of losing the small-u nodes.
-        """
-        u = np.abs(self.nodes) ** 2
-        with np.errstate(divide="ignore"):
-            logw = np.log(self.weights) + s * np.log1p(-u)
-        return np.exp(logw)
 
     def integrate(self, values) -> complex:
         # ascending-index pairwise summation (numpy's default) for determinism
@@ -155,16 +140,22 @@ def build_quadrature(
     if radial_rule == "legendre":
         x, wx = roots_legendre(radial_count)
         u = 0.5 * (x + 1.0)
-        wu = 0.5 * wx
-        radial_weight = wu / (1.0 - u) ** 2
-        exactness = 2 * radial_count - 1
+        radial_weight = 0.5 * wx / (1.0 - u) ** 2
     elif radial_rule == "jacobi":
         alpha = float(min_decay) - 2.0
-        x, wx = roots_jacobi(radial_count, alpha, 0.0)
+        # only scipy's nodes: its weights carry 2^{alpha+1}, inf past alpha ~ 1023
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, _ = roots_jacobi(radial_count, alpha, 0.0)
+        if not np.all(np.isfinite(x)):  # scipy's Newton step overflows first
+            raise ValueError(f"no Gauss-Jacobi nodes for n = {radial_count}, "
+                             f"alpha = {alpha} (P_n^(alpha,0) overflows)")
         u = 0.5 * (x + 1.0)
-        # int_0^1 p(u)(1-u)^alpha du = 2^{-alpha-1} sum wx p(u_i)
-        radial_weight = (2.0 ** (-alpha - 1.0)) * wx * (1.0 - u) ** (-alpha - 2.0)
-        exactness = 2 * radial_count - 1
+        # int_0^1 p(u)(1-u)^alpha du = sum p(u_i) / ((1-x_i^2) P_n'(x_i)^2) for
+        # P_n = P_n^{(alpha,0)}; times the measure's (1-u)^{-alpha-2}, in logs
+        dp = 0.5 * (radial_count + alpha + 1.0) * eval_jacobi(
+            radial_count - 1, alpha + 1.0, 1.0, x)
+        radial_weight = np.exp(-np.log((1.0 - x) * (1.0 + x)) - 2.0 * np.log(np.abs(dp))
+                               - (alpha + 2.0) * np.log(0.5 * (1.0 - x)))
     else:
         raise ValueError(f"unknown radial_rule {radial_rule!r}")
     # half-step angular offset: exactness for |m| < angular_count is unchanged
@@ -179,7 +170,7 @@ def build_quadrature(
         radial_count=radial_count,
         angular_count=angular_count,
         min_decay=float(min_decay),
-        exactness_degree=exactness,
+        exactness_degree=2 * radial_count - 1,
     )
 
 

@@ -321,9 +321,26 @@ def _input_state(cfg: ExperimentConfig) -> TruncatedOperator:
     return _random_state(cfg, cfg.mu)
 
 
+def _husimi_integral(state: TruncatedOperator, k: int, psi) -> float:
+    """int psi(H_w^k(state)) d iota, exact at an integer weight w.
+
+    H^j is (1-u)^{jw} times a polynomial of degree <= j(d+k) in u = |z|^2 and
+    of angular order <= jd (0 if the state is diagonal), d the state's degree;
+    so Gauss-Jacobi in (1-u)^{w-2} with floor((J(d+k) + (J-1)w)/2) + 1 radii
+    and Jd + 1 angles is exact for every power up to psi's degree J.
+    """
+    top = max((j for j, a in enumerate(psi) if a != 0.0), default=1)
+    n_r = math.floor((top * (state.degree + k) + (top - 1) * state.weight) / 2) + 1
+    n_theta = 1 if state.is_diagonal else top * state.degree + 1
+    quad = build_quadrature(n_r, n_theta, state.weight, radial_rule="jacobi")
+    hvals = husimi_grid(state, k, quad.nodes)
+    return sum((a * float(np.real(quad.integrate(hvals**j)))
+                for j, a in enumerate(psi) if j >= 1 and a != 0.0), 0.0)
+
+
 def _husimi_target(cfg: ExperimentConfig, state: TruncatedOperator) -> tuple[float, str]:
-    """int psi(H_mu^k(state)) d iota: closed form for the lowest state,
-    quadrature otherwise (labeled in the report note)."""
+    """int psi(H_mu^k(state)) d iota: closed form for the lowest state, the
+    exact rule of :func:`_husimi_integral` otherwise (labeled in the note)."""
     mu, k = cfg.mu, cfg.k
     if cfg.input_state == "lowest":
         # H(w) = ((mu)_k/k!) u^k (1-u)^mu; moment of x^j is Beta(jk+1, j mu - 1)
@@ -339,14 +356,7 @@ def _husimi_target(cfg: ExperimentConfig, state: TruncatedOperator) -> tuple[flo
                 - gammaln(j * k + j * mu)
             )
         return total, "closed-form"
-    quad = build_quadrature(cfg.quadrature_radial, cfg.quadrature_angular, 2.0)
-    hvals = husimi_grid(state, k, quad.nodes)
-    target = 0.0
-    for j, a in enumerate(cfg.psi):
-        if j == 0 or a == 0.0:
-            continue
-        target += a * float(np.real(quad.integrate(hvals**j)))
-    return target, "quadrature-target"
+    return _husimi_integral(state, k, cfg.psi), "quadrature-target"
 
 
 def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
@@ -412,11 +422,9 @@ def _row_husimi_check(cfg: ExperimentConfig, nu: int) -> ReportRow:
     # int H_nu^k(A) d iota = Tr(A)/(nu - 1) (Schur orthogonality under the
     # coset measure; the factor is visible for any weight above 2)
     state = _random_state(cfg, float(nu))
-    quad = build_quadrature(cfg.quadrature_radial, cfg.quadrature_angular, 2.0)
-    hvals = husimi_grid(state, cfg.k, quad.nodes)
-    measured = float(np.real(quad.integrate(hvals)))
     return ReportRow(
-        nu=nu, measured=measured, target=1.0 / (nu - 1.0), note="trace-normalization"
+        nu=nu, measured=_husimi_integral(state, cfg.k, (0.0, 1.0)),
+        target=1.0 / (nu - 1.0), note="trace-normalization",
     )
 
 

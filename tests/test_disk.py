@@ -128,12 +128,23 @@ class TestQuadrature:
             val = q.integrate(np.exp(1j * m * theta) * (1 - u) ** 3)
             assert abs(val) < 1e-14
 
-    def test_log_domain_decay_weights(self):
-        # per-node (1-u)^nu factors assembled in log domain survive nu ~ 800
-        q = build_quadrature(512, 4, 2.0)
-        w = q.weights_with_decay(800.0)
-        assert np.all(np.isfinite(w))
-        assert np.sum(w) == pytest.approx(1.0 / 799.0, rel=1e-12)
+    @pytest.mark.parametrize("decay", [2.5, 7.25, 1500.0])
+    def test_jacobi_exact_for_its_decay(self, decay):
+        # exact for (1-u)^decay p(u), deg p <= 2n-1, at any real decay, also
+        # past 2^{decay-1} overflowing (decay > 1025); rounding grows ~ decay
+        q = build_quadrature(6, 1, decay, radial_rule="jacobi")
+        assert np.all(np.isfinite(q.weights)) and np.all(q.weights > 0)
+        u = np.abs(q.nodes) ** 2
+        for m in (0, 6, 11):
+            # int u^m (1-u)^{decay-2} du
+            exact = float(mp.beta(m + 1, mp.mpf(decay) - 1))
+            val = q.integrate(u**m * np.exp(decay * np.log1p(-u)))
+            assert val == pytest.approx(exact, rel=5e-15 * decay)
+
+    def test_jacobi_out_of_range_is_an_error(self):
+        # scipy's nodes are nan here; a row error beats a silent nan integral
+        with pytest.raises(ValueError, match="Gauss-Jacobi"):
+            build_quadrature(300, 1, 1102.0, radial_rule="jacobi")
 
     def test_jacobi_handles_huge_weight(self):
         q = build_quadrature(60, 4, 802.0, radial_rule="jacobi")

@@ -4,20 +4,25 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from diskchannels import experiments
 from diskchannels.channel import ChannelParams, output_trace_interval
 from diskchannels.cli import main as cli_main
+from diskchannels.disk import build_quadrature
 from diskchannels.experiments import (
     ConfigError,
     ExperimentReport,
     ReportRow,
+    _husimi_integral,
     _input_state,
     emit_report,
     parse_config,
     report_from_json,
     run_experiment,
 )
+from diskchannels.transforms import husimi_grid
 
 BASE = """
 experiment = channel-limit
@@ -121,6 +126,35 @@ class TestDeterminism:
         serial = run_experiment(parse_config(BASE))
         threaded = run_experiment(parse_config(BASE + "threads = 3\n"))
         assert emit_report(serial, "csv") == emit_report(threaded, "csv")
+
+    # one small config per experiment, each with several rows to schedule
+    SMALL = {
+        "channel-limit": "mu = 2\nk = 1\nnu_list = 4,8,12\n"
+        "input_state = rank-r-random\nstate_dim = 6\nstate_rank = 2\n"
+        "truncation_l = 200\nseed = 3\n",
+        "toeplitz-trace": "f = radial:0,0,1\npsi = 0,0,1\nnu_list = 10,20,40\n",
+        "berezin-eigen": "nu_list = 2,4,8\nlambda_list = 0,1\n"
+        "quadrature_radial = 60\nquadrature_angular = 64\n",
+        "husimi-check": "k = 1\nnu_list = 2,3,5\nstate_dim = 6\nseed = 3\n",
+        "e-identity": "k = 1\nnu_list = 20,40,80\nsample_points = 5\nseed = 3\n",
+        "constants": "nu_list = 2,3,5\nkmax = 2\n",
+        "kernel-chain": "nu_list = 4,8,16\nsamples = 20000\nseed = 3\n",
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(SMALL))
+    def test_every_experiment_threads_and_round_trip(self, experiment):
+        text = f"experiment = {experiment}\ntiming = off\n" + self.SMALL[experiment]
+        serial = run_experiment(parse_config(text))
+        threaded = run_experiment(parse_config(text + "threads = 2\n"))
+        assert not serial.failures
+        # the reports differ only in the threads key they echo
+        threaded.config.threads = serial.config.threads
+        for fmt in ("csv", "json"):
+            assert emit_report(threaded, fmt) == emit_report(serial, fmt)
+        data = emit_report(serial, "json")
+        back = report_from_json(data)
+        assert emit_report(back, "json") == data
+        assert emit_report(back, "csv") == emit_report(serial, "csv")
 
 
 class TestRunners:
@@ -347,6 +381,130 @@ timing = off
             )
         )
         assert rep.rows[0].measured < 1e-8
+
+
+def _lowest_moment(mu, k, psi):
+    """int psi(H_mu^k(e_0 e_0^*)) d iota from Beta moments: H = c u^k (1-u)^mu."""
+    c = math.exp(math.lgamma(mu + k) - math.lgamma(mu) - math.lgamma(k + 1.0))
+    return sum(
+        a * c**j * math.exp(
+            math.lgamma(j * k + 1.0) + math.lgamma(j * mu - 1.0)
+            - math.lgamma(j * k + j * mu)
+        )
+        for j, a in enumerate(psi)
+        if j >= 1 and a != 0.0
+    )
+
+
+def _fewer_nodes(monkeypatch, radial=0, angular=0):
+    """Make the runner's quadrature drop nodes, to show its counts are sharp."""
+    original = experiments.build_quadrature
+
+    def smaller(n_r, n_theta, *args, **kwargs):
+        return original(n_r - radial, n_theta - angular, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_quadrature", smaller)
+
+
+def _legendre_grid_integral(state, k, psi):
+    """The 400x512 Legendre grid that sized the Husimi targets before."""
+    quad = build_quadrature(400, 512, 2.0)
+    hvals = husimi_grid(state, k, quad.nodes)
+    return sum(
+        a * float(np.real(quad.integrate(hvals**j)))
+        for j, a in enumerate(psi)
+        if j >= 1 and a != 0.0
+    )
+
+
+def _state(text):
+    cfg = parse_config("experiment = channel-limit\nnu_list = 4\n" + text)
+    return cfg, _input_state(cfg)
+
+
+RANDOM_23 = "mu = 2\nk = 1\ninput_state = rank-r-random\nstate_dim = 24\nseed = 1\n"
+TOEPLITZ_64 = (
+    "mu = 2\nk = 1\ninput_state = toeplitz\nf = radial:0,0,1\ntruncation_n = 64\n"
+)
+
+
+class TestHusimiIntegral:
+    @pytest.mark.parametrize(
+        "mu, k, psi", [(2, 1, (0, 0, 1)), (3, 2, (0, 0, 1)), (2, 3, (0, 0, 0, 1))]
+    )
+    def test_radial_count_is_exact_and_sharp(self, monkeypatch, mu, k, psi):
+        _, state = _state(f"mu = {mu}\nk = {k}\n")
+        exact = _lowest_moment(mu, k, psi)
+        assert _husimi_integral(state, k, psi) == pytest.approx(exact, rel=1e-14)
+        _fewer_nodes(monkeypatch, radial=1)
+        assert abs(_husimi_integral(state, k, psi) / exact - 1.0) > 1e-4
+
+    def test_angular_count_is_sharp(self, monkeypatch):
+        cfg, state = _state(RANDOM_23)
+        exact = _husimi_integral(state, cfg.k, cfg.psi)
+        _fewer_nodes(monkeypatch, angular=1)
+        assert abs(_husimi_integral(state, cfg.k, cfg.psi) / exact - 1.0) > 1e-8
+
+    @pytest.mark.parametrize(
+        "text", [TOEPLITZ_64, RANDOM_23], ids=["toeplitz", "random"]
+    )
+    def test_matches_the_legendre_grid(self, text):
+        cfg, state = _state(text)
+        assert _husimi_integral(state, cfg.k, cfg.psi) == pytest.approx(
+            _legendre_grid_integral(state, cfg.k, cfg.psi), rel=1e-13
+        )
+
+    @pytest.mark.parametrize(
+        "text, radii, angles",
+        [
+            # d = 5, k = 2, J = 3, mu = 3: floor((3*7 + 2*3)/2) + 1 radii and
+            # 3*5 + 1 angles
+            ("mu = 3\nk = 2\ninput_state = rank-r-random\nstate_dim = 6\n"
+             "state_rank = 2\npsi = 0,1,-1,2\n", 14, 16),
+            # diagonal, d = 64, k = 1, J = 2, mu = 2: floor((2*65 + 2)/2) + 1 radii
+            (TOEPLITZ_64, 67, 1),
+        ],
+        ids=["random", "toeplitz"],
+    )
+    def test_channel_limit_builds_one_sized_rule(
+        self, monkeypatch, text, radii, angles
+    ):
+        built = []
+        original = experiments.build_quadrature
+
+        def counted(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "build_quadrature", counted)
+        text = (
+            "experiment = channel-limit\nnu_list = 4,8\ntruncation_l = 200\n"
+            "timing = off\n" + text
+        )
+        report = run_experiment(parse_config(text))
+        assert [q.nodes.size for q in built] == [radii * angles]
+        assert (built[0].radial_count, built[0].angular_count) == (radii, angles)
+        # the grid keys no longer reach the target
+        other = run_experiment(
+            parse_config(text + "quadrature_radial = 7\nquadrature_angular = 3\n")
+        )
+        other.config = report.config
+        assert emit_report(other, "json") == emit_report(report, "json")
+
+    @pytest.mark.parametrize(
+        "state_dim, state_rank, tol", [(8, 2, 1e-14), (24, 3, 1e-13)]
+    )
+    def test_husimi_check_rows_are_exact(self, state_dim, state_rank, tol):
+        rep = run_experiment(
+            parse_config(
+                f"experiment = husimi-check\nk = 1\nnu_list = 2,3,50,800\n"
+                f"state_dim = {state_dim}\nstate_rank = {state_rank}\ntiming = off\n"
+            )
+        )
+        assert [r.nu for r in rep.rows] == [2, 3, 50, 800]
+        for r in rep.rows:
+            assert r.error == ""
+            assert r.abs_error <= tol
 
 
 class TestCli:
