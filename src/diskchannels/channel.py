@@ -341,11 +341,11 @@ def output_trace_interval(
 ) -> tuple[float, float, float]:
     """(truncated trace at ``cut``, tail estimate, rigorous tail bound).
 
-    The trace of T(A) beyond the cut depends only on A's diagonal (grade
-    conservation).  The estimate sums the exact diagonal response up to
-    ``extend_to`` (default 100 * cut) and adds the rigorous remainder bound;
-    the bound alone brackets: trace_cut <= Tr T(A) <= trace_cut + bound for
-    PSD A.
+    The independent bracket with which criterion 2 tests Tr T(A) =
+    trace_factor Tr A, so it never uses that identity.  The tail depends only
+    on A's diagonal (grade conservation): the estimate sums the exact response
+    to ``extend_to`` (default 100 * cut) plus the rigorous remainder bound, and
+    the bound alone brackets trace_cut <= Tr T(A) <= trace_cut + bound (PSD A).
     """
     if A.weight != params.mu:
         raise ValueError("weight mismatch")

@@ -26,11 +26,11 @@ from .channel import (
     apply_channel,
     banded_trace,
     diagonal_output_spectrum,
-    diagonal_response,  # unused here; bench/tracing.py wraps this name
     isometry_weights,
     power_sum,
-    response_tail_bound,
 )
+# unused here: bench/tracing.py wraps these two names in this module
+from .channel import diagonal_response, response_tail_bound  # noqa: F401
 from .disk import build_quadrature
 from .spectral import (
     chain2_tensor_quadrature,
@@ -107,7 +107,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"mu: {exc}") from None
         if self.experiment == "channel-limit" and not float(self.mu).is_integer():
-            raise ConfigError("mu: channel-limit tail bounds need an integer weight")
+            raise ConfigError("mu: channel-limit Husimi targets need an integer weight")
         if self.k < 0:
             raise ConfigError("k: must be >= 0")
         if self.truncation_n < 0 or self.truncation_l < 0:
@@ -361,25 +361,24 @@ def _husimi_target(cfg: ExperimentConfig, state: TruncatedOperator) -> tuple[flo
 
 def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
     state, (target, note) = context
-    params = ChannelParams(cfg.mu, float(nu), cfg.k)
     cut = cfg.truncation_l or max(64 * nu, 4096)
-    far = 8 * cut
+    params = ChannelParams(cfg.mu, float(nu), cfg.k, output_degree=cut)
     diag_in = np.real(np.diag(state.matrix))
-    # the diagonal of T(A) depends only on the diagonal of A
-    out_diag = diagonal_output_spectrum(params, diag_in, far)
+    out_diag = diagonal_output_spectrum(params, diag_in, cut)
     if state.is_diagonal:
-        measured = power_sum(cfg.psi, out_diag[: cut + 1]) / nu
+        measured = power_sum(cfg.psi, out_diag) / nu
     else:
         # sum_j a_j Tr T(A)^j from the bands: the sum of psi over the spectrum
-        big = ChannelParams(cfg.mu, float(nu), cfg.k, output_degree=cut)
-        measured = banded_trace(apply_channel(state, big), cfg.psi) / nu
-    # dropped mass: |psi(x)| <= (sum_j |a_j|) x on [0, 1], so the truncation
-    # bias is bounded by that slope times the trace tail (exact out to 8*cut,
-    # rigorous remainder bound past that)
-    trace_tail = float(np.sum(out_diag[cut + 1 :])) + sum(
-        diag_in[m] * response_tail_bound(params, m, far)
-        for m in np.flatnonzero(diag_in).tolist()
-    )
+        measured = banded_trace(apply_channel(state, params), cfg.psi) / nu
+    # Tr T(A) = trace_factor Tr A, so the cut drops trace_factor Tr A minus the
+    # captured sum; |psi(x)| <= (sum_j |a_j|) x on [0, 1] bounds psi's share.
+    # Rounding: lambda_p(m) = exp(a sum of nine gammaln, each 2-eps accurate and
+    # <= g_p = (s+p) log(s+p) in size, s the target weight), so 32 eps g_p relative;
+    # sums over m < dim, p <= cut add (cut + 2 dim + 8) eps of trace_factor Tr A.
+    g = params.target_weight + np.arange(cut + 1.0)
+    total = params.trace_factor * float(np.sum(diag_in))
+    allowance = 32 * float(out_diag @ (g * np.log(g))) + (cut + 2 * diag_in.size + 8) * total
+    trace_tail = max(total - float(np.sum(out_diag)), 0.0) + np.finfo(float).eps * allowance
     psi_slope = sum(abs(a) for a in cfg.psi[1:])
     return ReportRow(
         nu=nu, measured=measured, target=target,

@@ -4,11 +4,16 @@ import json
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from diskchannels import experiments
-from diskchannels.channel import ChannelParams, output_trace_interval
+from diskchannels.channel import (
+    ChannelParams,
+    diagonal_output_spectrum,
+    output_trace_interval,
+)
 from diskchannels.cli import main as cli_main
 from diskchannels.disk import build_quadrature
 from diskchannels.experiments import (
@@ -77,7 +82,7 @@ class TestConfigParsing:
             parse_config(BASE + "seed = not-a-number\n")
 
     def test_channel_limit_needs_integer_mu(self):
-        # the rigorous trace-tail bound of every row needs an integer weight
+        # the exact Gauss-Jacobi Husimi target needs an integer weight
         with pytest.raises(ConfigError, match="mu:"):
             parse_config(BASE.replace("mu = 2", "mu = 2.5"))
         assert parse_config(BASE.replace("mu = 2", "mu = 3.0")).mu == 3.0
@@ -193,6 +198,27 @@ timing = off
             untruncated = (3 + r.nu + 2 - 1) / (r.nu * (3 - 1))
             assert r.measured <= untruncated <= r.measured + r.tail_bound
 
+    @pytest.mark.parametrize("mu,nu", [(2, 50), (2, 800), (3, 800)])
+    def test_trace_tail_covers_exact_dropped_trace(self, mu, nu):
+        # k = 0, lowest state: lambda_p = (nu)_p/(mu+nu)_p, and the trace
+        # dropped at the auto cut telescopes to
+        # trace_factor (nu)_{cut+1}/(mu+nu-1)_{cut+1}; 40 digits
+        rep = run_experiment(parse_config(
+            BASE.replace("mu = 2", f"mu = {mu}").replace("8,16,32,64", str(nu))
+            .replace("psi = 0,0,1", "psi = 0,1")
+        ))
+        (row,) = rep.rows
+        cut = max(64 * nu, 4096)
+        with mp.workdps(40):
+            a, b = mp.mpf(nu), mp.mpf(mu + nu - 1)
+            dropped = (b / (mu - 1)) * mp.exp(
+                mp.loggamma(a + cut + 1) - mp.loggamma(a)
+                - mp.loggamma(b + cut + 1) + mp.loggamma(b)
+            )
+            tail = mp.mpf(row.tail_bound) * nu
+            assert tail >= dropped
+            assert (tail - dropped) / dropped <= 1e-6
+
     def test_channel_limit_random_state(self):
         rep = run_experiment(
             parse_config(
@@ -240,7 +266,9 @@ timing = off
 
     @pytest.mark.parametrize("state", ["lowest", "toeplitz", "rank-r-random"])
     def test_tail_bound_is_library_trace_tail(self, state):
-        # the row's trace tail is output_trace_interval's tail estimate
+        # the row's trace tail (from Tr T(A) = trace_factor Tr A) lies inside
+        # output_trace_interval's independent bracket: above the exact far
+        # sum, below the tail estimate and the rigorous bound at the cut
         cfg = parse_config(
             f"""
 experiment = channel-limit
@@ -261,11 +289,15 @@ timing = off
         )
         rep = run_experiment(cfg)
         state_op = _input_state(cfg)
+        diag = np.real(np.diag(state_op.matrix))
         for row in rep.rows:
             assert row.error == ""
             params = ChannelParams(cfg.mu, float(row.nu), cfg.k)
-            tail = output_trace_interval(state_op, params, 300, 8 * 300)[1]
-            assert row.tail_bound * row.nu / 3.5 == pytest.approx(tail, rel=1e-12)
+            tail = row.tail_bound * row.nu / 3.5
+            far = float(np.sum(diagonal_output_spectrum(params, diag, 2400)[301:]))
+            # the rigorous bound is at the cut whatever extend_to is
+            _, estimate, bound = output_trace_interval(state_op, params, 300, 2400)
+            assert far <= tail <= min(estimate, bound)
 
     def test_toeplitz_trace_converges(self):
         rep = run_experiment(
