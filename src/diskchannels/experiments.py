@@ -408,11 +408,8 @@ def _row_toeplitz_trace(cfg: ExperimentConfig, nu: int) -> ReportRow:
 
 def _row_berezin_eigen(cfg: ExperimentConfig, nu: int) -> ReportRow:
     samples = [0.0, 0.3, 0.45j, -0.2 + 0.3j]
-    worst = max(
-        eigen_relation_residual(
-            float(nu), lam, samples, cfg.quadrature_radial, cfg.quadrature_angular
-        )
-        for lam in cfg.lambda_list
+    worst = eigen_relation_residual(
+        float(nu), cfg.lambda_list, samples, cfg.quadrature_radial, cfg.quadrature_angular
     )
     return ReportRow(nu=nu, measured=worst, target=0.0, note="quadrature-residual")
 

@@ -8,6 +8,7 @@ multipliers, and Monte Carlo estimation of the chained-kernel integrals.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.special import gammaln, roots_legendre
@@ -92,20 +93,26 @@ def _graded_angles(count: int, cluster: float, power: int = 6):
 
 def eigen_relation_residual(
     nu: float,
-    lam: float,
+    lam: float | Sequence[float],
     samples,
     radial_count: int = 400,
     angular_count: int = 512,
     boundary: complex = 1.0 + 0j,
 ) -> float:
-    """max_z |(nu-1) B_nu(e_{lambda,b})(z)/e_{lambda,b}(z) - b_nu(lambda)|.
+    """max_{z, lambda} |(nu-1) B_nu(e_{lambda,b})(z)/e_{lambda,b}(z) - b_nu(lambda)|.
 
+    ``lam`` is one spectral parameter or a sequence of them; the kernel
+    weights at each sample point are formed once and reused for every lambda.
     The transform is evaluated by honest quadrature (radial Gauss-Legendre
     against the kernel-folded measure, graded angular rule centered at
     arg(b)); the reference eigenvalue comes from the closed-form product.
     """
     nu = validate_weight(nu)
+    _require_counts(radial_count=radial_count, angular_count=angular_count)
     b = _validate_boundary(boundary)
+    lams = [lam] if np.ndim(lam) == 0 else list(lam)
+    if not lams:
+        raise ValueError("lam must hold at least one spectral parameter")
     x, wq = roots_legendre(radial_count)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * wq
@@ -113,16 +120,18 @@ def eigen_relation_residual(
     z = (np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]).ravel()
     # (1-u)^{nu-2}: kernel decay folded against the d iota singularity
     weights = ((wu * (1.0 - u) ** (nu - 2.0))[:, None] * tw[None, :]).ravel()
-    evals = eigenfunction(lam, b, z)
-    target = berezin_eigenvalue(nu, lam)
+    evals = [eigenfunction(lam_j, b, z) for lam_j in lams]
+    targets = [berezin_eigenvalue(nu, lam_j) for lam_j in lams]
     worst = 0.0
     for z0 in np.asarray(samples, dtype=complex).ravel():
         log_ker = nu * (
             np.log1p(-abs(z0) ** 2) - 2.0 * np.log(np.abs(1.0 - z0 * np.conj(z)))
         )
-        transform = np.sum(weights * np.exp(log_ker) * evals)
-        ratio = (nu - 1.0) * transform / eigenfunction(lam, b, z0)
-        worst = max(worst, abs(ratio - target))
+        kw = weights * np.exp(log_ker)
+        for lam_j, ev, target in zip(lams, evals, targets):
+            transform = np.sum(kw * ev)
+            ratio = (nu - 1.0) * transform / eigenfunction(lam_j, b, z0)
+            worst = max(worst, abs(ratio - target))
     return worst
 
 
@@ -158,6 +167,26 @@ def inverse_multiplier_bound(nu: int, nu0: int) -> float:
     )
 
 
+def _link_modulus_sq(r, s, dtheta):
+    """|1 - z conj(w)|^2 for |z| = r, |w| = s, arg z - arg w = dtheta.
+
+    Real form (1 - r s)^2 + 4 r s sin^2(dtheta/2): both terms are >= 0, so
+    nothing cancels near the boundary singularity, as 1 - z conj(w) does in
+    complex arithmetic.  1 - r s is formed as (1 - r) + r (1 - s), because the
+    product r s rounds before the subtraction.  With r, s of shape (P, 1) and
+    dtheta of shape (M,), only the last product and sum run on (P, M).
+    """
+    gap = (1.0 - r) + r * (1.0 - s)
+    half = np.sin(0.5 * dtheta)
+    return gap * gap + (4.0 * r * s) * (half * half)
+
+
+def _require_counts(**counts: int) -> None:
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+
+
 def chained_kernel_integral(
     n: int, nu: float, sampler_seed: int, sample_count: int
 ) -> tuple[float, float]:
@@ -166,14 +195,17 @@ def chained_kernel_integral(
     I_n(nu) = (nu-1)^n int |prod_i (1-|z_i|^2)^nu / prod_{i<n} (1-z_i conj(z_{i+1}))^nu|
     over d iota^n.  Each z_i is drawn from the weight-nu probability measure
     (radial u ~ Beta(1, nu-1), uniform angle), which absorbs every numerator
-    factor; the weight is then prod |1 - z_i conj(z_{i+1})|^{-nu}.  Returns
-    (estimate, 95% CLT half-width); n = 1 is the exact deterministic value 1.
-    The weight distribution is heavy-tailed (tail index 2 - 1/nu), so the
-    half-width is asymptotic, not a hard guarantee.
+    factor; the weight is then prod |1 - z_i conj(z_{i+1})|^{-nu}, each link
+    evaluated in real arithmetic from the radii and the angle difference as
+    (1 - r_i r_{i+1})^2 + 4 r_i r_{i+1} sin^2((theta_i - theta_{i+1})/2).
+    Returns (estimate, 95% CLT half-width); n = 1 is the exact deterministic
+    value 1.  The weight distribution is heavy-tailed (tail index 2 - 1/nu),
+    so the half-width is asymptotic, not a hard guarantee.
     """
     nu = validate_weight(nu)
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_counts(sample_count=sample_count)
     if n == 1:
         return 1.0, 0.0
     rng = np.random.default_rng(sampler_seed)
@@ -185,10 +217,12 @@ def chained_kernel_integral(
         m = min(chunk, sample_count - done)
         u = 1.0 - (1.0 - rng.random((n, m))) ** (1.0 / (nu - 1.0))  # Beta(1, nu-1)
         theta = 2.0 * np.pi * rng.random((n, m))
-        z = np.sqrt(u) * np.exp(1j * theta)
+        r = np.sqrt(u)
         log_w = np.zeros(m)
         for i in range(n - 1):
-            log_w -= nu * np.log(np.abs(1.0 - z[i] * np.conj(z[i + 1])))
+            log_w -= 0.5 * nu * np.log(
+                _link_modulus_sq(r[i], r[i + 1], theta[i] - theta[i + 1])
+            )
         w = np.exp(log_w)
         if not np.all(np.isfinite(w)):
             raise FloatingPointError("non-finite chain weight encountered")
@@ -206,22 +240,37 @@ def chain2_tensor_quadrature(
 ) -> float:
     """I_2(nu) by a tensor rule: two radial directions, one relative angle.
 
-    Cross-checks the Monte Carlo route.  The relative-angle average of
-    |1 - r e^{i phi}|^{-nu} is computed on a uniform grid; the two radial
-    integrals carry the Beta weights exactly.
+    Cross-checks the Monte Carlo route and never uses the closed form.  The
+    relative-angle mean of |1 - r e^{i phi}|^{-nu}, r = sqrt(u_i u_j), is taken
+    on ``angular_count`` midpoint angles, with the kernel in the real form
+    (1 - r)^2 + 4 r sin^2(phi/2); the two radial integrals carry the Beta
+    weights exactly on ``radial_count`` Gauss-Legendre nodes.  Two symmetries
+    are folded: the mean is symmetric in (i, j), so it is evaluated on the
+    upper triangle and mirrored, and phi_{N-1-k} = 2 pi - phi_k gives the same
+    kernel value, so each angle pair is summed once with weight 2 (for odd N
+    the self-paired angle pi once).
     """
     nu = validate_weight(nu)
+    _require_counts(radial_count=radial_count, angular_count=angular_count)
     x, wq = roots_legendre(radial_count)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * wq * (1.0 - u) ** (nu - 2.0)
-    phi = 2.0 * np.pi * (np.arange(angular_count) + 0.5) / angular_count
-    r = np.sqrt(np.outer(u, u))
-    angular = np.zeros_like(r)
-    for i0 in range(0, angular_count, 64):  # chunked: keeps transients small
-        block = np.exp(1j * phi[i0 : i0 + 64])
-        angular += np.sum(
-            np.exp(-nu * np.log(np.abs(1.0 - r[:, :, None] * block[None, None, :]))),
-            axis=2,
-        )
+    radius = np.sqrt(u)
+    # angles 0 .. N//2 - 1 stand for their mirror images too; odd N adds pi
+    kept = (angular_count + 1) // 2
+    phi = 2.0 * np.pi * (np.arange(kept) + 0.5) / angular_count
+    fold = np.full(kept, 2.0)
+    if angular_count % 2:
+        fold[-1] = 1.0
+    row, col = np.triu_indices(radial_count)
+    upper = np.empty(row.size)
+    step = max(1, (1 << 20) // kept)  # (i, j) pairs per chunk: ~8 MB transients
+    for p0 in range(0, row.size, step):
+        i, j = row[p0 : p0 + step, None], col[p0 : p0 + step, None]
+        log_ker = -0.5 * nu * np.log(_link_modulus_sq(radius[i], radius[j], phi))
+        upper[p0 : p0 + step] = np.exp(log_ker) @ fold
+    angular = np.empty((radial_count, radial_count))
+    angular[row, col] = upper
+    angular[col, row] = upper
     angular /= angular_count
     return float((nu - 1.0) ** 2 * wu @ angular @ wu)

@@ -2,12 +2,18 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from oracles import chain2_series_oracle
+from oracles import (
+    chain2_complex_quadrature_oracle,
+    chain2_series_oracle,
+    chain_estimate_oracle,
+)
 
 from diskchannels.specfun import berezin_eigenvalue
 from diskchannels.spectral import (
+    _link_modulus_sq,
     chain2_tensor_quadrature,
     chained_kernel_integral,
     eigen_relation_residual,
@@ -88,6 +94,21 @@ class TestEigenRelation:
         fine = eigen_relation_residual(3, 1.0, [0.2], 48, 96)
         assert coarse >= 4.0 * fine
 
+    def test_lambda_sequence_is_worst_scalar_residual(self):
+        samples = [0.0, 0.3, 0.45j, -0.2 + 0.3j]
+        for nu in (2, 4, 8, 16):
+            lams = (0.0, 1.0, 2.0)
+            each = [eigen_relation_residual(nu, lam, samples, 40, 64) for lam in lams]
+            assert eigen_relation_residual(nu, lams, samples, 40, 64) == max(each)
+
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(ValueError, match="radial_count"):
+            eigen_relation_residual(4, 0.0, [0.1], 0, 8)
+        with pytest.raises(ValueError, match="angular_count"):
+            eigen_relation_residual(4, 0.0, [0.1], 8, 0)
+        with pytest.raises(ValueError, match="lam"):
+            eigen_relation_residual(4, [], [0.1], 8, 8)
+
 
 class TestInverseMultiplier:
     def test_equal_weights(self):
@@ -149,6 +170,39 @@ class TestChainIntegral:
     def test_large_weight_limit(self):
         # the exact closed form tends to 4/3 (local fluctuation integral)
         assert chain2_series_oracle(4096) == pytest.approx(4.0 / 3.0, abs=2e-3)
+
+    @pytest.mark.parametrize(
+        "nu, radial_count, angular_count",
+        [(4, 200, 512), (8, 200, 512), (16, 200, 512), (48, 200, 512),
+         (8, 51, 63), (48, 51, 63), (8, 7, 1)],
+    )
+    def test_quadrature_matches_complex_oracle(self, nu, radial_count, angular_count):
+        # odd angular counts exercise the self-paired angle pi
+        assert chain2_tensor_quadrature(nu, radial_count, angular_count) == pytest.approx(
+            chain2_complex_quadrature_oracle(nu, radial_count, angular_count), rel=1e-14
+        )
+
+    @pytest.mark.parametrize("n, nu", [(2, 4), (2, 16), (3, 6)])
+    def test_estimate_matches_complex_oracle(self, n, nu):
+        # 150000 draws span two full chunks and a partial one
+        est, _ = chained_kernel_integral(n, nu, 11, 150000)
+        assert est == pytest.approx(chain_estimate_oracle(n, nu, 11, 150000), rel=1e-13)
+
+    @pytest.mark.parametrize("dtheta", [0.0, 1e-8, 1e-3])
+    def test_link_modulus_near_boundary(self, dtheta):
+        r = 1.0 - 1e-9
+        with mpmath.workdps(30):
+            z = mpmath.mpf(r) * mpmath.expj(mpmath.mpf(dtheta))
+            exact = abs(1 - z * mpmath.mpf(r)) ** 2
+            assert abs(_link_modulus_sq(r, r, dtheta) / exact - 1) <= 1e-14
+
+    def test_empty_grids_rejected(self):
+        with pytest.raises(ValueError, match="sample_count"):
+            chained_kernel_integral(2, 4, 1, 0)
+        with pytest.raises(ValueError, match="radial_count"):
+            chain2_tensor_quadrature(4, 0, 8)
+        with pytest.raises(ValueError, match="angular_count"):
+            chain2_tensor_quadrature(4, 8, 0)
 
     def test_longer_chain_runs(self):
         est, half = chained_kernel_integral(3, 6, 5, 50000)
