@@ -7,7 +7,8 @@ finite sums over the orthonormal-basis coupling coefficients
     w^{(p)}_{m,n} = c_{m,n} ||zeta^p|| / (||z^m|| ||w^n||),   m + n = p + k,
 
 which satisfy sum_n (w^{(p)})^2 = 1 (P_k P_k* = I).  No quadrature enters the
-channel; everything is log-domain-assembled products.
+channel: the weights are log-domain-assembled products, and the output
+diagonal of a diagonal input runs a recurrence in the input degree.
 """
 
 from __future__ import annotations
@@ -89,6 +90,14 @@ def _derivative_terms(params: ChannelParams) -> list[tuple[int, float]]:
     return terms
 
 
+def _falling(x, j: int):
+    """Falling factorial (x)_j = x (x-1) ... (x-j+1), elementwise; 1.0 for j = 0."""
+    out = 1.0
+    for i in range(j):
+        out = out * (x - i)
+    return out
+
+
 def _derivative_sum(params: ChannelParams, m, n):
     """S(m,n) = sum_j (-1)^{k-j} binom(k,j) (m)_j^fall (n)_{k-j}^fall / ((mu)_j (nu)_{k-j}).
 
@@ -97,23 +106,56 @@ def _derivative_sum(params: ChannelParams, m, n):
     forms of the intertwiner differ by (-1)^k and only this sign makes them
     mutually adjoint).  Vectorized over broadcast integer m, n >= 0; a term
     with j > m or k - j > n vanishes exactly, since its falling factorial
-    carries the factor 0.  k is small, the falling factorials are short
-    products, and no cancellation trouble arises because successive terms
-    drop by ~n per order.
+    carries the factor 0.  k is small and the falling factorials are short
+    products, but the terms alternate in sign: S has zeros in n (for k = 1,
+    S = m/mu - n/nu), so its rounding is relative to the absolute term sum
+    T(m,n) (see :func:`_abs_sum_trace`), not to |S|.
     """
     k = params.k
     m = np.asarray(m, dtype=float)
     n = np.asarray(n, dtype=float)
     total = np.zeros(np.broadcast(m, n).shape)
     for j, coeff in _derivative_terms(params):
-        fall_m = 1.0
-        for i in range(j):
-            fall_m = fall_m * (m - i)
-        fall_n = 1.0
-        for i in range(k - j):
-            fall_n = fall_n * (n - i)
-        total = total + coeff * fall_m * fall_n
+        total = total + coeff * _falling(m, j) * _falling(n, k - j)
     return total
+
+
+def _abs_sum_trace(params: ChannelParams, diag) -> float:
+    """sum_m |diag[m]| sum over every p of r_m[p] T(m,n)^2, exact.
+
+    r_m[p] = lambda_p(m)/S(m,n)^2 = C^2 (p!/(s)_p) ((mu)_m/m!) ((nu)_n/n!),
+    n = p + k - m, and T = sum_j a_j (n)_{k-j}, a_j = |c_j| (m)_j, is S with
+    every term made positive, so a computed S is off by a multiple of eps T.
+    With (n)_A (n)_B = sum_i C(A,i) C(B,i) i! (n)_{A+B-i}, each moment is a
+    Gauss sum 2F1(nu+q, q+m-k+1; s+q+m-k; 1):
+
+        sum_n r_m (n)_q = C^2 ((mu)_m/m!) (nu)_q (q+m-k)! (s-1)
+                          Gamma(mu+2k-1-q) / Gamma(mu+k+m),
+
+    finite for q <= 2k since mu > 1; q + m - k >= 0 wherever a_j a_j' != 0.
+    """
+    mu, nu, k = params.mu, params.nu, params.k
+    weight = np.abs(np.asarray(diag, dtype=float))
+    m = np.flatnonzero(weight).astype(float)
+    a = [abs(coeff) * _falling(m, j) for j, coeff in _derivative_terms(params)]
+    log_front = (
+        log_channel_constant_sq(mu, nu, k) - log_monomial_norm_sq(mu, m)
+        + math.log(params.target_weight - 1.0) - gammaln(mu + k + m) - gammaln(nu)
+    )
+    total = np.zeros(m.size)
+    for j, aj in enumerate(a):
+        for jj, ajj in enumerate(a):
+            A, B = k - j, k - jj
+            for i in range(min(A, B) + 1):
+                q = A + B - i
+                # where a_j a_jj = 0 the clamped factorial only keeps it finite
+                log_moment = (
+                    log_front + gammaln(nu + q) + gammaln(mu + 2 * k - 1.0 - q)
+                    + gammaln(np.maximum(q + m - k, 0.0) + 1.0)
+                )
+                count = math.comb(A, i) * math.comb(B, i) * math.factorial(i)
+                total += count * aj * ajj * np.exp(log_moment)
+    return float(weight[weight > 0.0] @ total)
 
 
 class _Couplings:
@@ -149,11 +191,6 @@ class _Couplings:
         """Signed w^{(p)}_{m,n} = C S(m,n) ||zeta^p|| / (||z^m|| ||w^n||)."""
         S, log_S, log_scale = self.terms(p, m)
         return np.sign(S) * np.exp(0.5 * self.log_c2 + log_S + 0.5 * log_scale)
-
-    def responses(self, p, m) -> np.ndarray:
-        """lambda_p(m) = (w^{(p)}_{m,n})^2."""
-        _, log_S, log_scale = self.terms(p, m)
-        return np.exp(self.log_c2 + 2.0 * log_S + log_scale)
 
 
 @dataclass(frozen=True)
@@ -266,12 +303,16 @@ def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator
 def diagonal_response(params: ChannelParams, m: int, p) -> np.ndarray:
     """Diagonal of T(e_m e_m*): exact eigenvalue-like entries lambda_p(m).
 
-    lambda_p(m) = (w^{(p)}_{m, p+k-m})^2, nonzero for p >= m - k; the output of
-    the channel on a diagonal input is exactly diagonal (grade conservation).
-    Vectorized over an array of output indices ``p``.
+    lambda_p(m) = (w^{(p)}_{m, p+k-m})^2 = S(m,n)^2 r_m[p], nonzero for
+    p >= m - k; the output of the channel on a diagonal input is exactly
+    diagonal (grade conservation).  Vectorized over an array of output
+    indices ``p``: the :func:`diagonal_output_spectrum` of the unit input e_m
+    up to max(p), read at p.
     """
     p = np.asarray(p)
-    return _Couplings(params, int(np.max(p, initial=0))).responses(p, m)
+    unit = np.zeros(m + 1)
+    unit[m] = 1.0
+    return diagonal_output_spectrum(params, unit, int(np.max(p, initial=0)))[p]
 
 
 def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarray:
@@ -281,14 +322,54 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
     this is its full spectrum up to the cut — no matrix is materialized,
     which matters for weight sweeps where cut ~ 64 nu.  For any A it is the
     diagonal of T(A), which depends only on the diagonal of A.
+
+    With n = p + k - m and s the target weight, lambda_p(m) = S(m,n)^2 r_m[p]
+    where r_m[p] = C^2 (p!/(s)_p) ((mu)_m/m!) ((nu)_n/n!) obeys a recurrence
+    in the input degree:
+
+        r_0[p] = C^2 (p!/(s)_p) ((nu)_{p+k}/(p+k)!),
+        r_m[p] = r_{m-1}[p] ((mu+m-1)/m) (n+1)/(nu+n).
+
+    r_0 costs one exp per output index.  A step is one multiply per entry,
+    in place on the slice p >= m - k where lambda_p(m) can be nonzero, with
+    (mu)_m/m! kept as a running scalar.  S, the degree-k polynomial of
+    :func:`_derivative_sum`, is summed from the falling factorials (n)_{k-j},
+    tabulated once.
     """
     diag = np.asarray(diag, dtype=float)
-    couplings = _Couplings(params, cut)
+    k = params.k
     out = np.zeros(cut + 1)
-    for m in np.flatnonzero(diag).tolist():
-        lo = max(0, m - params.k)  # lambda_p(m) = 0 for p < m - k
-        if lo <= cut:
-            out[lo:] += diag[m] * couplings.responses(np.arange(lo, cut + 1), m)
+    support = np.flatnonzero(diag)
+    if support.size == 0:
+        return out
+    nu = params.nu
+    ps = np.arange(cut + 1)
+    rho = np.exp(  # r_m[p] / ((mu)_m/m!), from m = 0
+        log_channel_constant_sq(params.mu, nu, k)
+        + log_monomial_norm_sq(params.target_weight, ps)
+        - log_monomial_norm_sq(nu, ps + k)
+    )
+    t = np.arange(cut + k + 2.0)  # every n, and n + 1, that a step reads
+    ratio = t / (nu + t - 1.0)  # (nu)_{t-1}/(t-1)! over (nu)_t/t!
+    fall_n = [_falling(t, k - j) for j in range(k)]
+    terms = _derivative_terms(params)
+    scale = 1.0  # (mu)_m / m!
+    for m in range(min(int(support[-1]), cut + k) + 1):
+        lo = max(0, m - k)  # lambda_p(m) = 0 for p < m - k
+        if m > 0:
+            rho[lo:] *= ratio[lo + k - m + 1 : cut + k - m + 2]
+            scale *= (params.mu + m - 1.0) / m
+        if diag[m] == 0.0:
+            continue
+        n = slice(lo + k - m, cut + k - m + 1)
+        c = [coeff * _falling(m, j) for j, coeff in terms]
+        S = np.full(cut + 1 - lo, c[k])
+        for j in range(k):
+            S += c[j] * fall_n[j][n]
+        S *= S
+        S *= rho[lo:]
+        S *= diag[m] * scale
+        out[lo:] += S
     return out
 
 

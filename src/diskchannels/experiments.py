@@ -23,6 +23,7 @@ from . import __version__
 from .bergman import TruncatedOperator
 from .channel import (
     ChannelParams,
+    _abs_sum_trace,
     apply_channel,
     banded_trace,
     diagonal_output_spectrum,
@@ -118,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError("nu_list: must be strictly increasing")
         if any(nu <= 1 for nu in self.nu_list):
             raise ConfigError("nu_list: weights must be > 1")
+        if self.experiment == "berezin-eigen" and not self.lambda_list:
+            raise ConfigError("lambda_list: berezin-eigen needs at least one value")
         if not self.psi or self.psi[0] != 0.0:
             raise ConfigError("psi: constant term must be 0")
         if self.tol_abs < 0.0:
@@ -372,12 +375,28 @@ def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
         measured = banded_trace(apply_channel(state, params), cfg.psi) / nu
     # Tr T(A) = trace_factor Tr A, so the cut drops trace_factor Tr A minus the
     # captured sum; |psi(x)| <= (sum_j |a_j|) x on [0, 1] bounds psi's share.
-    # Rounding: lambda_p(m) = exp(a sum of nine gammaln, each 2-eps accurate and
-    # <= g_p = (s+p) log(s+p) in size, s the target weight), so 32 eps g_p relative;
-    # sums over m < dim, p <= cut add (cut + 2 dim + 8) eps of trace_factor Tr A.
+    # Rounding of the captured sum, whose entries diagonal_output_spectrum forms
+    # as lambda_p(m) = S^2 r_m[p]; g_p = (s+p) log(s+p), s the target weight,
+    # and each gammaln is 2-eps accurate and at most g_p in size:
+    # - r_m[p]: exp of six gammaln and six sums (18 eps g_p), m recurrence
+    #   steps and the running (mu)_m/m! (7m eps), four products (4 eps).  As
+    #   m <= p + k < s + p and s > 2, that is under 32 eps g_p relative.
+    # - S: k + 1 terms of alternating sign whose coefficients are exp of four
+    #   gammaln <= g_0, so it is off by gamma T, gamma = (12 g_0 + 2k + 4) eps,
+    #   T the sum of the terms' absolute values.  Near a zero of S that is not
+    #   relative to lambda (toeplitz input, nu = 800, m = 63: 84 eps g_p at
+    #   p = 25,261, and 1.6e-28 at p = 25,262 where lambda = 0), but the entry
+    #   is off by at most 3 gamma r T^2, whose sum over every p _abs_sum_trace
+    #   gives exactly.
+    # - the sums over m < dim and p <= cut: (cut + 2 dim + 8) eps trace_factor Tr A.
     g = params.target_weight + np.arange(cut + 1.0)
     total = params.trace_factor * float(np.sum(diag_in))
-    allowance = 32 * float(out_diag @ (g * np.log(g))) + (cut + 2 * diag_in.size + 8) * total
+    g_0 = params.target_weight * math.log(params.target_weight)
+    allowance = (
+        32 * float(out_diag @ (g * np.log(g)))
+        + (cut + 2 * diag_in.size + 8) * total
+        + 3 * (12 * g_0 + 2 * cfg.k + 4) * _abs_sum_trace(params, diag_in)
+    )
     trace_tail = max(total - float(np.sum(out_diag)), 0.0) + np.finfo(float).eps * allowance
     psi_slope = sum(abs(a) for a in cfg.psi[1:])
     return ReportRow(

@@ -5,7 +5,9 @@ stays away from the library's coefficient algebra.
 """
 
 import math
+from decimal import Decimal, localcontext
 
+import mpmath as mp
 import numpy as np
 from scipy.special import gammaln, roots_legendre
 
@@ -123,6 +125,85 @@ def chain_estimate_oracle(n, nu, seed, sample_count):
         total += float(np.sum(np.exp(log_w)))
         done += m
     return total / sample_count
+
+
+def _rising(x, j):
+    return mp.fprod(x + i for i in range(j))
+
+
+def coupling_response_oracle(mu, nu, k, m, p, dps=40):
+    """(lambda_p(m), r_m[p], S(m,n), T(m,n)) at ``dps`` digits, n = p + k - m.
+
+    lambda_p(m) = S^2 r_m[p] with r_m[p] = C^2 (p!/(s)_p) ((mu)_m/m!) ((nu)_n/n!)
+    from log-gammas and S = sum_j (-1)^{k-j} C(k,j) (m)_j (n)_{k-j}/((mu)_j (nu)_{k-j})
+    summed term by term; T is the same sum with every term positive.  All
+    four are 0 where n < 0.
+    """
+    with mp.workdps(dps):
+        n = p + k - m
+        if n < 0:
+            return (mp.mpf(0),) * 4
+        mu, nu = mp.mpf(mu), mp.mpf(nu)
+        s = mu + nu + 2 * k
+        S, T = mp.mpf(0), mp.mpf(0)
+        for j in range(k + 1):
+            term = math.comb(k, j) * math.perm(m, j) * math.perm(n, k - j) / (
+                _rising(mu, j) * _rising(nu, k - j)
+            )
+            S += (-1) ** (k - j) * term
+            T += term
+        c2 = _rising(mu, k) * _rising(nu, k) / (
+            math.factorial(k) * _rising(mu + nu + k - 1, k)
+        )
+        r = c2 * mp.exp(
+            mp.loggamma(p + 1) - mp.loggamma(s + p) + mp.loggamma(s)
+            + mp.loggamma(mu + m) - mp.loggamma(mu) - mp.loggamma(m + 1)
+            + mp.loggamma(nu + n) - mp.loggamma(nu) - mp.loggamma(n + 1)
+        )
+        return S * S * r, r, S, T
+
+
+def dropped_trace_oracle(mu, nu, k, diag, cut, digits=40):
+    """sum_m diag[m] sum_{p > cut} lambda_p(m) at ``digits`` digits.
+
+    Sum_p lambda_p(m) = (mu+nu+2k-1)/(mu-1) for every m, so this is that
+    total times sum(diag) minus the captured sum over p <= cut.  Each row
+    r_m[p] runs by its recurrence in p,
+    r_m[p+1] = r_m[p] (p+1)/(s+p) (nu+n)/(n+1), in decimal arithmetic from
+    its first nonzero entry (mpmath at the same precision), with S summed at
+    that precision; no log-gamma enters past that entry.
+    """
+    def dec(x):
+        return Decimal(mp.nstr(x, digits + 5))
+
+    with localcontext() as ctx, mp.workdps(digits):
+        ctx.prec = digits
+        mu_d, nu_d = Decimal(mu), Decimal(nu)
+        s_d = mu_d + nu_d + 2 * k
+        coeff = [
+            dec((-1) ** (k - j) * math.comb(k, j)
+                / (_rising(mp.mpf(mu), j) * _rising(mp.mpf(nu), k - j)))
+            for j in range(k + 1)
+        ]
+        total = Decimal(0)
+        captured = Decimal(0)
+        for m, weight in enumerate(diag):
+            if weight == 0.0:
+                continue
+            w = Decimal(float(weight))
+            total += w
+            p = max(0, m - k)
+            _, r, _, _ = coupling_response_oracle(mu, nu, k, m, p, dps=digits + 5)
+            r = dec(r)
+            row = Decimal(0)
+            while p <= cut:
+                n = p + k - m
+                S = sum(c * math.perm(m, j) * math.perm(n, k - j) for j, c in enumerate(coeff))
+                row += S * S * r
+                r = r * (p + 1) * (nu_d + n) / ((s_d + p) * (n + 1))
+                p += 1
+            captured += w * row
+        return (s_d - 1) / (mu_d - 1) * total - captured
 
 
 def random_psd(mu, dim, rank, seed, unit_trace=True):

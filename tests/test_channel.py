@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 from oracles import (
+    coupling_response_oracle,
     gammaform_eigenvalue_oracle,
     lowest_state,
     projection_integral_oracle,
@@ -23,6 +24,8 @@ from diskchannels.bergman import TruncatedOperator, log_monomial_norm_sq
 from diskchannels.channel import (
     ChannelParams,
     SpectrumWindowError,
+    _abs_sum_trace,
+    _derivative_sum,
     _weight_grid,
     apply_channel,
     banded_trace,
@@ -419,8 +422,12 @@ class TestBandedOutput:
         assert peak <= 200 * 2**20
 
 
-def derivative_sum_reference(params, m, n):
-    """The derivative sum S(m, n) with the explicit support masks."""
+def derivative_sum_reference(params, m, n, absolute=False):
+    """The derivative sum S(m, n) with the explicit support masks.
+
+    ``absolute`` makes every term positive: the term sum T(m, n) that bounds
+    the rounding of S.
+    """
     mu, nu, k = params.mu, params.nu, params.k
     m = np.asarray(m, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -435,7 +442,8 @@ def derivative_sum_reference(params, m, n):
         denom = math.exp(
             gammaln(mu + j) - gammaln(mu) + gammaln(nu + k - j) - gammaln(nu)
         )
-        term = (-1.0) ** (k - j) * math.comb(k, j) / denom * fall_m * fall_n
+        sign = 1.0 if absolute else (-1.0) ** (k - j)
+        term = sign * math.comb(k, j) / denom * fall_m * fall_n
         total = total + np.where((m >= j) & (n >= k - j), term, 0.0)
     return total
 
@@ -456,6 +464,44 @@ def diagonal_response_reference(params, m, p):
         log_S2 = 2.0 * np.log(np.abs(S), where=S != 0, out=np.full_like(S, -np.inf))
     log_c2 = log_channel_constant_sq(params.mu, params.nu, params.k)
     return np.where(valid, np.exp(log_c2 + log_S2 + log_scale), 0.0)
+
+
+def response_scale_reference(params, m, p):
+    """r_m[p] = lambda_p(m)/S(m,n)^2 per entry, 0 where n = p + k - m < 0."""
+    p = np.asarray(p)
+    n = p + params.k - m
+    log_scale = (
+        log_monomial_norm_sq(params.target_weight, p)
+        - log_monomial_norm_sq(params.mu, m)
+        - log_monomial_norm_sq(params.nu, np.maximum(n, 0))
+    )
+    log_c2 = log_channel_constant_sq(params.mu, params.nu, params.k)
+    return np.where(n >= 0, np.exp(log_c2 + log_scale), 0.0)
+
+
+EPS = np.finfo(float).eps
+# below this an entry has no digits to compare: both kernels may return 0 or
+# a subnormal there
+TINY = 1e-290
+
+
+def kernel_agreement_bound(params, m, p):
+    """How far the recurrence and the per-entry log-domain formula may differ.
+
+    The sum of their derived rounding bounds (derivation at the trace-tail
+    allowance in experiments._row_channel_limit): each is within
+    32 eps g_p relative in r_m[p], g_p = (s+p) log(s+p); their values of S
+    differ only in the order of the k + 1 term sums, by at most 2k eps T.
+    """
+    p = np.asarray(p)
+    k, s = params.k, params.target_weight
+    n = np.maximum(p + k - m, 0)
+    ref = diagonal_response_reference(params, m, p)
+    r = response_scale_reference(params, m, p)
+    S = np.abs(derivative_sum_reference(params, m, n))
+    dS = 2 * k * EPS * derivative_sum_reference(params, m, n, absolute=True)
+    g = (s + p) * np.log(s + p)
+    return 64 * EPS * g * ref + r * (2 * S + dS) * dS
 
 
 def isometry_weights_reference(params, p, n):
@@ -504,7 +550,8 @@ class TestCouplingKernel:
     def test_diagonal_response_matches_reference(self, case):
         params, m, p = case
         ref = diagonal_response_reference(params, m, p)
-        assert_matches_reference(diagonal_response(params, m, p), ref, params.k)
+        err = np.abs(diagonal_response(params, m, p) - ref)
+        assert np.all(err <= kernel_agreement_bound(params, m, p) + TINY)
 
     @given(case=coupling_cases())
     @settings(max_examples=120, deadline=None)
@@ -535,7 +582,65 @@ class TestCouplingKernel:
         diag = rng.random(degree + 1) * (rng.random(degree + 1) < 0.7)
         ps = np.arange(cut + 1)
         ref = np.zeros(cut + 1)
+        bound = np.zeros(cut + 1)
         for m in range(degree + 1):
             if diag[m] != 0.0:
                 ref += diag[m] * diagonal_response_reference(params, m, ps)
-        assert_matches_reference(diagonal_output_spectrum(params, diag, cut), ref, k)
+                bound += diag[m] * kernel_agreement_bound(params, m, ps)
+        # both add the rows in ascending m: (degree + 1) roundings each
+        bound += 2 * (degree + 1) * EPS * ref
+        err = np.abs(diagonal_output_spectrum(params, diag, cut) - ref)
+        assert np.all(err <= bound + TINY)
+
+    @pytest.mark.parametrize(
+        "mu,nu,k,diag",
+        [
+            (6, 3.5, 0, [1.0]),
+            (5, 3, 1, [0, 0, 0, 0, 1.0]),
+            (6, 3.5, 2, [0.2, 0.5, 0, 0, 0, 1.5]),
+            (9, 40, 3, [0, 0, 1.0, 0, 0, 0, 0, 2.0]),
+        ],
+    )
+    def test_abs_sum_trace_matches_direct_sum(self, mu, nu, k, diag):
+        # the Gauss-sum closed form against the per-entry sum of r T^2; at
+        # mu >= 5 the terms fall like p^{-mu}, so p < 20000 holds every digit
+        params = ChannelParams(mu, nu, k)
+        p = np.arange(20_000)
+        direct = 0.0
+        for m, weight in enumerate(diag):
+            n = np.maximum(p + k - m, 0)
+            T = derivative_sum_reference(params, m, n, absolute=True)
+            direct += weight * float(np.sum(response_scale_reference(params, m, p) * T * T))
+        assert _abs_sum_trace(params, diag) == pytest.approx(direct, rel=1e-11)
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("nu", [3.5, 800, 2000])
+    @pytest.mark.parametrize("mu", [2, 2.5, 50])
+    def test_responses_match_40_digits(self, mu, nu, k):
+        # each entry within its derived rounding bound of the 40-digit value:
+        # 32 eps g_p relative in r_m[p], plus S off by gamma T with
+        # gamma = (12 g_0 + 2k + 4) eps (the trace-tail allowance's terms)
+        params = ChannelParams(mu, nu, k)
+        s = params.target_weight
+        gamma = (12 * s * math.log(s) + 2 * k + 4) * EPS
+        for m in (0, 1, 6, 63, 200):
+            p_top = 400_000 if m == 63 else 31_623
+            lo = max(0, m - k)
+            picks = {max(0, lo - 1), lo, lo + 1, 997, p_top}
+            # the output indices on both sides of every sign change of S
+            n = np.arange(p_top + k - m + 1)
+            sign = np.sign(_derivative_sum(params, m, n))
+            for n0 in np.flatnonzero(sign[1:] != sign[:-1]).tolist():
+                picks.update(q for q in (n0 + m - k, n0 + m - k + 1) if q >= 0)
+            ps = np.array(sorted(picks))
+            got = diagonal_response(params, m, ps)
+            assert np.all(np.isfinite(got))
+            for q, value in zip(ps.tolist(), got.tolist()):
+                lam, r, S, T = coupling_response_oracle(mu, nu, k, m, q)
+                if r * T * T < TINY:  # no digits left: 0 or a subnormal
+                    assert value <= TINY
+                    continue
+                g = (s + q) * math.log(s + q)
+                dS = gamma * T
+                bound = 32 * EPS * g * lam + r * (2 * abs(S) + dS) * dS
+                assert abs(value - lam) <= bound, (m, q, value, lam)

@@ -2,11 +2,13 @@
 
 import json
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import dropped_trace_oracle
 
 from diskchannels import experiments
 from diskchannels.channel import (
@@ -218,6 +220,23 @@ timing = off
             tail = mp.mpf(row.tail_bound) * nu
             assert tail >= dropped
             assert (tail - dropped) / dropped <= 1e-6
+
+    def test_trace_tail_covers_exact_dropped_trace_toeplitz(self):
+        # the toeplitz state of degree 64 at k = 1, nu = 50 (as in diag-sweep): its
+        # rows m >= 1 cross the zeros of S = m/mu - n/nu below the auto cut,
+        # where rounding is relative to T, not lambda; 40 digits, each row by
+        # its recurrence in p
+        rep = run_experiment(parse_config(
+            "experiment = channel-limit\nmu = 2\nk = 1\nnu_list = 50\n"
+            "input_state = toeplitz\nf = radial:0,0,1\ntruncation_n = 64\n"
+            "psi = 0,1\ntiming = off\n"
+        ))
+        (row,) = rep.rows
+        diag = np.real(np.diag(_input_state(rep.config).matrix))
+        dropped = dropped_trace_oracle(2, 50, 1, diag, cut=4096)
+        tail = Decimal(row.tail_bound) * 50
+        assert tail >= dropped
+        assert (tail - dropped) / dropped <= Decimal("1e-6")
 
     def test_channel_limit_random_state(self):
         rep = run_experiment(
@@ -584,6 +603,18 @@ class TestCli:
         assert cli_main([experiment, "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["", ",", " , "])
+    def test_empty_lambda_list_is_config_error(self, tmp_path, capsys, value):
+        # every berezin-eigen row needs a spectral parameter; an empty list
+        # used to fail each row at run time while the CLI exited 0
+        cfg = self._write(
+            tmp_path, f"experiment = berezin-eigen\nnu_list = 2\nlambda_list = {value}\n"
+        )
+        assert cli_main(["berezin-eigen", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lambda_list:")
         assert "Traceback" not in err
 
     def test_subcommand_mismatch(self, tmp_path):
