@@ -425,12 +425,14 @@ def _row_toeplitz_trace(cfg: ExperimentConfig, nu: int) -> ReportRow:
                      note="closed-form")
 
 
-def _row_berezin_eigen(cfg: ExperimentConfig, nu: int) -> ReportRow:
+def _rows_berezin_eigen(cfg: ExperimentConfig, nus) -> list[ReportRow]:
     samples = [0.0, 0.3, 0.45j, -0.2 + 0.3j]
     worst = eigen_relation_residual(
-        float(nu), cfg.lambda_list, samples, cfg.quadrature_radial, cfg.quadrature_angular
+        [float(nu) for nu in nus], cfg.lambda_list, samples,
+        cfg.quadrature_radial, cfg.quadrature_angular,
     )
-    return ReportRow(nu=nu, measured=worst, target=0.0, note="quadrature-residual")
+    return [ReportRow(nu=nu, measured=w, target=0.0, note="quadrature-residual")
+            for nu, w in zip(nus, worst)]
 
 
 def _row_husimi_check(cfg: ExperimentConfig, nu: int) -> ReportRow:
@@ -470,33 +472,51 @@ def _row_constants(cfg: ExperimentConfig, nu: int) -> ReportRow:
     return ReportRow(nu=nu, measured=worst, target=0.0, note="constant-and-isometry")
 
 
-def _row_kernel_chain(cfg: ExperimentConfig, nu: int) -> ReportRow:
-    est, half = chained_kernel_integral(cfg.chain_length, float(nu), cfg.seed, cfg.samples)
+def _rows_kernel_chain(cfg: ExperimentConfig, nus) -> list[ReportRow]:
+    weights = [float(nu) for nu in nus]
+    estimates = chained_kernel_integral(cfg.chain_length, weights, cfg.seed, cfg.samples)
     if cfg.chain_length == 1:
-        target, note = 1.0, "exact"
+        targets, note = [1.0] * len(nus), "exact"
     elif cfg.chain_length == 2:
-        target, note = chain2_tensor_quadrature(float(nu)), "quadrature-target"
+        targets, note = chain2_tensor_quadrature(weights), "quadrature-target"
     else:
-        target, note = est, "no-reference"
-    return ReportRow(nu=nu, measured=est, target=target, tail_bound=half, note=note)
+        targets, note = [est for est, _ in estimates], "no-reference"
+    return [
+        ReportRow(nu=nu, measured=est, target=target, tail_bound=half, note=note)
+        for nu, (est, half), target in zip(nus, estimates, targets)
+    ]
 
 
-_ROW_RUNNERS = {
-    "channel-limit": _row_channel_limit,
-    "toeplitz-trace": lambda cfg, nu, context: _row_toeplitz_trace(cfg, nu),
-    "berezin-eigen": lambda cfg, nu, context: _row_berezin_eigen(cfg, nu),
-    "husimi-check": lambda cfg, nu, context: _row_husimi_check(cfg, nu),
-    "e-identity": lambda cfg, nu, context: _row_e_identity(cfg, nu),
-    "constants": lambda cfg, nu, context: _row_constants(cfg, nu),
-    "kernel-chain": lambda cfg, nu, context: _row_kernel_chain(cfg, nu),
+# (cfg, batch of nu, context) -> one row per nu of the batch, in its order
+_BATCH_RUNNERS = {
+    "channel-limit": lambda cfg, nus, context: [
+        _row_channel_limit(cfg, nu, context) for nu in nus],
+    "toeplitz-trace": lambda cfg, nus, context: [
+        _row_toeplitz_trace(cfg, nu) for nu in nus],
+    "berezin-eigen": lambda cfg, nus, context: _rows_berezin_eigen(cfg, nus),
+    "husimi-check": lambda cfg, nus, context: [
+        _row_husimi_check(cfg, nu) for nu in nus],
+    "e-identity": lambda cfg, nus, context: [
+        _row_e_identity(cfg, nu) for nu in nus],
+    "constants": lambda cfg, nus, context: [_row_constants(cfg, nu) for nu in nus],
+    "kernel-chain": lambda cfg, nus, context: _rows_kernel_chain(cfg, nus),
 }
+# Rows of these experiments repeat work that does not depend on nu (grids,
+# draws, link moduli), which a batch does once; every other experiment runs
+# one nu per batch.
+_SHARED_WORK = ("berezin-eigen", "kernel-chain")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every nu row (worker pool), assemble the deterministic report.
 
-    Per-row failures are recorded in the row and the run continues; rows are
-    emitted in nu order regardless of scheduling.
+    The pool maps over batches of nu: the experiments in ``_SHARED_WORK``
+    split ``nu_list`` into one strided batch per thread, every other
+    experiment runs one nu per batch.  A row's ``seconds`` is its batch's wall
+    time divided by the batch's row count.  Per-row failures are recorded in
+    the row and the run continues: a batch that raises is run again one nu at
+    a time, so the error lands in the row that caused it.  Rows are emitted in
+    nu order regardless of scheduling.
     """
     config.validate()
     context = None
@@ -504,24 +524,35 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # the input and its limit target are shared by every row
         state = _input_state(config)
         context = (state, _husimi_target(config, state))
-    runner = _ROW_RUNNERS[config.experiment]
+    runner = _BATCH_RUNNERS[config.experiment]
+    nus = config.nu_list
+    count = len(nus)
+    if config.experiment in _SHARED_WORK:
+        count = max(1, min(config.threads, count))
+    batches = [nus[b::count] for b in range(count)]
 
-    def one(nu: int) -> ReportRow:
+    def run(batch: tuple[int, ...]) -> list[ReportRow]:
         start = time.perf_counter()
         try:
-            row = runner(config, nu, context)
+            rows = runner(config, batch, context)
         except Exception as exc:  # per-row failure: record, continue
-            row = ReportRow(nu=nu, measured=math.nan, target=math.nan, error=str(exc))
+            if len(batch) > 1:
+                return [row for nu in batch for row in run((nu,))]
+            rows = [ReportRow(nu=batch[0], measured=math.nan, target=math.nan,
+                              error=str(exc))]
         if config.timing:
-            row.seconds = time.perf_counter() - start
-        return row
+            share = (time.perf_counter() - start) / len(rows)
+            for row in rows:
+                row.seconds = share
+        return rows
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(one, config.nu_list))
+            per_batch = list(pool.map(run, batches))
     else:
-        rows = [one(nu) for nu in config.nu_list]
-    rows.sort(key=lambda r: r.nu)
+        per_batch = [run(batch) for batch in batches]
+    rows = sorted((row for batch_rows in per_batch for row in batch_rows),
+                  key=lambda r: r.nu)
     report = ExperimentReport(config=config, rows=rows)
     report.fitted_order, report.fitted_order_stderr = _fit_order(rows)
     return report

@@ -91,23 +91,35 @@ def _graded_angles(count: int, cluster: float, power: int = 6):
     return theta, dv / count
 
 
+def _weight_batch(nu) -> tuple[list[float], bool]:
+    """(validated weights, whether ``nu`` is one scalar): a scalar is a batch of one."""
+    scalar = np.ndim(nu) == 0
+    nus = [validate_weight(v) for v in ([nu] if scalar else nu)]
+    if not nus:
+        raise ValueError("nu must hold at least one weight")
+    return nus, scalar
+
+
 def eigen_relation_residual(
-    nu: float,
+    nu: float | Sequence[float],
     lam: float | Sequence[float],
     samples,
     radial_count: int = 400,
     angular_count: int = 512,
     boundary: complex = 1.0 + 0j,
-) -> float:
+) -> float | list[float]:
     """max_{z, lambda} |(nu-1) B_nu(e_{lambda,b})(z)/e_{lambda,b}(z) - b_nu(lambda)|.
 
-    ``lam`` is one spectral parameter or a sequence of them; the kernel
-    weights at each sample point are formed once and reused for every lambda.
-    The transform is evaluated by honest quadrature (radial Gauss-Legendre
+    ``nu`` is one weight or a sequence of them (one residual each, returned as
+    a list), and ``lam`` one spectral parameter or a sequence of them (the
+    residual is the worst over all).  The grid, every e_{lambda,b} on it and
+    log|1 - z0 conj(z)| at each sample are formed once for all weights.  The
+    transform is evaluated by honest quadrature (radial Gauss-Legendre
     against the kernel-folded measure, graded angular rule centered at
     arg(b)); the reference eigenvalue comes from the closed-form product.
+    A non-finite residual raises FloatingPointError.
     """
-    nu = validate_weight(nu)
+    nus, scalar = _weight_batch(nu)
     _require_counts(radial_count=radial_count, angular_count=angular_count)
     b = _validate_boundary(boundary)
     lams = [lam] if np.ndim(lam) == 0 else list(lam)
@@ -118,21 +130,36 @@ def eigen_relation_residual(
     wu = 0.5 * wq
     theta, tw = _graded_angles(angular_count, float(np.angle(b)))
     z = (np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    # (1-u)^{nu-2}: kernel decay folded against the d iota singularity
-    weights = ((wu * (1.0 - u) ** (nu - 2.0))[:, None] * tw[None, :]).ravel()
+    rule = (wu[:, None] * tw[None, :]).ravel()
+    # (1-u)^{nu-2} (kernel decay folded against the d iota singularity) and
+    # the kernel share one exponent: as factors, the first underflows to 0
+    # where the second overflows (|z0| = 0.45, nu >~ 800) and 0 * inf is NaN
+    log_decay = np.log1p(-u)[:, None]
     evals = [eigenfunction(lam_j, b, z) for lam_j in lams]
-    targets = [berezin_eigenvalue(nu, lam_j) for lam_j in lams]
-    worst = 0.0
+    targets = [[berezin_eigenvalue(nu_k, lam_j) for lam_j in lams] for nu_k in nus]
+    worst = [0.0] * len(nus)
     for z0 in np.asarray(samples, dtype=complex).ravel():
-        log_ker = nu * (
-            np.log1p(-abs(z0) ** 2) - 2.0 * np.log(np.abs(1.0 - z0 * np.conj(z)))
-        )
-        kw = weights * np.exp(log_ker)
-        for lam_j, ev, target in zip(lams, evals, targets):
-            transform = np.sum(kw * ev)
-            ratio = (nu - 1.0) * transform / eigenfunction(lam_j, b, z0)
-            worst = max(worst, abs(ratio - target))
-    return worst
+        # log of (1-|z0|^2) / |1 - z0 conj(z)|^2, whose nu-th power is the kernel
+        geo = np.log1p(-abs(z0) ** 2) - 2.0 * np.log(np.abs(1.0 - z0 * np.conj(z)))
+        geo = geo.reshape(radial_count, angular_count)
+        at_z0 = [eigenfunction(lam_j, b, z0) for lam_j in lams]
+        for k, nu_k in enumerate(nus):
+            kw = nu_k * geo
+            kw += (nu_k - 2.0) * log_decay
+            np.exp(kw, out=kw)
+            kw = kw.ravel()
+            kw *= rule
+            for ev, e0, target in zip(evals, at_z0, targets[k]):
+                transform = np.sum(kw * ev)
+                ratio = (nu_k - 1.0) * transform / e0
+                residual = abs(ratio - target)
+                if not math.isfinite(residual):
+                    raise FloatingPointError(
+                        f"eigen-relation residual is not finite at nu = {nu_k:g}, "
+                        f"z0 = {z0}"
+                    )
+                worst[k] = max(worst[k], residual)
+    return worst[0] if scalar else worst
 
 
 def inverse_multiplier(nu: float, nu0: float, lam: float) -> float:
@@ -167,18 +194,17 @@ def inverse_multiplier_bound(nu: int, nu0: int) -> float:
     )
 
 
-def _link_modulus_sq(r, s, dtheta):
-    """|1 - z conj(w)|^2 for |z| = r, |w| = s, arg z - arg w = dtheta.
+def _link_modulus_sq(r, s, half_sq):
+    """|1 - z conj(w)|^2 for |z| = r, |w| = s, half_sq = sin^2((arg z - arg w)/2).
 
     Real form (1 - r s)^2 + 4 r s sin^2(dtheta/2): both terms are >= 0, so
     nothing cancels near the boundary singularity, as 1 - z conj(w) does in
     complex arithmetic.  1 - r s is formed as (1 - r) + r (1 - s), because the
     product r s rounds before the subtraction.  With r, s of shape (P, 1) and
-    dtheta of shape (M,), only the last product and sum run on (P, M).
+    half_sq of shape (M,), only the last product and sum run on (P, M).
     """
     gap = (1.0 - r) + r * (1.0 - s)
-    half = np.sin(0.5 * dtheta)
-    return gap * gap + (4.0 * r * s) * (half * half)
+    return gap * gap + (4.0 * r * s) * half_sq
 
 
 def _require_counts(**counts: int) -> None:
@@ -188,8 +214,8 @@ def _require_counts(**counts: int) -> None:
 
 
 def chained_kernel_integral(
-    n: int, nu: float, sampler_seed: int, sample_count: int
-) -> tuple[float, float]:
+    n: int, nu: float | Sequence[float], sampler_seed: int, sample_count: int
+) -> tuple[float, float] | list[tuple[float, float]]:
     """Monte Carlo estimate of the chained-kernel integral I_n(nu).
 
     I_n(nu) = (nu-1)^n int |prod_i (1-|z_i|^2)^nu / prod_{i<n} (1-z_i conj(z_{i+1}))^nu|
@@ -201,43 +227,55 @@ def chained_kernel_integral(
     Returns (estimate, 95% CLT half-width); n = 1 is the exact deterministic
     value 1.  The weight distribution is heavy-tailed (tail index 2 - 1/nu),
     so the half-width is asymptotic, not a hard guarantee.
+
+    ``nu`` may be a sequence of weights, which returns a list of pairs.  Every
+    weight transforms the same uniform draws of ``sampler_seed`` (common
+    random numbers), so an estimate does not depend on the other weights of
+    the call, and the errors of estimates at different weights are correlated.
+    The draws and the sin^2 factors are formed once per chunk for all weights.
+    A non-finite chain weight raises FloatingPointError naming its nu.
     """
-    nu = validate_weight(nu)
+    nus, scalar = _weight_batch(nu)
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_counts(sample_count=sample_count)
     if n == 1:
-        return 1.0, 0.0
+        exact = [(1.0, 0.0)] * len(nus)
+        return exact[0] if scalar else exact
     rng = np.random.default_rng(sampler_seed)
-    total = 0.0
-    total_sq = 0.0
+    totals = [0.0] * len(nus)
+    totals_sq = [0.0] * len(nus)
     chunk = 1 << 16
     done = 0
     while done < sample_count:
         m = min(chunk, sample_count - done)
-        u = 1.0 - (1.0 - rng.random((n, m))) ** (1.0 / (nu - 1.0))  # Beta(1, nu-1)
+        tail = 1.0 - rng.random((n, m))  # u = 1 - tail^{1/(nu-1)} ~ Beta(1, nu-1)
         theta = 2.0 * np.pi * rng.random((n, m))
-        r = np.sqrt(u)
-        log_w = np.zeros(m)
-        for i in range(n - 1):
-            log_w -= 0.5 * nu * np.log(
-                _link_modulus_sq(r[i], r[i + 1], theta[i] - theta[i + 1])
-            )
-        w = np.exp(log_w)
-        if not np.all(np.isfinite(w)):
-            raise FloatingPointError("non-finite chain weight encountered")
-        total += float(np.sum(w))
-        total_sq += float(np.sum(w * w))
+        half = np.sin(0.5 * (theta[:-1] - theta[1:]))
+        half_sq = half * half
+        for k, nu_k in enumerate(nus):
+            r = np.sqrt(1.0 - tail ** (1.0 / (nu_k - 1.0)))
+            log_w = np.zeros(m)
+            for i in range(n - 1):
+                log_w -= 0.5 * nu_k * np.log(_link_modulus_sq(r[i], r[i + 1], half_sq[i]))
+            with np.errstate(over="ignore"):  # reported below, with its nu
+                w = np.exp(log_w)
+            if not np.all(np.isfinite(w)):
+                raise FloatingPointError(f"non-finite chain weight at nu = {nu_k:g}")
+            totals[k] += float(np.sum(w))
+            totals_sq[k] += float(np.sum(w * w))
         done += m
-    mean = total / sample_count
-    var = max(0.0, total_sq / sample_count - mean * mean)
-    half = 1.96 * math.sqrt(var / sample_count)
-    return mean, half
+    out = []
+    for total, total_sq in zip(totals, totals_sq):
+        mean = total / sample_count
+        var = max(0.0, total_sq / sample_count - mean * mean)
+        out.append((mean, 1.96 * math.sqrt(var / sample_count)))
+    return out[0] if scalar else out
 
 
 def chain2_tensor_quadrature(
-    nu: float, radial_count: int = 200, angular_count: int = 512
-) -> float:
+    nu: float | Sequence[float], radial_count: int = 200, angular_count: int = 512
+) -> float | list[float]:
     """I_2(nu) by a tensor rule: two radial directions, one relative angle.
 
     Cross-checks the Monte Carlo route and never uses the closed form.  The
@@ -249,28 +287,53 @@ def chain2_tensor_quadrature(
     upper triangle and mirrored, and phi_{N-1-k} = 2 pi - phi_k gives the same
     kernel value, so each angle pair is summed once with weight 2 (for odd N
     the self-paired angle pi once).
+
+    ``nu`` may be a sequence of weights, which returns a list; the log link
+    moduli do not depend on nu and are formed once per chunk for all of them.
+    A non-finite value (the kernel overflows near the boundary, as at
+    nu = 200 on the default grid) raises FloatingPointError naming its nu.
     """
-    nu = validate_weight(nu)
+    nus, scalar = _weight_batch(nu)
     _require_counts(radial_count=radial_count, angular_count=angular_count)
     x, wq = roots_legendre(radial_count)
     u = 0.5 * (x + 1.0)
-    wu = 0.5 * wq * (1.0 - u) ** (nu - 2.0)
     radius = np.sqrt(u)
     # angles 0 .. N//2 - 1 stand for their mirror images too; odd N adds pi
     kept = (angular_count + 1) // 2
     phi = 2.0 * np.pi * (np.arange(kept) + 0.5) / angular_count
+    half = np.sin(0.5 * phi)
+    half_sq = half * half
     fold = np.full(kept, 2.0)
     if angular_count % 2:
         fold[-1] = 1.0
     row, col = np.triu_indices(radial_count)
-    upper = np.empty(row.size)
-    step = max(1, (1 << 20) // kept)  # (i, j) pairs per chunk: ~8 MB transients
-    for p0 in range(0, row.size, step):
-        i, j = row[p0 : p0 + step, None], col[p0 : p0 + step, None]
-        log_ker = -0.5 * nu * np.log(_link_modulus_sq(radius[i], radius[j], phi))
-        upper[p0 : p0 + step] = np.exp(log_ker) @ fold
+    upper = np.empty((len(nus), row.size))
+    step = max(1, (1 << 16) // kept)  # (i, j) pairs per chunk: ~512 KB arrays
+    scaled = np.empty((min(step, row.size), kept))
     angular = np.empty((radial_count, radial_count))
-    angular[row, col] = upper
-    angular[col, row] = upper
-    angular /= angular_count
-    return float((nu - 1.0) ** 2 * wu @ angular @ wu)
+    values = []
+    # an overflowing kernel gives inf, or NaN against an underflowed weight;
+    # either is reported below, with its nu
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p0 in range(0, row.size, step):
+            i, j = row[p0 : p0 + step, None], col[p0 : p0 + step, None]
+            log_link = _link_modulus_sq(radius[i], radius[j], half_sq)
+            np.log(log_link, out=log_link)
+            block = scaled[: log_link.shape[0]]
+            for k, nu_k in enumerate(nus):
+                np.multiply(log_link, -0.5 * nu_k, out=block)
+                np.exp(block, out=block)
+                upper[k, p0 : p0 + step] = block @ fold
+        for nu_k, upper_k in zip(nus, upper):
+            wu = 0.5 * wq * (1.0 - u) ** (nu_k - 2.0)
+            angular[row, col] = upper_k
+            angular[col, row] = upper_k
+            angular /= angular_count
+            value = float((nu_k - 1.0) ** 2 * wu @ angular @ wu)
+            if not math.isfinite(value):
+                raise FloatingPointError(
+                    f"chain-2 quadrature is not finite at nu = {nu_k:g}: "
+                    "the kernel overflows on this grid"
+                )
+            values.append(value)
+    return values[0] if scalar else values

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -134,34 +135,61 @@ class TestDeterminism:
         threaded = run_experiment(parse_config(BASE + "threads = 3\n"))
         assert emit_report(serial, "csv") == emit_report(threaded, "csv")
 
-    # one small config per experiment, each with several rows to schedule
+    # one small config per experiment, each with several rows to schedule; the
+    # batched experiments have 5 rows, which 2 and 3 threads split unevenly
     SMALL = {
         "channel-limit": "mu = 2\nk = 1\nnu_list = 4,8,12\n"
         "input_state = rank-r-random\nstate_dim = 6\nstate_rank = 2\n"
         "truncation_l = 200\nseed = 3\n",
         "toeplitz-trace": "f = radial:0,0,1\npsi = 0,0,1\nnu_list = 10,20,40\n",
-        "berezin-eigen": "nu_list = 2,4,8\nlambda_list = 0,1\n"
+        "berezin-eigen": "nu_list = 2,3,4,8,16\nlambda_list = 0,1\n"
         "quadrature_radial = 60\nquadrature_angular = 64\n",
         "husimi-check": "k = 1\nnu_list = 2,3,5\nstate_dim = 6\nseed = 3\n",
         "e-identity": "k = 1\nnu_list = 20,40,80\nsample_points = 5\nseed = 3\n",
         "constants": "nu_list = 2,3,5\nkmax = 2\n",
-        "kernel-chain": "nu_list = 4,8,16\nsamples = 20000\nseed = 3\n",
+        "kernel-chain": "nu_list = 4,6,8,12,16\nsamples = 20000\nseed = 3\n",
     }
 
     @pytest.mark.parametrize("experiment", sorted(SMALL))
     def test_every_experiment_threads_and_round_trip(self, experiment):
         text = f"experiment = {experiment}\ntiming = off\n" + self.SMALL[experiment]
         serial = run_experiment(parse_config(text))
-        threaded = run_experiment(parse_config(text + "threads = 2\n"))
         assert not serial.failures
-        # the reports differ only in the threads key they echo
-        threaded.config.threads = serial.config.threads
-        for fmt in ("csv", "json"):
-            assert emit_report(threaded, fmt) == emit_report(serial, fmt)
+        for threads in (2, 3):
+            threaded = run_experiment(parse_config(text + f"threads = {threads}\n"))
+            # the reports differ only in the threads key they echo
+            threaded.config.threads = serial.config.threads
+            for fmt in ("csv", "json"):
+                assert emit_report(threaded, fmt) == emit_report(serial, fmt)
         data = emit_report(serial, "json")
         back = report_from_json(data)
         assert emit_report(back, "json") == data
         assert emit_report(back, "csv") == emit_report(serial, "csv")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_nu_stays_isolated(self, threads):
+        # the chain-2 kernel overflows at nu = 200 on the default grid; the
+        # batch that holds it is rerun one nu at a time
+        text = "experiment = kernel-chain\ntiming = off\nsamples = 20000\n"
+        report = run_experiment(parse_config(text + f"nu_list = 8,200\nthreads = {threads}\n"))
+        alone = run_experiment(parse_config(text + "nu_list = 8\n"))
+        good, bad = report.rows
+        assert good == alone.rows[0] and not good.error
+        assert bad.nu == 200 and "nu = 200" in bad.error
+        assert report.failures == [bad]
+
+    def test_batched_rows_share_their_batch_time(self):
+        text = ("experiment = berezin-eigen\nnu_list = 2,3,4,5\n"
+                "quadrature_radial = 60\nquadrature_angular = 64\n")
+        start = time.perf_counter()
+        serial = [r.seconds for r in run_experiment(parse_config(text)).rows]
+        elapsed = time.perf_counter() - start
+        # one batch of four rows: each holds a quarter of the batch's time
+        assert len(set(serial)) == 1 and 0.0 < sum(serial) <= elapsed
+        report = run_experiment(parse_config(text + "threads = 2\n"))
+        secs = [r.seconds for r in report.rows]
+        # strided batches (2, 4) and (3, 5)
+        assert secs[0] == secs[2] > 0.0 and secs[1] == secs[3] > 0.0
 
 
 class TestRunners:

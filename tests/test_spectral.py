@@ -101,6 +101,21 @@ class TestEigenRelation:
             each = [eigen_relation_residual(nu, lam, samples, 40, 64) for lam in lams]
             assert eigen_relation_residual(nu, lams, samples, 40, 64) == max(each)
 
+    @pytest.mark.parametrize("nu", [800, 1000])
+    def test_large_weight_residual_keeps_every_sample(self, nu):
+        # as factors, (1-u)^{nu-2} underflows where the kernel at 0.45i
+        # overflows; the folded exponent keeps that sample, the worst one
+        samples = [0.0, 0.3, 0.45j, -0.2 + 0.3j]
+        worst = eigen_relation_residual(nu, (0.0, 1.0, 2.0), samples)
+        assert worst == eigen_relation_residual(nu, (0.0, 1.0, 2.0), [0.45j])
+        assert worst > 1e-6
+
+    def test_non_finite_residual_raises(self):
+        # e_{lambda,b} is 0/0 at the boundary point itself
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="nu = 4"):
+                eigen_relation_residual(4, 0.0, [1.0], 8, 8)
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="radial_count"):
             eigen_relation_residual(4, 0.0, [0.1], 0, 8)
@@ -188,13 +203,22 @@ class TestChainIntegral:
         est, _ = chained_kernel_integral(n, nu, 11, 150000)
         assert est == pytest.approx(chain_estimate_oracle(n, nu, 11, 150000), rel=1e-13)
 
+    def test_overflowing_quadrature_names_its_weight(self):
+        # at nu = 200 the boundary pairs of the default grid overflow, and
+        # their Beta weights underflow to 0
+        with pytest.raises(FloatingPointError, match="nu = 200"):
+            chain2_tensor_quadrature(200)
+        with pytest.raises(FloatingPointError, match="nu = 200"):
+            chain2_tensor_quadrature([8, 200])
+
     @pytest.mark.parametrize("dtheta", [0.0, 1e-8, 1e-3])
     def test_link_modulus_near_boundary(self, dtheta):
         r = 1.0 - 1e-9
         with mpmath.workdps(30):
             z = mpmath.mpf(r) * mpmath.expj(mpmath.mpf(dtheta))
             exact = abs(1 - z * mpmath.mpf(r)) ** 2
-            assert abs(_link_modulus_sq(r, r, dtheta) / exact - 1) <= 1e-14
+            half = math.sin(0.5 * dtheta)
+            assert abs(_link_modulus_sq(r, r, half * half) / exact - 1) <= 1e-14
 
     def test_empty_grids_rejected(self):
         with pytest.raises(ValueError, match="sample_count"):
@@ -207,3 +231,41 @@ class TestChainIntegral:
     def test_longer_chain_runs(self):
         est, half = chained_kernel_integral(3, 6, 5, 50000)
         assert est > 0 and half > 0 and est + half < 3**6
+
+
+class TestBatches:
+    """A sequence of weights returns, bit for bit, each weight's scalar result."""
+
+    @staticmethod
+    def _check(fn, nus):
+        batch = fn(nus)
+        assert isinstance(batch, list) and len(batch) == len(nus)
+        assert batch == [fn(nu) for nu in nus]
+        assert fn(nus[::-1]) == batch[::-1]
+
+    @pytest.mark.parametrize("radial_count, angular_count", [(200, 512), (51, 63)])
+    def test_chain2_quadrature(self, radial_count, angular_count):
+        self._check(
+            lambda nu: chain2_tensor_quadrature(nu, radial_count, angular_count),
+            [4.0, 8.0, 16.0, 48.0],
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chain_estimate(self, n):
+        # 150000 draws span two full chunks and a partial one
+        self._check(lambda nu: chained_kernel_integral(n, nu, 11, 150000), [4.0, 6.0, 16.0])
+
+    def test_eigen_relation_residual(self):
+        samples = [0.0, 0.3, 0.45j, -0.2 + 0.3j]
+        self._check(
+            lambda nu: eigen_relation_residual(nu, (0.0, 1.0, 2.0), samples, 40, 64),
+            [2.0, 4.0, 8.0, 16.0],
+        )
+
+    def test_empty_weight_list_rejected(self):
+        with pytest.raises(ValueError, match="nu"):
+            chain2_tensor_quadrature([])
+        with pytest.raises(ValueError, match="nu"):
+            chained_kernel_integral(2, [], 1, 10)
+        with pytest.raises(ValueError, match="nu"):
+            eigen_relation_residual([], 0.0, [0.1], 8, 8)
