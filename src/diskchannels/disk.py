@@ -23,6 +23,7 @@ __all__ = [
     "transporter_coefficients",
     "DiskQuadrature",
     "build_quadrature",
+    "gauss_jacobi",
     "invariant_measure_check",
 ]
 
@@ -119,6 +120,28 @@ class DiskQuadrature:
         return np.sum(self.weights * np.asarray(values))
 
 
+def gauss_jacobi(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule for int_0^1 (1-u)^alpha g(u) du: (u, 1 - u, log weights).
+
+    ``sum(exp(log_weights) * g(u))`` is exact for polynomials g of degree
+    <= 2 count - 1.  1 - u is formed from the nodes x on [-1, 1] as (1 - x)/2,
+    which rounds once.  A ValueError is raised where scipy's nodes (or the
+    weights formed from them) are not finite.
+    """
+    # only scipy's nodes: its weights carry 2^{alpha+1}, inf past alpha ~ 1023
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, _ = roots_jacobi(count, alpha, 0.0)
+        # int_0^1 p(u)(1-u)^alpha du = sum p(u_i) / ((1-x_i^2) P_n'(x_i)^2) for
+        # P_n = P_n^{(alpha,0)}, with P_n' from P_{n-1}^{(alpha+1,1)}
+        dp = 0.5 * (count + alpha + 1.0) * eval_jacobi(count - 1, alpha + 1.0, 1.0, x)
+        log_weight = -np.log((1.0 - x) * (1.0 + x)) - 2.0 * np.log(np.abs(dp))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(log_weight))):
+        # scipy's Newton step overflows first
+        raise ValueError(f"no Gauss-Jacobi nodes for n = {count}, "
+                         f"alpha = {alpha} (P_n^(alpha,0) overflows)")
+    return 0.5 * (x + 1.0), 0.5 * (1.0 - x), log_weight
+
+
 def build_quadrature(
     radial_count: int,
     angular_count: int,
@@ -143,19 +166,9 @@ def build_quadrature(
         radial_weight = 0.5 * wx / (1.0 - u) ** 2
     elif radial_rule == "jacobi":
         alpha = float(min_decay) - 2.0
-        # only scipy's nodes: its weights carry 2^{alpha+1}, inf past alpha ~ 1023
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, _ = roots_jacobi(radial_count, alpha, 0.0)
-        if not np.all(np.isfinite(x)):  # scipy's Newton step overflows first
-            raise ValueError(f"no Gauss-Jacobi nodes for n = {radial_count}, "
-                             f"alpha = {alpha} (P_n^(alpha,0) overflows)")
-        u = 0.5 * (x + 1.0)
-        # int_0^1 p(u)(1-u)^alpha du = sum p(u_i) / ((1-x_i^2) P_n'(x_i)^2) for
-        # P_n = P_n^{(alpha,0)}; times the measure's (1-u)^{-alpha-2}, in logs
-        dp = 0.5 * (radial_count + alpha + 1.0) * eval_jacobi(
-            radial_count - 1, alpha + 1.0, 1.0, x)
-        radial_weight = np.exp(-np.log((1.0 - x) * (1.0 + x)) - 2.0 * np.log(np.abs(dp))
-                               - (alpha + 2.0) * np.log(0.5 * (1.0 - x)))
+        u, complement, log_weight = gauss_jacobi(radial_count, alpha)
+        # times the measure's (1-u)^{-alpha-2}, in logs
+        radial_weight = np.exp(log_weight - (alpha + 2.0) * np.log(complement))
     else:
         raise ValueError(f"unknown radial_rule {radial_rule!r}")
     # half-step angular offset: exactness for |m| < angular_count is unchanged

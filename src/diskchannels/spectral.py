@@ -11,8 +11,9 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
+from scipy.special import gammaln
 
+from .disk import gauss_jacobi
 from .specfun import (
     berezin_eigenvalue,
     log_berezin_eigenvalue,
@@ -112,12 +113,15 @@ def eigen_relation_residual(
 
     ``nu`` is one weight or a sequence of them (one residual each, returned as
     a list), and ``lam`` one spectral parameter or a sequence of them (the
-    residual is the worst over all).  The grid, every e_{lambda,b} on it and
-    log|1 - z0 conj(z)| at each sample are formed once for all weights.  The
-    transform is evaluated by honest quadrature (radial Gauss-Legendre
-    against the kernel-folded measure, graded angular rule centered at
-    arg(b)); the reference eigenvalue comes from the closed-form product.
-    A non-finite residual raises FloatingPointError.
+    residual is the worst over all).  The transform is evaluated by honest
+    quadrature, recentred at each sample z0: the kernel and d iota are
+    invariant, so with phi(w) = (w + z0)/(1 + conj(z0) w),
+    B_nu f(z0) = int_0^1 (1-u)^{nu-2} mean_theta f(phi(sqrt(u) e^{i theta})) du.
+    That is Gauss-Jacobi in u (alpha = nu - 2) on ``radial_count`` nodes
+    times the graded angular rule on ``angular_count`` nodes, clustered at
+    arg phi^{-1}(b), with e_{lambda,b} evaluated at phi(w); the reference
+    eigenvalue comes from the closed-form product.  A sample off the open disk
+    raises ValueError, and a non-finite residual FloatingPointError.
     """
     nus, scalar = _weight_batch(nu)
     _require_counts(radial_count=radial_count, angular_count=angular_count)
@@ -125,40 +129,35 @@ def eigen_relation_residual(
     lams = [lam] if np.ndim(lam) == 0 else list(lam)
     if not lams:
         raise ValueError("lam must hold at least one spectral parameter")
-    x, wq = roots_legendre(radial_count)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * wq
-    theta, tw = _graded_angles(angular_count, float(np.angle(b)))
-    z = (np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    rule = (wu[:, None] * tw[None, :]).ravel()
-    # (1-u)^{nu-2} (kernel decay folded against the d iota singularity) and
-    # the kernel share one exponent: as factors, the first underflows to 0
-    # where the second overflows (|z0| = 0.45, nu >~ 800) and 0 * inf is NaN
-    log_decay = np.log1p(-u)[:, None]
-    evals = [eigenfunction(lam_j, b, z) for lam_j in lams]
-    targets = [[berezin_eigenvalue(nu_k, lam_j) for lam_j in lams] for nu_k in nus]
-    worst = [0.0] * len(nus)
-    for z0 in np.asarray(samples, dtype=complex).ravel():
-        # log of (1-|z0|^2) / |1 - z0 conj(z)|^2, whose nu-th power is the kernel
-        geo = np.log1p(-abs(z0) ** 2) - 2.0 * np.log(np.abs(1.0 - z0 * np.conj(z)))
-        geo = geo.reshape(radial_count, angular_count)
-        at_z0 = [eigenfunction(lam_j, b, z0) for lam_j in lams]
-        for k, nu_k in enumerate(nus):
-            kw = nu_k * geo
-            kw += (nu_k - 2.0) * log_decay
-            np.exp(kw, out=kw)
-            kw = kw.ravel()
-            kw *= rule
-            for ev, e0, target in zip(evals, at_z0, targets[k]):
-                transform = np.sum(kw * ev)
-                ratio = (nu_k - 1.0) * transform / e0
-                residual = abs(ratio - target)
-                if not math.isfinite(residual):
+    lam_values = np.asarray(lams)
+    points = np.asarray(samples, dtype=complex).ravel()
+    for z0 in points:
+        if not abs(z0) < 1.0:  # phi is undefined there
+            raise ValueError(f"sample z0 = {z0} is not in the open unit disk")
+    worst = []
+    for nu_k in nus:
+        u, _, log_weight = gauss_jacobi(radial_count, nu_k - 2.0)
+        radial = (nu_k - 1.0) * np.exp(log_weight)
+        radius = np.sqrt(u)[:, None]
+        targets = [berezin_eigenvalue(nu_k, lam_j) for lam_j in lams]
+        residual = 0.0
+        for z0 in points:
+            theta, angular = _graded_angles(
+                angular_count, float(np.angle((b - z0) / (1.0 - np.conj(z0) * b))))
+            w = radius * np.exp(1j * theta)
+            # one e_{lambda,b} grid per lambda, at phi(w)
+            on_grid = eigenfunction(lam_values[:, None, None], b,
+                                    (w + z0) / (1.0 + np.conj(z0) * w))
+            at_z0 = eigenfunction(lam_values, b, z0)
+            for values, e0, target in zip(on_grid, at_z0, targets):
+                gap = abs(radial @ values @ angular / e0 - target)
+                if not math.isfinite(gap):
                     raise FloatingPointError(
                         f"eigen-relation residual is not finite at nu = {nu_k:g}, "
                         f"z0 = {z0}"
                     )
-                worst[k] = max(worst[k], residual)
+                residual = max(residual, gap)
+        worst.append(residual)
     return worst[0] if scalar else worst
 
 
@@ -200,8 +199,9 @@ def _link_modulus_sq(r, s, half_sq):
     Real form (1 - r s)^2 + 4 r s sin^2(dtheta/2): both terms are >= 0, so
     nothing cancels near the boundary singularity, as 1 - z conj(w) does in
     complex arithmetic.  1 - r s is formed as (1 - r) + r (1 - s), because the
-    product r s rounds before the subtraction.  With r, s of shape (P, 1) and
-    half_sq of shape (M,), only the last product and sum run on (P, M).
+    product r s rounds before the subtraction.  With r, s broadcasting to
+    (P, 1) and half_sq of shape (M,), only the last product and sum run on
+    (P, M).
     """
     gap = (1.0 - r) + r * (1.0 - s)
     return gap * gap + (4.0 * r * s) * half_sq
@@ -274,66 +274,42 @@ def chained_kernel_integral(
 
 
 def chain2_tensor_quadrature(
-    nu: float | Sequence[float], radial_count: int = 200, angular_count: int = 512
+    nu: float | Sequence[float], radial_count: int = 32, angular_count: int = 512
 ) -> float | list[float]:
     """I_2(nu) by a tensor rule: two radial directions, one relative angle.
 
-    Cross-checks the Monte Carlo route and never uses the closed form.  The
-    relative-angle mean of |1 - r e^{i phi}|^{-nu}, r = sqrt(u_i u_j), is taken
-    on ``angular_count`` midpoint angles, with the kernel in the real form
-    (1 - r)^2 + 4 r sin^2(phi/2); the two radial integrals carry the Beta
-    weights exactly on ``radial_count`` Gauss-Legendre nodes.  Two symmetries
-    are folded: the mean is symmetric in (i, j), so it is evaluated on the
-    upper triangle and mirrored, and phi_{N-1-k} = 2 pi - phi_k gives the same
-    kernel value, so each angle pair is summed once with weight 2 (for odd N
-    the self-paired angle pi once).
+    Cross-checks the Monte Carlo route and never uses the closed form:
+    I_2(nu) = (nu-1)^2 int int (1-u)^{nu-2} (1-v)^{nu-2} A(u, v) du dv, where
+    A is the relative-angle mean of |1 - r e^{i phi}|^{-nu}, r = sqrt(u v).
+    Both radial integrals run on the Gauss-Jacobi rule of (1-u)^{nu-2} with
+    ``radial_count`` nodes, and A on ``angular_count`` midpoint angles, with
+    the kernel in the real form (1 - r)^2 + 4 r sin^2(phi/2).
 
-    ``nu`` may be a sequence of weights, which returns a list; the log link
-    moduli do not depend on nu and are formed once per chunk for all of them.
-    A non-finite value (the kernel overflows near the boundary, as at
-    nu = 200 on the default grid) raises FloatingPointError naming its nu.
+    ``nu`` may be a sequence of weights, which returns a list.  A non-finite
+    value (the kernel overflows near the boundary, where a Jacobi weight
+    underflows) raises FloatingPointError naming its nu.
     """
     nus, scalar = _weight_batch(nu)
     _require_counts(radial_count=radial_count, angular_count=angular_count)
-    x, wq = roots_legendre(radial_count)
-    u = 0.5 * (x + 1.0)
-    radius = np.sqrt(u)
-    # angles 0 .. N//2 - 1 stand for their mirror images too; odd N adds pi
-    kept = (angular_count + 1) // 2
-    phi = 2.0 * np.pi * (np.arange(kept) + 0.5) / angular_count
-    half = np.sin(0.5 * phi)
+    half = np.sin(np.pi * (np.arange(angular_count) + 0.5) / angular_count)
     half_sq = half * half
-    fold = np.full(kept, 2.0)
-    if angular_count % 2:
-        fold[-1] = 1.0
-    row, col = np.triu_indices(radial_count)
-    upper = np.empty((len(nus), row.size))
-    step = max(1, (1 << 16) // kept)  # (i, j) pairs per chunk: ~512 KB arrays
-    scaled = np.empty((min(step, row.size), kept))
-    angular = np.empty((radial_count, radial_count))
     values = []
-    # an overflowing kernel gives inf, or NaN against an underflowed weight;
-    # either is reported below, with its nu
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p0 in range(0, row.size, step):
-            i, j = row[p0 : p0 + step, None], col[p0 : p0 + step, None]
-            log_link = _link_modulus_sq(radius[i], radius[j], half_sq)
-            np.log(log_link, out=log_link)
-            block = scaled[: log_link.shape[0]]
-            for k, nu_k in enumerate(nus):
-                np.multiply(log_link, -0.5 * nu_k, out=block)
-                np.exp(block, out=block)
-                upper[k, p0 : p0 + step] = block @ fold
-        for nu_k, upper_k in zip(nus, upper):
-            wu = 0.5 * wq * (1.0 - u) ** (nu_k - 2.0)
-            angular[row, col] = upper_k
-            angular[col, row] = upper_k
-            angular /= angular_count
-            value = float((nu_k - 1.0) ** 2 * wu @ angular @ wu)
-            if not math.isfinite(value):
-                raise FloatingPointError(
-                    f"chain-2 quadrature is not finite at nu = {nu_k:g}: "
-                    "the kernel overflows on this grid"
-                )
-            values.append(value)
+    for nu_k in nus:
+        u, _, log_weight = gauss_jacobi(radial_count, nu_k - 2.0)
+        radial = (nu_k - 1.0) * np.exp(log_weight)
+        radius = np.sqrt(u)
+        angular = np.empty((radial_count, radial_count))
+        # an overflowing kernel gives inf, or NaN against an underflowed
+        # weight; either is reported below, with its nu
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, r in enumerate(radius):  # n x M floats per row, not n^2 x M
+                link = _link_modulus_sq(r, radius[:, None], half_sq)
+                angular[i] = np.mean(np.exp(-0.5 * nu_k * np.log(link)), axis=1)
+            value = float(radial @ angular @ radial)
+        if not math.isfinite(value):
+            raise FloatingPointError(
+                f"chain-2 quadrature is not finite at nu = {nu_k:g}: "
+                "the kernel overflows on this grid"
+            )
+        values.append(value)
     return values[0] if scalar else values

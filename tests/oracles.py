@@ -9,7 +9,7 @@ from decimal import Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, roots_legendre
+from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 from diskchannels.bergman import TruncatedOperator
 from diskchannels.specfun import channel_constant_sq
@@ -86,13 +86,15 @@ def chain2_series_oracle(nu, terms=4000):
     return float(np.sum(np.exp(2 * log_ratio)))
 
 
-def chain2_complex_quadrature_oracle(nu, radial_count=200, angular_count=512):
-    """I_2(nu) by the full tensor rule in complex arithmetic: every radial pair
-    and every midpoint angle, kernel |1 - r e^{i phi}|^{-nu} with
-    r = sqrt(u_i u_j), no symmetry folded."""
-    x, wq = roots_legendre(radial_count)
+def chain2_complex_quadrature_oracle(nu, radial_count, angular_count, weights=None):
+    """I_2(nu) by the full tensor rule in complex arithmetic: scipy's
+    Gauss-Jacobi nodes for (1-u)^{nu-2}, with scipy's own weights unless
+    ``weights`` are given (scipy's carry 2^{nu-1}, so nu <~ 1000), every radial
+    pair and every midpoint angle, kernel |1 - r e^{i phi}|^{-nu} with
+    r = sqrt(u_i u_j)."""
+    x, wx = roots_jacobi(radial_count, nu - 2.0, 0.0)
     u = 0.5 * (x + 1.0)
-    wu = 0.5 * wq * (1.0 - u) ** (nu - 2.0)
+    wu = wx / 2.0 ** (nu - 1.0) if weights is None else weights
     phi = 2.0 * np.pi * (np.arange(angular_count) + 0.5) / angular_count
     r = np.sqrt(np.outer(u, u))
     angular = np.zeros_like(r)

@@ -9,6 +9,7 @@ import pytest
 from diskchannels.disk import (
     GroupElement,
     build_quadrature,
+    gauss_jacobi,
     invariant_measure_check,
     mobius,
     transporter,
@@ -151,6 +152,26 @@ class TestQuadrature:
         u = np.abs(q.nodes) ** 2
         val = q.integrate(np.exp(800.0 * np.log1p(-u)) * (1 - u) ** 2)
         assert val == pytest.approx(1.0 / 801.0, rel=1e-12)
+
+    @pytest.mark.parametrize("count, alpha",
+                             [(400, 0.0), (58, 6.0), (32, 46.0), (40, 798.0), (40, 998.0)])
+    def test_gauss_jacobi_beta_moments(self, count, alpha):
+        # int_0^1 (1-u)^alpha u^j du = B(j+1, alpha+1) for every j <= 2n-1,
+        # which fixes the Gauss rule; rounding grows ~ alpha, and ~ n in the sum
+        u, complement, log_weight = gauss_jacobi(count, alpha)
+        assert np.all((0.0 < u) & (u < 1.0))
+        assert np.all(np.abs(complement + u - 1.0) <= np.finfo(float).eps)
+        weights = np.exp(log_weight)
+        for j in range(2 * count):
+            exact = float(mp.beta(j + 1, mp.mpf(alpha) + 1))
+            assert np.sum(weights * u**j) == pytest.approx(
+                exact, rel=5e-15 * (alpha + 2) + count * np.finfo(float).eps)
+
+    def test_gauss_jacobi_out_of_range_is_an_error(self):
+        # the runner's berezin-eigen grid at nu = 2 would be 400 radii; at
+        # nu = 800 scipy's nodes are nan
+        with pytest.raises(ValueError, match="n = 400, alpha = 798"):
+            gauss_jacobi(400, 798.0)
 
     def test_exactness_metadata(self):
         q = build_quadrature(50, 16, 2.0)

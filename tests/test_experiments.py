@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import dropped_trace_oracle
+from oracles import chain2_series_oracle, dropped_trace_oracle
 
 from diskchannels import experiments
 from diskchannels.channel import (
@@ -168,19 +168,19 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failing_nu_stays_isolated(self, threads):
-        # the chain-2 kernel overflows at nu = 200 on the default grid; the
-        # batch that holds it is rerun one nu at a time
+        # scipy has no Gauss-Jacobi nodes for the chain-2 target at nu = 1e11;
+        # the batch that holds it is rerun one nu at a time
         text = "experiment = kernel-chain\ntiming = off\nsamples = 20000\n"
-        report = run_experiment(parse_config(text + f"nu_list = 8,200\nthreads = {threads}\n"))
+        report = run_experiment(parse_config(
+            text + f"nu_list = 8,100000000000\nthreads = {threads}\n"))
         alone = run_experiment(parse_config(text + "nu_list = 8\n"))
         good, bad = report.rows
         assert good == alone.rows[0] and not good.error
-        assert bad.nu == 200 and "nu = 200" in bad.error
+        assert bad.nu == 10**11 and "no Gauss-Jacobi nodes" in bad.error
         assert report.failures == [bad]
 
     def test_batched_rows_share_their_batch_time(self):
-        text = ("experiment = berezin-eigen\nnu_list = 2,3,4,5\n"
-                "quadrature_radial = 60\nquadrature_angular = 64\n")
+        text = "experiment = kernel-chain\nnu_list = 4,6,8,10\nsamples = 20000\n"
         start = time.perf_counter()
         serial = [r.seconds for r in run_experiment(parse_config(text)).rows]
         elapsed = time.perf_counter() - start
@@ -188,9 +188,8 @@ class TestDeterminism:
         assert len(set(serial)) == 1 and 0.0 < sum(serial) <= elapsed
         report = run_experiment(parse_config(text + "threads = 2\n"))
         secs = [r.seconds for r in report.rows]
-        # strided batches (2, 4) and (3, 5)
+        # strided batches (4, 8) and (6, 10)
         assert secs[0] == secs[2] > 0.0 and secs[1] == secs[3] > 0.0
-
 
 class TestRunners:
     def test_channel_limit_rows(self):
@@ -446,6 +445,21 @@ timing = off
         assert math.isnan(rep.rows[0].measured)
         assert rep.failures
 
+    def test_berezin_eigen_large_weight_passes_gate(self, tmp_path):
+        # recentred, the residual meets criterion 6's 1e-6 at nu = 800 and 1000
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("experiment = berezin-eigen\nnu_list = 2,800,1000\n"
+                       "tol_abs = 1e-6\ntiming = off\n")
+        assert cli_main(["berezin-eigen", "--config", str(cfg)]) == 0
+
+    def test_kernel_chain_large_weight_targets(self):
+        report = run_experiment(parse_config(
+            "experiment = kernel-chain\nnu_list = 8,200,800\nsamples = 20000\n"
+            "timing = off\n"))
+        assert not any(row.error for row in report.rows)
+        for row in report.rows:
+            assert abs(row.target - chain2_series_oracle(row.nu)) <= 1e-9
+
     def test_berezin_eigen_row(self):
         rep = run_experiment(
             parse_config(
@@ -618,6 +632,8 @@ class TestCli:
             ("husimi-check", "quadrature_radial", 0),
             ("e-identity", "sample_points", 0),
             ("constants", "kmax", -1),
+            ("constants", "threads", 0),
+            ("kernel-chain", "threads", -2),
         ],
     )
     def test_size_below_range_is_config_error(
@@ -631,6 +647,14 @@ class TestCli:
         assert cli_main([experiment, "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_flag_below_range_is_config_error(self, tmp_path, capsys, threads):
+        cfg = self._write(tmp_path, "experiment = constants\nnu_list = 3\n")
+        assert cli_main(["constants", "--config", cfg, "--threads", threads]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: threads: must be >= 1")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["", ",", " , "])

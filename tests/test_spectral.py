@@ -11,6 +11,7 @@ from oracles import (
     chain_estimate_oracle,
 )
 
+from diskchannels.disk import gauss_jacobi
 from diskchannels.specfun import berezin_eigenvalue
 from diskchannels.spectral import (
     _link_modulus_sq,
@@ -103,18 +104,26 @@ class TestEigenRelation:
 
     @pytest.mark.parametrize("nu", [800, 1000])
     def test_large_weight_residual_keeps_every_sample(self, nu):
-        # as factors, (1-u)^{nu-2} underflows where the kernel at 0.45i
-        # overflows; the folded exponent keeps that sample, the worst one
+        # recentred, the Jacobi rule carries (1-u)^{nu-2} in its weights, so
+        # no sample meets an overflowing kernel; 40 x 128 is the runner's grid
         samples = [0.0, 0.3, 0.45j, -0.2 + 0.3j]
-        worst = eigen_relation_residual(nu, (0.0, 1.0, 2.0), samples)
-        assert worst == eigen_relation_residual(nu, (0.0, 1.0, 2.0), [0.45j])
-        assert worst > 1e-6
+        each = [eigen_relation_residual(nu, (0.0, 1.0, 2.0), [z0], 40, 128)
+                for z0 in samples]
+        assert eigen_relation_residual(nu, (0.0, 1.0, 2.0), samples, 40, 128) == max(each)
+        assert all(worst <= 1e-6 for worst in each)
 
     def test_non_finite_residual_raises(self):
-        # e_{lambda,b} is 0/0 at the boundary point itself
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # lambda = inf makes e_{lambda,b} itself not finite
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(eigenfunction(math.inf, 1.0, 0.3))
             with pytest.raises(FloatingPointError, match="nu = 4"):
-                eigen_relation_residual(4, 0.0, [1.0], 8, 8)
+                eigen_relation_residual(4, math.inf, [0.3], 8, 8)
+
+    @pytest.mark.parametrize("z0", [1.0, -1j, 0.8 + 0.8j, complex(math.nan, 0.0)])
+    def test_sample_off_disk_raises(self, z0):
+        # phi(w) = (w + z0)/(1 + conj(z0) w) recentres at z0 only inside the disk
+        with pytest.raises(ValueError, match="open unit disk"):
+            eigen_relation_residual(4, 0.0, [0.1, z0], 8, 8)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="radial_count"):
@@ -192,10 +201,16 @@ class TestChainIntegral:
          (8, 51, 63), (48, 51, 63), (8, 7, 1)],
     )
     def test_quadrature_matches_complex_oracle(self, nu, radial_count, angular_count):
-        # odd angular counts exercise the self-paired angle pi
-        assert chain2_tensor_quadrature(nu, radial_count, angular_count) == pytest.approx(
-            chain2_complex_quadrature_oracle(nu, radial_count, angular_count), rel=1e-14
-        )
+        real = chain2_tensor_quadrature(nu, radial_count, angular_count)
+        # one rule (scipy's nodes, the log-domain weights), two arithmetics
+        weights = np.exp(gauss_jacobi(radial_count, nu - 2.0)[2])
+        assert real == pytest.approx(chain2_complex_quadrature_oracle(
+            nu, radial_count, angular_count, weights), rel=1e-14)
+        # scipy's own weights, whose Beta moments are off by up to 1.4e-12
+        # relative on these rules (n = 200, alpha = 46); test_disk holds the
+        # log-domain weights to mpmath
+        assert real == pytest.approx(chain2_complex_quadrature_oracle(
+            nu, radial_count, angular_count), rel=1e-12)
 
     @pytest.mark.parametrize("n, nu", [(2, 4), (2, 16), (3, 6)])
     def test_estimate_matches_complex_oracle(self, n, nu):
@@ -203,13 +218,19 @@ class TestChainIntegral:
         est, _ = chained_kernel_integral(n, nu, 11, 150000)
         assert est == pytest.approx(chain_estimate_oracle(n, nu, 11, 150000), rel=1e-13)
 
+    @pytest.mark.parametrize("nu", [200, 800])
+    def test_large_weight_quadrature_matches_series(self, nu):
+        assert abs(chain2_tensor_quadrature(nu) - chain2_series_oracle(nu)) <= 1e-9
+
     def test_overflowing_quadrature_names_its_weight(self):
-        # at nu = 200 the boundary pairs of the default grid overflow, and
-        # their Beta weights underflow to 0
-        with pytest.raises(FloatingPointError, match="nu = 200"):
-            chain2_tensor_quadrature(200)
-        with pytest.raises(FloatingPointError, match="nu = 200"):
-            chain2_tensor_quadrature([8, 200])
+        # the largest of 400 nodes at alpha = 298 has 1 - u = 0.08: its
+        # Jacobi weight (log -759) underflows to 0, and its kernel at the
+        # first midpoint angle exceeds the largest double
+        u = gauss_jacobi(400, 298.0)[0].max()
+        link = (1.0 - u) ** 2 + 4.0 * u * math.sin(math.pi / 1024) ** 2
+        assert -150.0 * math.log(link) > math.log(np.finfo(float).max)
+        with pytest.raises(FloatingPointError, match="nu = 300"):
+            chain2_tensor_quadrature(300, 400, 512)
 
     @pytest.mark.parametrize("dtheta", [0.0, 1e-8, 1e-3])
     def test_link_modulus_near_boundary(self, dtheta):
