@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .disk import _check_determinant
-from .specfun import validate_weight
+from .specfun import log_pochhammer_ratios, validate_weight
 
 __all__ = [
     "TruncatedOperator",
@@ -50,11 +49,19 @@ def monomial_norm_sq(nu: float, j: int) -> float:
 
 
 def log_monomial_norm_sq(nu: float, j):
-    """log(j!/(nu)_j) for scalar or array j (log domain for large j)."""
+    """log(j!/(nu)_j) for scalar or array j (log domain for large j).
+
+    A scalar j takes three ``math.lgamma``; an array of indices >= 0 reads
+    the table of log((1)_i/(nu)_i), i <= max(j), a cumprod of the ratios
+    (i+1)/(nu+i) (:func:`~diskchannels.specfun.log_pochhammer_ratios`).
+    """
     nu = validate_weight(nu)
-    j = np.asarray(j, dtype=float)
-    out = gammaln(j + 1.0) - (gammaln(nu + j) - gammaln(nu))
-    return float(out) if out.ndim == 0 else out
+    if np.ndim(j) == 0:
+        return math.lgamma(j + 1.0) - (math.lgamma(nu + j) - math.lgamma(nu))
+    j = np.asarray(j, dtype=int)
+    if j.size == 0:
+        return np.zeros(j.shape)
+    return log_pochhammer_ratios(int(j.max()) + 1, (1.0,), (nu,))[j]
 
 
 @dataclass

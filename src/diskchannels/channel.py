@@ -7,8 +7,9 @@ finite sums over the orthonormal-basis coupling coefficients
     w^{(p)}_{m,n} = c_{m,n} ||zeta^p|| / (||z^m|| ||w^n||),   m + n = p + k,
 
 which satisfy sum_n (w^{(p)})^2 = 1 (P_k P_k* = I).  No quadrature enters the
-channel: the weights are log-domain-assembled products, and the output
-diagonal of a diagonal input runs a recurrence in the input degree.
+channel: the weights come from tables over consecutive integers, each a
+cumulative product of consecutive ratios, and a recurrence in the input
+degree, which the output diagonal of a diagonal input shares.
 """
 
 from __future__ import annotations
@@ -17,10 +18,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bergman import BandedOperator, TruncatedOperator, log_monomial_norm_sq
-from .specfun import log_channel_constant_sq, validate_weight
+from .specfun import (
+    channel_constant_sq,
+    from_scaled,
+    log_channel_constant_sq,
+    pochhammer,
+    pochhammer_ratios,
+    pochhammer_steps,
+    scaled_cumprod,
+    validate_weight,
+)
 
 __all__ = [
     "ChannelParams",
@@ -79,15 +88,13 @@ class ChannelParams:
 
 
 def _derivative_terms(params: ChannelParams) -> list[tuple[int, float]]:
-    """(j, (-1)^{k-j} binom(k,j) / ((mu)_j (nu)_{k-j})) for j = 0..k."""
+    """(j, (-1)^{k-j} binom(k,j) / ((mu)_j (nu)_{k-j})) for j = 0..k, each
+    within 2k roundings (the two short products and the quotient)."""
     mu, nu, k = params.mu, params.nu, params.k
-    terms = []
-    for j in range(k + 1):
-        denom = math.exp(
-            gammaln(mu + j) - gammaln(mu) + gammaln(nu + k - j) - gammaln(nu)
-        )
-        terms.append((j, (-1.0) ** (k - j) * math.comb(k, j) / denom))
-    return terms
+    return [
+        (j, (-1.0) ** (k - j) * math.comb(k, j) / (pochhammer(mu, j) * pochhammer(nu, k - j)))
+        for j in range(k + 1)
+    ]
 
 
 def _falling(x, j: int):
@@ -133,64 +140,102 @@ def _abs_sum_trace(params: ChannelParams, diag) -> float:
                           Gamma(mu+2k-1-q) / Gamma(mu+k+m),
 
     finite for q <= 2k since mu > 1; q + m - k >= 0 wherever a_j a_j' != 0.
+    For each q the moments over m >= max(0, k - q) are one column of a table
+    of consecutive ratios (mu+m)(q+m-k+1)/((m+1)(mu+k+m)), read at the support.
     """
     mu, nu, k = params.mu, params.nu, params.k
     weight = np.abs(np.asarray(diag, dtype=float))
-    m = np.flatnonzero(weight).astype(float)
+    support = np.flatnonzero(weight)
+    if support.size == 0:
+        return 0.0
+    m = support.astype(float)
     a = [abs(coeff) * _falling(m, j) for j, coeff in _derivative_terms(params)]
     log_front = (
-        log_channel_constant_sq(mu, nu, k) - log_monomial_norm_sq(mu, m)
-        + math.log(params.target_weight - 1.0) - gammaln(mu + k + m) - gammaln(nu)
+        log_channel_constant_sq(mu, nu, k) + math.log(params.target_weight - 1.0)
+        - math.lgamma(mu) - math.lgamma(nu)
     )
+    q = np.arange(2 * k + 1)
+    lo = np.maximum(0, k - q)  # below it a moment is only ever read times 0
+    first = [  # the moment at m = lo
+        math.exp(log_front + math.lgamma(nu + qq) + math.lgamma(mu + 2 * k - 1.0 - qq)
+                 + math.lgamma(mu + ll) - math.lgamma(ll + 1.0)
+                 + math.lgamma(qq + ll - k + 1.0) - math.lgamma(mu + k + ll))
+        for qq, ll in zip(q.tolist(), lo.tolist())
+    ]
+    step = lo + np.arange(float(support[-1]))[:, None]  # row i: m = lo + i
+    ratios = (mu + step) * (q + step - k + 1.0) / ((step + 1.0) * (mu + k + step))
+    table = from_scaled(*scaled_cumprod(ratios, first))  # row i: moment at lo + i
+    row = support[:, None] - lo
+    moments = np.where(row >= 0, table[np.maximum(row, 0), q], 0.0)
     total = np.zeros(m.size)
     for j, aj in enumerate(a):
         for jj, ajj in enumerate(a):
             A, B = k - j, k - jj
             for i in range(min(A, B) + 1):
-                q = A + B - i
-                # where a_j a_jj = 0 the clamped factorial only keeps it finite
-                log_moment = (
-                    log_front + gammaln(nu + q) + gammaln(mu + 2 * k - 1.0 - q)
-                    + gammaln(np.maximum(q + m - k, 0.0) + 1.0)
-                )
                 count = math.comb(A, i) * math.comb(B, i) * math.factorial(i)
-                total += count * aj * ajj * np.exp(log_moment)
-    return float(weight[weight > 0.0] @ total)
+                total += count * aj * ajj * moments[:, A + B - i]
+    return float(weight[support] @ total)
 
 
 class _Couplings:
     """The coupling weights w^{(p)}_{m,n}, n = p + k - m, for 0 <= p <= p_max.
 
-    log C^2, log ||zeta^p||^2 (p <= p_max) and log ||w^n||^2 (n <= p_max + k)
-    are tabulated once; :meth:`terms` reads them for any broadcast p and m.
+    w = S(m,n) r_m[p]^{1/2}, r_m[p] = C^2 (p!/(s)_p) ((mu)_m/m!) ((nu)_n/n!),
+    s the target weight, read from tables over consecutive integers built
+    once (each a cumprod of consecutive ratios, or one ratio per entry):
+
+        r_0[p] = C^2 ((nu)_k/k!) (1)_p (nu+k)_p / ((s)_p (k+1)_p),  p <= p_max,
+        step[t] = ((nu)_{t-1}/(t-1)!) / ((nu)_t/t!) = t/(nu+t-1),
+        r_m[p] = r_{m-1}[p] step[n+1] (mu+m-1)/m,
+
+    the last a cumprod along m whose every partial product is an r value.
+    The cumprods carry a binary exponent (:func:`specfun.scaled_cumprod`), so
+    a row whose ends lie below the double range still reaches its middle.
+    :func:`diagonal_output_spectrum` runs the same recurrence on the same
+    tables, with (mu)_m/m! as a table of its own.  r_m[p] is within
+    (4p + 3.5m + 7k) eps relative of exact (derived at the trace-tail
+    allowance of ``experiments._row_channel_limit``).
     """
 
     def __init__(self, params: ChannelParams, p_max: int):
         self.params = params
-        self.log_c2 = log_channel_constant_sq(params.mu, params.nu, params.k)
-        self.log_p = log_monomial_norm_sq(params.target_weight, np.arange(p_max + 1))
-        self.log_n = log_monomial_norm_sq(params.nu, np.arange(p_max + params.k + 1))
+        mu, nu, k, s = params.mu, params.nu, params.k, params.target_weight
+        self.c2 = channel_constant_sq(mu, nu, k)
+        first = self.c2 * math.prod((nu + i) / (i + 1.0) for i in range(k))
+        # as mantissa and exponent, which the m recurrence of a row starts
+        # from wherever r_0[p] itself is below the double range
+        self.r0_mant, self.r0_exp = scaled_cumprod(
+            pochhammer_steps(p_max, (1.0, nu + k), (s, k + 1.0)), first)
+        self.r0 = from_scaled(self.r0_mant, self.r0_exp)
+        t = np.arange(p_max + k + 2.0)
+        self.step = t / (nu + t - 1.0)
 
-    def terms(self, p, m):
-        """(S, log|S|, log ||zeta^p||^2/(||z^m||^2 ||w^n||^2)); S = 0 unless m, n >= 0."""
-        p, m = np.asarray(p), np.asarray(m)
-        n = p + self.params.k - m
-        valid = (m >= 0) & (n >= 0)
-        n = np.where(valid, n, 0)
-        S = np.where(valid, _derivative_sum(self.params, m, n), 0.0)
-        with np.errstate(divide="ignore"):
-            log_S = np.log(np.abs(S), where=S != 0, out=np.full_like(S, -np.inf))
-        log_scale = (
-            self.log_p[p]
-            - log_monomial_norm_sq(self.params.mu, np.maximum(m, 0))
-            - self.log_n[n]
-        )
-        return S, log_S, log_scale
+    def terms(self, ps, ms) -> tuple[np.ndarray, np.ndarray]:
+        """(S, r) on the grid of output indices ``ps`` (rows) by input
+        degrees ``ms`` (columns): r = r_m[p], and S = 0 unless m, n >= 0."""
+        k = self.params.k
+        ps, ms = np.asarray(ps), np.asarray(ms)
+        n = ps[:, None] + k - ms
+        valid = (ms >= 0) & (n >= 0)
+        S = np.where(valid, _derivative_sum(self.params, ms, np.where(valid, n, 0)), 0.0)
+        # the recurrence runs down m, one row per m: row m multiplies
+        # step[n + 1] (mu+m-1)/m; a step to n < 0 reads step[0] = 0, and the
+        # weight there is 0 anyway
+        j = np.arange(1, max(int(ms.max(initial=0)), 0) + 1)[:, None]
+        index = (ps + (k + 1)) - j  # n + 1
+        factors = self.step[np.maximum(index, 0, out=index)]
+        factors *= (self.params.mu + j - 1.0) / j
+        mant, expo = scaled_cumprod(factors, self.r0_mant[ps])
+        if self.r0_exp is not None:
+            expo = self.r0_exp[ps] if expo is None else expo + self.r0_exp[ps]
+        # back to one row per p, in row-major order for the callers' row reads
+        return S, np.ascontiguousarray(from_scaled(mant, expo)[np.maximum(ms, 0)].T)
 
-    def weights(self, p, m) -> np.ndarray:
-        """Signed w^{(p)}_{m,n} = C S(m,n) ||zeta^p|| / (||z^m|| ||w^n||)."""
-        S, log_S, log_scale = self.terms(p, m)
-        return np.sign(S) * np.exp(0.5 * self.log_c2 + log_S + 0.5 * log_scale)
+    def weights(self, ps, ms) -> np.ndarray:
+        """Signed w^{(p)}_{m,n} = C S(m,n) ||zeta^p|| / (||z^m|| ||w^n||) on
+        the grid ``ps`` by ``ms``."""
+        S, r = self.terms(ps, ms)
+        return S * np.sqrt(r)
 
 
 @dataclass(frozen=True)
@@ -230,7 +275,7 @@ def isometry_weights(params: ChannelParams, p: int, n=None) -> np.ndarray:
     """
     if n is None:
         n = np.arange(p + params.k + 1)
-    return _Couplings(params, p).weights(p, p + params.k - np.asarray(n))
+    return _Couplings(params, p).weights([p], p + params.k - np.asarray(n))[0]
 
 
 def pk_star_vector(params: ChannelParams, p: int) -> list[tuple[int, int, float]]:
@@ -243,20 +288,19 @@ def pk_star_vector(params: ChannelParams, p: int) -> list[tuple[int, int, float]
         raise ValueError("p must be >= 0")
     couplings = _Couplings(params, p)
     ms = p + params.k - np.arange(p + params.k + 1)
-    S, log_S, log_scale = couplings.terms(p, ms)
-    log_mag = 0.5 * couplings.log_c2 + log_S + log_scale
+    S, r = couplings.terms([p], ms)
+    # c_{m,n} ||zeta^p||^2 / (||z^m||^2 ||w^n||^2) = S r_m[p] / C
+    coeffs = S[0] * r[0] / math.sqrt(couplings.c2)
     return [
-        (m, p + params.k - m, math.copysign(math.exp(mag), s))
-        for m, s, mag in zip(ms.tolist(), S.tolist(), log_mag.tolist())
+        (m, p + params.k - m, c)
+        for m, s, c in zip(ms.tolist(), S[0].tolist(), coeffs.tolist())
         if s != 0.0
     ]
 
 
 def _weight_grid(params: ChannelParams, p_max: int, m_max: int) -> np.ndarray:
     """V[p, m] = w^{(p)}_{m, p+k-m} for 0 <= p <= p_max, 0 <= m <= m_max."""
-    ps = np.arange(p_max + 1)[:, None]
-    ms = np.arange(m_max + 1)[None, :]
-    return _Couplings(params, p_max).weights(ps, ms)
+    return _Couplings(params, p_max).weights(np.arange(p_max + 1), np.arange(m_max + 1))
 
 
 def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator:
@@ -325,16 +369,15 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
 
     With n = p + k - m and s the target weight, lambda_p(m) = S(m,n)^2 r_m[p]
     where r_m[p] = C^2 (p!/(s)_p) ((mu)_m/m!) ((nu)_n/n!) obeys a recurrence
-    in the input degree:
+    in the input degree, run on the tables of ``_Couplings``:
 
-        r_0[p] = C^2 (p!/(s)_p) ((nu)_{p+k}/(p+k)!),
+        r_0[p] = C^2 (p!/(s)_p) ((nu)_{p+k}/(p+k)!),   one cumprod in p,
         r_m[p] = r_{m-1}[p] ((mu+m-1)/m) (n+1)/(nu+n).
 
-    r_0 costs one exp per output index.  A step is one multiply per entry,
-    in place on the slice p >= m - k where lambda_p(m) can be nonzero, with
-    (mu)_m/m! kept as a running scalar.  S, the degree-k polynomial of
-    :func:`_derivative_sum`, is summed from the falling factorials (n)_{k-j},
-    tabulated once.
+    A step is one multiply per entry, in place on the slice p >= m - k where
+    lambda_p(m) can be nonzero, with (mu)_m/m! read from its table.  S, the
+    degree-k polynomial of :func:`_derivative_sum`, is summed from the
+    falling factorials (n)_{k-j}, tabulated once.
     """
     diag = np.asarray(diag, dtype=float)
     k = params.k
@@ -342,23 +385,17 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
     support = np.flatnonzero(diag)
     if support.size == 0:
         return out
-    nu = params.nu
-    ps = np.arange(cut + 1)
-    rho = np.exp(  # r_m[p] / ((mu)_m/m!), from m = 0
-        log_channel_constant_sq(params.mu, nu, k)
-        + log_monomial_norm_sq(params.target_weight, ps)
-        - log_monomial_norm_sq(nu, ps + k)
-    )
-    t = np.arange(cut + k + 2.0)  # every n, and n + 1, that a step reads
-    ratio = t / (nu + t - 1.0)  # (nu)_{t-1}/(t-1)! over (nu)_t/t!
-    fall_n = [_falling(t, k - j) for j in range(k)]
+    couplings = _Couplings(params, cut)
+    rho = couplings.r0.copy()  # r_m[p] / ((mu)_m/m!), from m = 0
+    step = couplings.step  # every n + 1 that a step reads
+    fall_n = [_falling(np.arange(cut + k + 1.0), k - j) for j in range(k)]
     terms = _derivative_terms(params)
-    scale = 1.0  # (mu)_m / m!
-    for m in range(min(int(support[-1]), cut + k) + 1):
+    m_top = min(int(support[-1]), cut + k)
+    scale = pochhammer_ratios(m_top + 1, (params.mu,), (1.0,))  # (mu)_m/m!
+    for m in range(m_top + 1):
         lo = max(0, m - k)  # lambda_p(m) = 0 for p < m - k
         if m > 0:
-            rho[lo:] *= ratio[lo + k - m + 1 : cut + k - m + 2]
-            scale *= (params.mu + m - 1.0) / m
+            rho[lo:] *= step[lo + k - m + 1 : cut + k - m + 2]
         if diag[m] == 0.0:
             continue
         n = slice(lo + k - m, cut + k - m + 1)
@@ -368,7 +405,7 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
             S += c[j] * fall_n[j][n]
         S *= S
         S *= rho[lo:]
-        S *= diag[m] * scale
+        S *= diag[m] * scale[m]
         out[lo:] += S
     return out
 
@@ -408,8 +445,8 @@ def response_tail_bound(params: ChannelParams, m: int, cut: int) -> float:
     logE = (
         log_channel_constant_sq(mu, nu, k)
         + 2.0 * math.log(D)
-        + (gammaln(mu + m) - gammaln(mu) - gammaln(m + 1))
-        + gammaln(s) - gammaln(nu_i)
+        - log_monomial_norm_sq(mu, m)
+        + math.lgamma(s) - math.lgamma(nu_i)
         + math.log(growth)
     )
     # sum_{p > cut} (p+1)^{-mu} <= integral_cut^inf (x+1)^{-mu} dx
@@ -563,12 +600,9 @@ def sqrt_series_coefficient(i: int) -> float:
     """
     if i < 1:
         raise ValueError("i must be >= 1")
-    return math.exp(
-        gammaln(i - 0.5) - gammaln(0.5) - math.log(2.0) - gammaln(i + 1.0)
-    )
+    return float(sqrt_series_coefficients(i)[-1])
 
 
 def sqrt_series_coefficients(count: int) -> np.ndarray:
-    """First ``count`` coefficients, i = 1..count, vectorized."""
-    i = np.arange(1, count + 1, dtype=float)
-    return np.exp(gammaln(i - 0.5) - gammaln(0.5) - math.log(2.0) - gammaln(i + 1.0))
+    """First ``count`` coefficients, i = 1..count: 1/2, then ratios (i-1/2)/(i+1)."""
+    return pochhammer_ratios(count, (0.5,), (2.0,), 0.5)

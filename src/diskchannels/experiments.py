@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import __version__
 from .bergman import TruncatedOperator
@@ -348,15 +347,15 @@ def _husimi_target(cfg: ExperimentConfig, state: TruncatedOperator) -> tuple[flo
     if cfg.input_state == "lowest":
         # H(w) = ((mu)_k/k!) u^k (1-u)^mu; moment of x^j is Beta(jk+1, j mu - 1)
         total = 0.0
-        c = math.exp(gammaln(mu + k) - gammaln(mu) - gammaln(k + 1.0))
+        c = math.exp(math.lgamma(mu + k) - math.lgamma(mu) - math.lgamma(k + 1.0))
         for j, a in enumerate(cfg.psi):
             if j == 0 or a == 0.0:
                 continue
             # moment of x^j: c^j B(jk+1, j mu - 1), finite for every mu > 1
             total += a * c**j * math.exp(
-                gammaln(j * k + 1.0)
-                + gammaln(j * mu - 1.0)
-                - gammaln(j * k + j * mu)
+                math.lgamma(j * k + 1.0)
+                + math.lgamma(j * mu - 1.0)
+                - math.lgamma(j * k + j * mu)
             )
         return total, "closed-form"
     return _husimi_integral(state, k, cfg.psi), "quadrature-target"
@@ -376,26 +375,27 @@ def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
     # Tr T(A) = trace_factor Tr A, so the cut drops trace_factor Tr A minus the
     # captured sum; |psi(x)| <= (sum_j |a_j|) x on [0, 1] bounds psi's share.
     # Rounding of the captured sum, whose entries diagonal_output_spectrum forms
-    # as lambda_p(m) = S^2 r_m[p]; g_p = (s+p) log(s+p), s the target weight,
-    # and each gammaln is 2-eps accurate and at most g_p in size:
-    # - r_m[p]: exp of six gammaln and six sums (18 eps g_p), m recurrence
-    #   steps and the running (mu)_m/m! (7m eps), four products (4 eps).  As
-    #   m <= p + k < s + p and s > 2, that is under 32 eps g_p relative.
-    # - S: k + 1 terms of alternating sign whose coefficients are exp of four
-    #   gammaln <= g_0, so it is off by gamma T, gamma = (12 g_0 + 2k + 4) eps,
-    #   T the sum of the terms' absolute values.  Near a zero of S that is not
-    #   relative to lambda (toeplitz input, nu = 800, m = 63: 84 eps g_p at
-    #   p = 25,261, and 1.6e-28 at p = 25,262 where lambda = 0), but the entry
-    #   is off by at most 3 gamma r T^2, whose sum over every p _abs_sum_trace
-    #   gives exactly.
-    # - the sums over m < dim and p <= cut: (cut + 2 dim + 8) eps trace_factor Tr A.
-    g = params.target_weight + np.arange(cut + 1.0)
+    # as lambda_p(m) = S^2 r_m[p] from products over consecutive integers, each
+    # factor a few roundings (units of eps, first order):
+    # - r_0[p]: C^2 (nu)_k/k! as a product of k factors of three (7k), then p
+    #   cumprod steps of four roundings, (1+p)(nu+k+p)/((s+p)(k+1+p)) and the
+    #   multiply, plus the rounded parameters nu + k and s (4p).
+    # - r_m[p]: m steps of n/(nu + n - 1) and the multiply (2m), and (mu)_m/m!
+    #   from its table (1.5m).  As m < dim, r_m[p] is within
+    #   (4p + 3.5 dim + 7k) eps relative.
+    # - S: k + 1 terms of alternating sign whose coefficients are short
+    #   products, off by gamma T with gamma = (2k + 2) eps, T the sum of the
+    #   terms' absolute values.  Near a zero of S that is not relative to
+    #   lambda (toeplitz input, nu = 800, m = 63: lambda = 0 at p = 25,262),
+    #   but the entry is off by at most 3 gamma r T^2, whose sum over every p
+    #   _abs_sum_trace gives exactly.
+    # - the squares and products of an entry (4) and the sums over m < dim and
+    #   p <= cut: (cut + 2 dim + 8) eps trace_factor Tr A.
     total = params.trace_factor * float(np.sum(diag_in))
-    g_0 = params.target_weight * math.log(params.target_weight)
     allowance = (
-        32 * float(out_diag @ (g * np.log(g)))
-        + (cut + 2 * diag_in.size + 8) * total
-        + 3 * (12 * g_0 + 2 * cfg.k + 4) * _abs_sum_trace(params, diag_in)
+        4 * float(out_diag @ np.arange(cut + 1.0))
+        + (cut + 6 * diag_in.size + 7 * cfg.k + 12) * total
+        + 3 * (2 * cfg.k + 2) * _abs_sum_trace(params, diag_in)
     )
     trace_tail = max(total - float(np.sum(out_diag)), 0.0) + np.finfo(float).eps * allowance
     psi_slope = sum(abs(a) for a in cfg.psi[1:])

@@ -3,11 +3,14 @@
 Pochhammer symbols and their log-domain companions, the terminating Gauss
 hypergeometric sum at unit argument, the squared intertwiner constant of the
 disk channels, eigenvalues of the weighted Berezin transform, and the
-Plancherel density of the hyperbolic disk.
+Plancherel density of the hyperbolic disk, and the one builder of tables of
+Pochhammer ratios over consecutive integers.
 
-Everything here is pure and reentrant; weight sweeps reach nu ~ 10^3, so all
-Gamma quotients are assembled in log domain with explicit sign tracking and
-exponentiated once.
+Everything here is pure and reentrant; weight sweeps reach nu ~ 10^3, so
+scalar Gamma quotients are assembled in log domain (``math.lgamma``) with
+explicit sign tracking and exponentiated once, and tables over consecutive
+integers are cumulative products of consecutive ratios, which round once per
+factor instead of carrying the error of a log-gamma of size (a+j) log(a+j).
 """
 
 from __future__ import annotations
@@ -15,12 +18,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, loggamma
 
 __all__ = [
     "HypergeometricPoleError",
     "pochhammer",
     "log_pochhammer",
+    "pochhammer_steps",
+    "scaled_cumprod",
+    "from_scaled",
+    "pochhammer_ratios",
+    "log_pochhammer_ratios",
     "gauss_2f1_unit",
     "channel_constant_sq",
     "log_channel_constant_sq",
@@ -31,8 +38,8 @@ __all__ = [
     "validate_weight",
 ]
 
-# direct products only below this bound; larger arguments go through lgamma
-_DIRECT_PRODUCT_LIMIT = 120
+# the smallest normal double: below it a product keeps fewer digits
+_NORMAL = np.finfo(float).tiny
 
 
 class HypergeometricPoleError(ZeroDivisionError):
@@ -74,7 +81,7 @@ def log_pochhammer(a: float, n: int) -> tuple[float, float]:
         return 0.0, 1.0
     a = float(a)
     if a > 0.0:
-        return gammaln(a + n) - gammaln(a), 1.0
+        return math.lgamma(a + n) - math.lgamma(a), 1.0
     # a <= 0: factors a, a+1, ..., a+n-1 may cross zero
     if a == math.floor(a) and a + n > 0:
         return -math.inf, 0.0  # some factor is exactly zero
@@ -83,11 +90,95 @@ def log_pochhammer(a: float, n: int) -> tuple[float, float]:
     log_abs = 0.0
     if neg_count:
         # |a (a+1) ... (a+neg_count-1)| = (-a-neg_count+1)_neg_count
-        log_abs += gammaln(-a + 1) - gammaln(-a - neg_count + 1)
+        log_abs += math.lgamma(-a + 1) - math.lgamma(-a - neg_count + 1)
     if neg_count < n:
         head = a + neg_count  # > 0 here (zero case handled above)
-        log_abs += gammaln(head + (n - neg_count)) - gammaln(head)
+        log_abs += math.lgamma(head + (n - neg_count)) - math.lgamma(head)
     return log_abs, sign
+
+
+def pochhammer_steps(count: int, numer, denom) -> np.ndarray:
+    """prod_a (a + j) / prod_b (b + j) for j = 0..count-1: the ratios of
+    consecutive entries of prod_a (a)_j / prod_b (b)_j."""
+    j = np.arange(count, dtype=float)
+    num, den = numer[0] + j, denom[0] + j
+    for a in numer[1:]:
+        num *= a + j
+    for b in denom[1:]:
+        den *= b + j
+    num /= den
+    return num
+
+
+def scaled_cumprod(factors, first=1.0) -> tuple[np.ndarray, np.ndarray | None]:
+    """first * f_1 ... f_j along the first axis of ``factors``, j = 0..M, as
+    (mantissa, exponent) with value = mantissa * 2**exponent.
+
+    One cumprod, with exponent None (0 everywhere), while no product leaves
+    the normal double range.  Otherwise the cumprod runs in stretches over
+    which the factors span at most about 2^400 (the widest column sets them
+    for a 2-D array), each started from the last product of the one before,
+    renormalized by its exact power of two.  Either way a value keeps one
+    rounding per factor and per stretch, and only the final ``np.ldexp`` or
+    ``np.log`` meets the range.  ``first`` is a scalar or one per column;
+    it and the factors are >= 0, each factor 0 or within 2^+-400.
+    """
+    f = np.asarray(factors, dtype=float)
+    count, lead = f.shape[0], f.shape[1:]
+    mant = np.empty((count + 1,) + lead)
+    mant[0] = first
+    mant[1:] = f
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(mant, axis=0, out=mant)
+    if mant.max() < 2.0**1000 and np.min(mant, where=mant > 0.0, initial=1.0) >= _NORMAL:
+        return mant, None
+    expo = np.empty(mant.shape, dtype=np.int64)
+    m, e = np.frexp(np.broadcast_to(np.asarray(first, dtype=float), lead))
+    e = e.astype(np.int64)
+    mant[0], expo[0] = m, e
+    with np.errstate(divide="ignore"):
+        bits = np.abs(np.log2(np.abs(f)))
+    bits[~np.isfinite(bits)] = 0.0  # a zero factor zeroes the rest of its column
+    span = np.cumsum(bits.reshape(count, -1).max(axis=1))
+    edges = np.searchsorted(span, 400.0 * np.arange(1, int(span[-1] // 400) + 1))
+    lo = 0
+    for hi in [*edges.tolist(), count]:
+        if hi > lo:
+            run = np.cumprod(f[lo:hi], axis=0)
+            run *= m
+            mant[lo + 1 : hi + 1] = run
+            expo[lo + 1 : hi + 1] = e
+            m, step = np.frexp(run[-1])
+            e = e + step
+            lo = hi
+    return mant, expo
+
+
+def from_scaled(mant: np.ndarray, expo: np.ndarray | None) -> np.ndarray:
+    """mant * 2**expo, as :func:`scaled_cumprod` returns them."""
+    return mant if expo is None else np.ldexp(mant, expo)
+
+
+def pochhammer_ratios(count: int, numer, denom, first: float = 1.0) -> np.ndarray:
+    """first * prod_a (a)_j / prod_b (b)_j for j = 0..count-1.
+
+    The cumulative product of :func:`pochhammer_steps` (:func:`scaled_cumprod`),
+    so entry j is within 2 (len(numer) + len(denom)) j + 2 roundings of exact,
+    (len(numer) + len(denom)) j + 1 eps relative, however large the
+    Pochhammer symbols grow on the way; entries below the double range
+    flush to 0 or a subnormal.
+    """
+    return from_scaled(*scaled_cumprod(pochhammer_steps(count - 1, numer, denom), first))
+
+
+def log_pochhammer_ratios(count: int, numer, denom) -> np.ndarray:
+    """log of :func:`pochhammer_ratios` (first = 1), at any size: the log of
+    the mantissa plus the exact binary exponent times log 2."""
+    mant, expo = scaled_cumprod(pochhammer_steps(count - 1, numer, denom))
+    out = np.log(mant)
+    if expo is not None:
+        out += expo * math.log(2.0)
+    return out
 
 
 def gauss_2f1_unit(n: int, b: float, c: float) -> float:
@@ -122,14 +213,20 @@ def log_channel_constant_sq(mu: float, nu: float, k: int) -> float:
     return (
         log_pochhammer(mu, k)[0]
         + log_pochhammer(nu, k)[0]
-        - gammaln(k + 1)
+        - math.lgamma(k + 1)
         - log_pochhammer(mu + nu + k - 1, k)[0]
     )
 
 
 def channel_constant_sq(mu: float, nu: float, k: int) -> float:
-    """Squared intertwiner constant C_{mu,nu,k}^2 (see the log variant)."""
-    return math.exp(log_channel_constant_sq(mu, nu, k))
+    """Squared intertwiner constant C_{mu,nu,k}^2 (see the log variant), as
+    the product of its k factors (mu+i)(nu+i)/((i+1)(mu+nu+k-1+i))."""
+    mu = validate_weight(mu)
+    nu = validate_weight(nu)
+    if k < 0:
+        raise ValueError("k must be a natural number")
+    top = mu + nu + k - 1.0
+    return float(math.prod((mu + i) * (nu + i) / ((i + 1.0) * (top + i)) for i in range(k)))
 
 
 def _is_integer_weight(nu: float) -> bool:
@@ -143,25 +240,35 @@ def log_berezin_eigenvalue(nu: float, lam: float) -> float:
     the eigenvalue on e_{lambda,b}.  For integer nu >= 2 the modulus-squared
     Gamma is evaluated by the exact finite product
     pi/cosh(pi lambda/2) * prod_{j=1}^{nu-1} ((j-1/2)^2 + lambda^2/4),
-    keeping library Gamma accuracy out of the result; real nu > 1 falls back
-    to complex log-Gamma.
+    each factor as hypot(j-1/2, lambda/2)^2 in logs so that no square
+    overflows, keeping library Gamma accuracy out of the result; real nu > 1
+    falls back to complex log-Gamma.  A non-finite lambda is a ValueError.
     """
     nu = validate_weight(nu)
     lam = float(lam)
-    half = 0.5 * lam
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if _is_integer_weight(nu) and nu >= 2:
+        half = abs(0.5 * lam)
         j = np.arange(1, int(nu))
-        prod_term = float(np.sum(np.log((j - 0.5) ** 2 + half * half)))
+        prod_term = 2.0 * float(np.sum(np.log(np.hypot(j - 0.5, half))))
         # log(pi/cosh(pi*half)) evaluated overflow-free
         log_sech = math.log(math.pi) - (
-            abs(math.pi * half) + math.log1p(math.exp(-2 * abs(math.pi * half)))
-            - math.log(2.0)
+            math.pi * half + math.log1p(math.exp(-2 * math.pi * half)) - math.log(2.0)
         )
-        return log_sech + prod_term - gammaln(nu) - gammaln(nu - 1)
+        return log_sech + prod_term - math.lgamma(nu) - math.lgamma(nu - 1)
+    return _log_gamma_form(nu, lam)
+
+
+def _log_gamma_form(nu: float, lam: float) -> float:
+    """2 Re log Gamma(nu - 1/2 + i lambda/2) - log Gamma(nu) - log Gamma(nu - 1)."""
+    # complex log-Gamma is scipy's, needed only off the integer weights
+    from scipy.special import loggamma
+
     return (
-        2.0 * float(np.real(loggamma(complex(nu - 0.5, half))))
-        - gammaln(nu)
-        - gammaln(nu - 1)
+        2.0 * float(np.real(loggamma(complex(nu - 0.5, 0.5 * lam))))
+        - math.lgamma(nu)
+        - math.lgamma(nu - 1)
     )
 
 
@@ -172,12 +279,7 @@ def berezin_eigenvalue(nu: float, lam: float) -> float:
 
 def berezin_eigenvalue_loggamma(nu: float, lam: float) -> float:
     """b_nu(lambda) via complex log-Gamma only (two-route cross check)."""
-    nu = validate_weight(nu)
-    return math.exp(
-        2.0 * float(np.real(loggamma(complex(nu - 0.5, 0.5 * float(lam)))))
-        - gammaln(nu)
-        - gammaln(nu - 1)
-    )
+    return math.exp(_log_gamma_form(validate_weight(nu), float(lam)))
 
 
 def plancherel_density(lam):

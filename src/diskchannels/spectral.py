@@ -11,7 +11,6 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .disk import gauss_jacobi
 from .specfun import (
@@ -184,12 +183,12 @@ def inverse_multiplier_bound(nu: int, nu0: int) -> float:
     log_num = float(np.sum(2.0 * np.log(j - 0.5)))
     return math.exp(
         log_num
-        - gammaln(nu0)
-        - gammaln(nu0 - 1)
-        + gammaln(nu)
-        + gammaln(nu - 1)
+        - math.lgamma(nu0)
+        - math.lgamma(nu0 - 1)
+        + math.lgamma(nu)
+        + math.lgamma(nu - 1)
         + math.log(math.pi)
-        - 2.0 * gammaln(nu - 0.5)
+        - 2.0 * math.lgamma(nu - 0.5)
     )
 
 

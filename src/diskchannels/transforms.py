@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import bergman
 from .bergman import TruncatedOperator
 from .disk import DiskQuadrature, transporter_coefficients
-from .specfun import channel_constant_sq, pochhammer, validate_weight
+from .specfun import channel_constant_sq, pochhammer, pochhammer_ratios, validate_weight
 
 __all__ = [
     "DiskFunction",
@@ -135,21 +134,20 @@ def covariant_symbol(A: TruncatedOperator, z):
 def toeplitz_diagonal(f: DiskFunction, nu: float, degree: int) -> np.ndarray:
     """Diagonal of T_f for radial-polynomial f, by exact Beta integrals.
 
-    Entry m: sum_s alpha_s (nu-1)(nu)_m Gamma(nu+s-1)/Gamma(nu+s+m).
+    Entry m: sum_s alpha_s (nu-1)(nu)_m Gamma(nu+s-1)/Gamma(nu+s+m), where
+    each term (nu-1)/(nu+s-1) (nu)_m/(nu+s)_m is a table over m, one cumprod
+    of the ratios (nu+m)/(nu+s+m).
     """
     if not f.is_radial:
         raise ValueError("closed-form diagonal requires a radial polynomial")
     nu = validate_weight(nu)
     _check_decay(f, nu)
-    ms = np.arange(degree + 1, dtype=float)
-    log_poch_nu_m = gammaln(nu + ms) - gammaln(nu)
     out = np.zeros(degree + 1)
     for s, a in enumerate(f.coeffs):
         if a == 0.0:
             continue
-        out += a * (nu - 1.0) * np.exp(
-            log_poch_nu_m + gammaln(nu + s - 1.0) - gammaln(nu + s + ms)
-        )
+        out += a * pochhammer_ratios(
+            degree + 1, (nu,), (nu + s,), (nu - 1.0) / (nu + s - 1.0))
     return out
 
 
@@ -300,7 +298,7 @@ def e_transform(
             coeff = (
                 (-1.0) ** j
                 * math.comb(k, j)
-                * math.exp(gammaln(mu + k) - gammaln(mu) - gammaln(k + 1.0))
+                * math.exp(math.lgamma(mu + k) - math.lgamma(mu) - math.lgamma(k + 1.0))
             )
         else:
             coeff = (

@@ -86,15 +86,17 @@ def chain2_series_oracle(nu, terms=4000):
     return float(np.sum(np.exp(2 * log_ratio)))
 
 
-def chain2_complex_quadrature_oracle(nu, radial_count, angular_count, weights=None):
-    """I_2(nu) by the full tensor rule in complex arithmetic: scipy's
-    Gauss-Jacobi nodes for (1-u)^{nu-2}, with scipy's own weights unless
-    ``weights`` are given (scipy's carry 2^{nu-1}, so nu <~ 1000), every radial
-    pair and every midpoint angle, kernel |1 - r e^{i phi}|^{-nu} with
+def chain2_complex_quadrature_oracle(nu, radial_count, angular_count, rule=None):
+    """I_2(nu) by the full tensor rule in complex arithmetic: the radial
+    ``rule`` (nodes u, weights) for (1-u)^{nu-2} if given, else scipy's
+    Gauss-Jacobi rule (whose weights carry 2^{nu-1}, so nu <~ 1000), every
+    radial pair and every midpoint angle, kernel |1 - r e^{i phi}|^{-nu} with
     r = sqrt(u_i u_j)."""
-    x, wx = roots_jacobi(radial_count, nu - 2.0, 0.0)
-    u = 0.5 * (x + 1.0)
-    wu = wx / 2.0 ** (nu - 1.0) if weights is None else weights
+    if rule is None:
+        x, wx = roots_jacobi(radial_count, nu - 2.0, 0.0)
+        u, wu = 0.5 * (x + 1.0), wx / 2.0 ** (nu - 1.0)
+    else:
+        u, wu = rule
     phi = 2.0 * np.pi * (np.arange(angular_count) + 0.5) / angular_count
     r = np.sqrt(np.outer(u, u))
     angular = np.zeros_like(r)

@@ -143,9 +143,10 @@ class TestQuadrature:
             assert val == pytest.approx(exact, rel=5e-15 * decay)
 
     def test_jacobi_out_of_range_is_an_error(self):
-        # scipy's nodes are nan here; a row error beats a silent nan integral
+        # at decay 1e200 the squares (2k + alpha)^2 of the Jacobi matrix
+        # overflow; a row error beats a silent nan integral
         with pytest.raises(ValueError, match="Gauss-Jacobi"):
-            build_quadrature(300, 1, 1102.0, radial_rule="jacobi")
+            build_quadrature(300, 1, 1e200, radial_rule="jacobi")
 
     def test_jacobi_handles_huge_weight(self):
         q = build_quadrature(60, 4, 802.0, radial_rule="jacobi")
@@ -154,7 +155,8 @@ class TestQuadrature:
         assert val == pytest.approx(1.0 / 801.0, rel=1e-12)
 
     @pytest.mark.parametrize("count, alpha",
-                             [(400, 0.0), (58, 6.0), (32, 46.0), (40, 798.0), (40, 998.0)])
+                             [(400, 0.0), (58, 6.0), (32, 46.0), (40, 798.0), (40, 998.0),
+                              (400, 798.0), (500, 1000.0)])
     def test_gauss_jacobi_beta_moments(self, count, alpha):
         # int_0^1 (1-u)^alpha u^j du = B(j+1, alpha+1) for every j <= 2n-1,
         # which fixes the Gauss rule; rounding grows ~ alpha, and ~ n in the sum
@@ -168,10 +170,10 @@ class TestQuadrature:
                 exact, rel=5e-15 * (alpha + 2) + count * np.finfo(float).eps)
 
     def test_gauss_jacobi_out_of_range_is_an_error(self):
-        # the runner's berezin-eigen grid at nu = 2 would be 400 radii; at
-        # nu = 800 scipy's nodes are nan
-        with pytest.raises(ValueError, match="n = 400, alpha = 798"):
-            gauss_jacobi(400, 798.0)
+        # the rule holds to alpha ~ 1e154; past it the squares
+        # (2k + alpha)^2 of the Jacobi matrix overflow
+        with pytest.raises(ValueError, match="n = 400, alpha = 1e"):
+            gauss_jacobi(400, 1e200)
 
     def test_exactness_metadata(self):
         q = build_quadrature(50, 16, 2.0)

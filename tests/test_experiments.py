@@ -168,15 +168,16 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failing_nu_stays_isolated(self, threads):
-        # scipy has no Gauss-Jacobi nodes for the chain-2 target at nu = 1e11;
-        # the batch that holds it is rerun one nu at a time
+        # the chain-2 target at nu = 1e200 has no Gauss-Jacobi rule: the
+        # squares (2k + nu - 2)^2 of its Jacobi matrix overflow; the batch
+        # that holds it is rerun one nu at a time
         text = "experiment = kernel-chain\ntiming = off\nsamples = 20000\n"
         report = run_experiment(parse_config(
-            text + f"nu_list = 8,100000000000\nthreads = {threads}\n"))
+            text + f"nu_list = 8,{10**200}\nthreads = {threads}\n"))
         alone = run_experiment(parse_config(text + "nu_list = 8\n"))
         good, bad = report.rows
         assert good == alone.rows[0] and not good.error
-        assert bad.nu == 10**11 and "no Gauss-Jacobi nodes" in bad.error
+        assert bad.nu == 10**200 and "no Gauss-Jacobi nodes" in bad.error
         assert report.failures == [bad]
 
     def test_batched_rows_share_their_batch_time(self):

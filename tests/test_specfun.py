@@ -14,9 +14,12 @@ from diskchannels.specfun import (
     berezin_eigenvalue_loggamma,
     channel_constant_sq,
     gauss_2f1_unit,
+    log_berezin_eigenvalue,
     log_pochhammer,
+    log_pochhammer_ratios,
     plancherel_density,
     pochhammer,
+    pochhammer_ratios,
 )
 
 mp.mp.dps = 50
@@ -147,6 +150,34 @@ def eigenvalue_oracle(nu, lam):
     return float(abs(g) ** 2 / (mp.gamma(nu) * mp.gamma(nu - 1)))
 
 
+class TestPochhammerRatios:
+    @pytest.mark.parametrize(
+        "numer, denom, first, count",
+        [((1.0, 801.0), (804.0, 2.0), 0.37, 51201), ((2.5,), (1.0,), 1.0, 2000),
+         ((0.5,), (2.0,), 0.5, 100000), ((2.0, 3.0, 3.0), (1.0, 1.0, 6.0), 1.0, 4)],
+    )
+    def test_products_match_mpmath(self, numer, denom, first, count):
+        # entry j is j cumprod steps of 2 (len(numer) + len(denom)) roundings
+        table = pochhammer_ratios(count, numer, denom, first)
+        for j in sorted({0, 1, 3, 10, 1000, count // 2, count - 1} & set(range(count))):
+            exact = mp.mpf(first)
+            for a in numer:
+                exact *= mp.rf(a, j)
+            for b in denom:
+                exact /= mp.rf(b, j)
+            bound = (len(numer) + len(denom)) * j * np.finfo(float).eps
+            assert table[j] == pytest.approx(float(exact), rel=bound, abs=0)
+
+    @pytest.mark.parametrize("nu", [2.0, 3.5, 800.0, 1e11])
+    def test_log_table_matches_mpmath(self, nu):
+        # log(j!/(nu)_j) leaves the double range long before j = 1e5
+        table = log_pochhammer_ratios(100001, (1.0,), (nu,))
+        assert table[0] == 0.0
+        for j in (1, 10, 1000, 50000, 100000):
+            exact = float(mp.log(mp.factorial(j)) - (mp.loggamma(nu + j) - mp.loggamma(nu)))
+            assert abs(table[j] - exact) <= 32 * np.finfo(float).eps * (abs(exact) + 1.0)
+
+
 class TestBerezinEigenvalue:
     def test_value_at_origin(self):
         # Gamma(3/2)^2 = pi/4, frozen from the closed form
@@ -185,6 +216,22 @@ class TestBerezinEigenvalue:
             assert np.all(np.diff(vals) <= 1e-15)
             assert vals[0] <= 1.0 + 1e-15  # b(0) <= 1
             assert np.all(vals <= vals[0] + 1e-15)
+
+    @pytest.mark.parametrize("nu", [2, 4, 50])
+    @pytest.mark.parametrize("lam", [1e10, 1e200, 1e300])
+    def test_huge_lambda_against_mpmath(self, nu, lam):
+        # lambda^2/4 overflows past 2.7e154; the factors are formed as
+        # hypot(j - 1/2, lambda/2)^2 in logs, so log b stays finite, and
+        # b itself underflows to 0 like the exact value
+        exact = 2 * mp.re(mp.loggamma(mp.mpc(nu - 0.5, mp.mpf(lam) / 2))) - mp.loggamma(
+            nu) - mp.loggamma(nu - 1)
+        assert log_berezin_eigenvalue(nu, lam) == pytest.approx(float(exact), rel=1e-14)
+        assert berezin_eigenvalue(nu, lam) == pytest.approx(float(mp.exp(exact)), abs=0)
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lambda_is_an_error(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            berezin_eigenvalue(4, lam)
 
     def test_real_weight_route(self):
         # non-integer weights go through complex log-Gamma

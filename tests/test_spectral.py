@@ -113,11 +113,13 @@ class TestEigenRelation:
         assert all(worst <= 1e-6 for worst in each)
 
     def test_non_finite_residual_raises(self):
-        # lambda = inf makes e_{lambda,b} itself not finite
-        with np.errstate(invalid="ignore"):
-            assert not np.isfinite(eigenfunction(math.inf, 1.0, 0.3))
+        # at lambda = 1e308 the phase (lambda/2) log(base) of e_{lambda,b}
+        # overflows where |log(base)| > 3.6, which the grid reaches, so the
+        # quadrature is nan; the target b_nu(lambda) = 0 is finite
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert not np.isfinite(eigenfunction(1e308, 1.0, 0.99))
             with pytest.raises(FloatingPointError, match="nu = 4"):
-                eigen_relation_residual(4, math.inf, [0.3], 8, 8)
+                eigen_relation_residual(4, 1e308, [0.3], 8, 8)
 
     @pytest.mark.parametrize("z0", [1.0, -1j, 0.8 + 0.8j, complex(math.nan, 0.0)])
     def test_sample_off_disk_raises(self, z0):
@@ -202,13 +204,13 @@ class TestChainIntegral:
     )
     def test_quadrature_matches_complex_oracle(self, nu, radial_count, angular_count):
         real = chain2_tensor_quadrature(nu, radial_count, angular_count)
-        # one rule (scipy's nodes, the log-domain weights), two arithmetics
-        weights = np.exp(gauss_jacobi(radial_count, nu - 2.0)[2])
+        # one rule (disk.gauss_jacobi), two arithmetics
+        u, _, log_weight = gauss_jacobi(radial_count, nu - 2.0)
         assert real == pytest.approx(chain2_complex_quadrature_oracle(
-            nu, radial_count, angular_count, weights), rel=1e-14)
-        # scipy's own weights, whose Beta moments are off by up to 1.4e-12
-        # relative on these rules (n = 200, alpha = 46); test_disk holds the
-        # log-domain weights to mpmath
+            nu, radial_count, angular_count, (u, np.exp(log_weight))), rel=1e-14)
+        # scipy's own rule, whose Beta moments are off by up to 1.4e-12
+        # relative on these rules (n = 200, alpha = 46); test_disk holds
+        # disk.gauss_jacobi to mpmath
         assert real == pytest.approx(chain2_complex_quadrature_oracle(
             nu, radial_count, angular_count), rel=1e-12)
 
