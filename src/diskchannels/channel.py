@@ -337,10 +337,12 @@ def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator
         diag = A.matrix[ms - off, ms]  # entries with m - m' = off
         if not np.any(np.abs(diag) > 0):
             continue
-        base = np.arange(L + 1 - abs(off))
-        ps, qs = (base + off, base) if off >= 0 else (base, base - off)
+        # rows p = p0 .. p0 + size - 1 and q = p - off, read as views
+        size, p0 = L + 1 - abs(off), max(off, 0)
+        q0 = p0 - off
         # entry (q, p) = sum_m V[p, m] A[m - off, m] V[q, m - off]
-        bands[off] = (V[ps][:, ms] * V[qs][:, ms - off]) @ diag
+        bands[off] = (V[p0:p0 + size, m_lo:m_hi + 1]
+                      * V[q0:q0 + size, m_lo - off:m_hi - off + 1]) @ diag
     return BandedOperator(params.target_weight, L, bands, hermitian=A.hermitian)
 
 

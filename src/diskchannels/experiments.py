@@ -9,6 +9,7 @@ a closed key set; unknown keys are errors, and identical configs (with
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -473,13 +474,19 @@ def _row_constants(cfg: ExperimentConfig, nu: int) -> ReportRow:
     return ReportRow(nu=nu, measured=worst, target=0.0, note="constant-and-isometry")
 
 
-def _rows_kernel_chain(cfg: ExperimentConfig, nus) -> list[ReportRow]:
+def _rows_kernel_chain(cfg: ExperimentConfig, nus, pool_map) -> list[ReportRow]:
     weights = [float(nu) for nu in nus]
-    estimates = chained_kernel_integral(cfg.chain_length, weights, cfg.seed, cfg.samples)
+    # the chain-2 targets are queued ahead of the Monte Carlo chunks
+    targets = pool_map(chain2_tensor_quadrature, weights if cfg.chain_length == 2 else [])
+    try:
+        estimates = chained_kernel_integral(cfg.chain_length, weights, cfg.seed,
+                                            cfg.samples, map=pool_map)
+    finally:
+        targets = list(targets)  # read every queued target, also on an error
     if cfg.chain_length == 1:
         targets, note = [1.0] * len(nus), "exact"
     elif cfg.chain_length == 2:
-        targets, note = chain2_tensor_quadrature(weights), "quadrature-target"
+        note = "quadrature-target"
     else:
         targets, note = [est for est, _ in estimates], "no-reference"
     return [
@@ -488,37 +495,30 @@ def _rows_kernel_chain(cfg: ExperimentConfig, nus) -> list[ReportRow]:
     ]
 
 
-# (cfg, batch of nu, context) -> one row per nu of the batch, in its order
-_BATCH_RUNNERS = {
-    "channel-limit": lambda cfg, nus, context: [
-        _row_channel_limit(cfg, nu, context) for nu in nus],
-    "toeplitz-trace": lambda cfg, nus, context: [
-        _row_toeplitz_trace(cfg, nu) for nu in nus],
-    "berezin-eigen": lambda cfg, nus, context: [
-        _row_berezin_eigen(cfg, nu) for nu in nus],
-    "husimi-check": lambda cfg, nus, context: [
-        _row_husimi_check(cfg, nu) for nu in nus],
-    "e-identity": lambda cfg, nus, context: [
-        _row_e_identity(cfg, nu) for nu in nus],
-    "constants": lambda cfg, nus, context: [_row_constants(cfg, nu) for nu in nus],
-    "kernel-chain": lambda cfg, nus, context: _rows_kernel_chain(cfg, nus),
+# (cfg, nu, context) -> the row of one nu
+_ROW_RUNNERS = {
+    "channel-limit": _row_channel_limit,
+    "toeplitz-trace": lambda cfg, nu, context: _row_toeplitz_trace(cfg, nu),
+    "berezin-eigen": lambda cfg, nu, context: _row_berezin_eigen(cfg, nu),
+    "husimi-check": lambda cfg, nu, context: _row_husimi_check(cfg, nu),
+    "e-identity": lambda cfg, nu, context: _row_e_identity(cfg, nu),
+    "constants": lambda cfg, nu, context: _row_constants(cfg, nu),
 }
-# Rows of these experiments repeat work that does not depend on nu (the Monte
-# Carlo draws), which a batch does once; every other experiment runs one nu
-# per batch.
-_SHARED_WORK = ("kernel-chain",)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every nu row (worker pool), assemble the deterministic report.
 
-    The pool maps over batches of nu: the experiments in ``_SHARED_WORK``
-    split ``nu_list`` into one strided batch per thread, every other
-    experiment runs one nu per batch.  A row's ``seconds`` is its batch's wall
-    time divided by the batch's row count.  Per-row failures are recorded in
-    the row and the run continues: a batch that raises is run again one nu at
-    a time, so the error lands in the row that caused it.  Rows are emitted in
-    nu order regardless of scheduling.
+    ``threads`` sets the size of the run's one worker pool.  Every experiment
+    but ``kernel-chain`` maps its rows over the pool, one nu per task.
+    ``kernel-chain`` runs all of ``nu_list`` as one batch on the calling
+    thread, which queues each nu's chain-2 target and then the chunks of the
+    one Monte Carlo draw stream on the pool and collects them in order; as
+    the batch never runs on a worker, no worker waits on the pool.  A row's
+    ``seconds`` is its batch's wall time divided by the batch's row count.
+    Per-row failures are recorded in the row and the run continues: a batch
+    that raises is run again one nu at a time, so the error lands in the row
+    that caused it.  Rows are emitted in nu order regardless of scheduling.
     """
     config.validate()
     context = None
@@ -526,17 +526,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # the input and its limit target are shared by every row
         state = _input_state(config)
         context = (state, _husimi_target(config, state))
-    runner = _BATCH_RUNNERS[config.experiment]
-    nus = config.nu_list
-    count = len(nus)
-    if config.experiment in _SHARED_WORK:
-        count = min(config.threads, count)
-    batches = [nus[b::count] for b in range(count)]
 
     def run(batch: tuple[int, ...]) -> list[ReportRow]:
         start = time.perf_counter()
         try:
-            rows = runner(config, batch, context)
+            if config.experiment == "kernel-chain":
+                rows = _rows_kernel_chain(config, batch, pool_map)
+            else:
+                rows = [_ROW_RUNNERS[config.experiment](config, nu, context)
+                        for nu in batch]
         except Exception as exc:  # per-row failure: record, continue
             if len(batch) > 1:
                 return [row for nu in batch for row in run((nu,))]
@@ -548,13 +546,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 row.seconds = share
         return rows
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            per_batch = list(pool.map(run, batches))
-    else:
-        per_batch = [run(batch) for batch in batches]
-    rows = sorted((row for batch_rows in per_batch for row in batch_rows),
-                  key=lambda r: r.nu)
+    with (ThreadPoolExecutor(config.threads) if config.threads > 1
+          else contextlib.nullcontext()) as pool:
+        pool_map = pool.map if pool else map
+        if config.experiment == "kernel-chain":
+            rows = run(config.nu_list)
+        else:
+            rows = [row for nu_rows in pool_map(run, [(nu,) for nu in config.nu_list])
+                    for row in nu_rows]
+    rows.sort(key=lambda r: r.nu)
     report = ExperimentReport(config=config, rows=rows)
     report.fitted_order, report.fitted_order_stderr = _fit_order(rows)
     return report

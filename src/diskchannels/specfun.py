@@ -233,6 +233,9 @@ def _is_integer_weight(nu: float) -> bool:
     return float(nu) == math.floor(nu)
 
 
+_LOG_BLOCK = 1 << 16
+
+
 def log_berezin_eigenvalue(nu: float, lam: float) -> float:
     """log b_nu(lambda) for the normalized Berezin transform (nu-1)B_nu.
 
@@ -250,8 +253,13 @@ def log_berezin_eigenvalue(nu: float, lam: float) -> float:
         raise ValueError(f"lambda must be finite, got {lam}")
     if _is_integer_weight(nu) and nu >= 2:
         half = abs(0.5 * lam)
-        j = np.arange(1, int(nu))
-        prod_term = 2.0 * float(np.sum(np.log(np.hypot(j - 0.5, half))))
+        # 2^16 factors per block, the block sums added in order: memory stays
+        # bounded at any nu, and nu <= 2^16 + 1 is one block
+        prod_term = 0.0
+        for lo in range(1, int(nu), _LOG_BLOCK):
+            j = np.arange(lo, min(lo + _LOG_BLOCK, int(nu)))
+            prod_term += float(np.sum(np.log(np.hypot(j - 0.5, half))))
+        prod_term *= 2.0
         # log(pi/cosh(pi*half)) evaluated overflow-free
         log_sech = math.log(math.pi) - (
             math.pi * half + math.log1p(math.exp(-2 * math.pi * half)) - math.log(2.0)

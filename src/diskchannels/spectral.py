@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import partial
 
 import numpy as np
 
@@ -192,18 +193,26 @@ def inverse_multiplier_bound(nu: int, nu0: int) -> float:
     )
 
 
-def _link_modulus_sq(r, s, half_sq):
-    """|1 - z conj(w)|^2 for |z| = r, |w| = s, half_sq = sin^2((arg z - arg w)/2).
+def _link_modulus_sq(x, y, half_sq, out=None):
+    """|1 - z conj(w)|^2 for 1 - |z|^2 = x, 1 - |w|^2 = y and
+    half_sq = sin^2((arg z - arg w)/2).
 
-    Real form (1 - r s)^2 + 4 r s sin^2(dtheta/2): both terms are >= 0, so
-    nothing cancels near the boundary singularity, as 1 - z conj(w) does in
-    complex arithmetic.  1 - r s is formed as (1 - r) + r (1 - s), because the
-    product r s rounds before the subtraction.  With r, s broadcasting to
-    (P, 1) and half_sq of shape (M,), only the last product and sum run on
-    (P, M).
+    Real form (1 - |z||w|)^2 + 4 |z||w| sin^2(dtheta/2): both terms are >= 0,
+    so nothing cancels near the boundary singularity, as 1 - z conj(w) does in
+    complex arithmetic.  With |z||w| = sqrt((1 - x)(1 - y)), the gap
+    1 - |z||w| is formed as (1 - |z|^2 |w|^2)/(1 + |z||w|) =
+    (x + y (1 - x))/(1 + |z||w|), which subtracts no nearly equal numbers.
+    With x, y broadcasting to (P, 1) and half_sq of shape (M,), only the last
+    product and sum run on (P, M).  ``out``, of the shape of x and y, takes
+    the gap and then the result in place.
     """
-    gap = (1.0 - r) + r * (1.0 - s)
-    return gap * gap + (4.0 * r * s) * half_sq
+    rest = 1.0 - x
+    rs = np.sqrt(rest * (1.0 - y))
+    gap = np.multiply(y, rest, out=out)
+    gap += x
+    gap /= 1.0 + rs
+    gap *= gap
+    return np.add(gap, rs * (4.0 * half_sq), out=out)
 
 
 def _require_counts(**counts: int) -> None:
@@ -212,8 +221,76 @@ def _require_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {count}")
 
 
+# draws per chunk of a sampler's stream, and per block of the all-weights pass
+_CHUNK = 1 << 16
+_BLOCK = 1 << 13
+
+
+def _chain_chunk_sums(
+    n: int, nus: Sequence[float], sampler_seed: int, sample_count: int, chunk: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_chain_weight_sums` over chunk ``chunk`` of the draws.
+
+    The stream of ``sampler_seed`` is cut into chunks of 2^16 samples (the
+    last one holds the rest of ``sample_count``); a chunk of m samples reads
+    n m uniforms for the radii, then n m for the angles.  Each double takes
+    one 64-bit output of PCG64, so a fresh generator advanced by
+    2 n 2^16 chunk outputs starts at this chunk and reads exactly the draws a
+    sequential pass gives it.
+    """
+    m = min(_CHUNK, sample_count - chunk * _CHUNK)
+    rng = np.random.default_rng(sampler_seed)
+    rng.bit_generator.advance(2 * n * _CHUNK * chunk)
+    radial = rng.random((n, m))
+    return _chain_weight_sums(nus, radial, rng.random((n, m)))
+
+
+def _chain_weight_sums(
+    nus: Sequence[float], radial: np.ndarray, angular: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sum of w, sum of w^2) per weight over the chains of n points drawn
+    from the uniforms ``radial`` and ``angular``, both of shape (n, m).
+
+    A uniform U gives 1 - |z|^2 = (1 - U)^{1/(nu-1)} = exp(log(1 - U)/(nu - 1))
+    and the angle 2 pi U.  log(1 - U) and the sin^2 factors are formed once;
+    every weight is then evaluated together on (weights x 2^13) blocks.  A
+    non-finite sum raises FloatingPointError naming its nu.
+    """
+    n, m = radial.shape
+    log_tail = np.log(1.0 - radial)
+    half = np.sin(np.pi * (angular[:-1] - angular[1:]))
+    half_sq = half * half
+    weights = np.asarray(nus)[:, None]
+    inv = 1.0 / (weights - 1.0)
+    x_block = np.empty((n, len(nus), _BLOCK))
+    w_block = np.empty((len(nus), _BLOCK))
+    sums = np.zeros(len(nus))
+    sums_sq = np.zeros(len(nus))
+    # reported below, with its nu
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo in range(0, m, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            width = min(_BLOCK, m - lo)
+            x = np.multiply(log_tail[:, None, block], inv, out=x_block[..., :width])
+            np.exp(x, out=x)  # (n, weights, width)
+            w = _link_modulus_sq(x[0], x[1], half_sq[0, block], out=w_block[:, :width])
+            np.log(w, out=w)
+            for i in range(1, n - 1):
+                w += np.log(_link_modulus_sq(x[i], x[i + 1], half_sq[i, block]))
+            w *= -0.5 * weights
+            np.exp(w, out=w)
+            sums += w.sum(axis=1)
+            sums_sq += np.square(w, out=w).sum(axis=1)
+    bad = ~np.isfinite(sums)
+    if bad.any():
+        raise FloatingPointError(
+            f"non-finite chain weight at nu = {nus[int(np.argmax(bad))]:g}")
+    return sums, sums_sq
+
+
 def chained_kernel_integral(
-    n: int, nu: float | Sequence[float], sampler_seed: int, sample_count: int
+    n: int, nu: float | Sequence[float], sampler_seed: int, sample_count: int,
+    map=map,
 ) -> tuple[float, float] | list[tuple[float, float]]:
     """Monte Carlo estimate of the chained-kernel integral I_n(nu).
 
@@ -221,18 +298,21 @@ def chained_kernel_integral(
     over d iota^n.  Each z_i is drawn from the weight-nu probability measure
     (radial u ~ Beta(1, nu-1), uniform angle), which absorbs every numerator
     factor; the weight is then prod |1 - z_i conj(z_{i+1})|^{-nu}, each link
-    evaluated in real arithmetic from the radii and the angle difference as
-    (1 - r_i r_{i+1})^2 + 4 r_i r_{i+1} sin^2((theta_i - theta_{i+1})/2).
-    Returns (estimate, 95% CLT half-width); n = 1 is the exact deterministic
-    value 1.  The weight distribution is heavy-tailed (tail index 2 - 1/nu),
-    so the half-width is asymptotic, not a hard guarantee.
+    evaluated in real arithmetic from 1 - |z_i|^2 and the angle difference
+    by :func:`_link_modulus_sq`.  Returns (estimate, 95% CLT half-width);
+    n = 1 is the exact deterministic value 1.  The weight distribution is
+    heavy-tailed (tail index 2 - 1/nu), so the half-width is asymptotic, not
+    a hard guarantee.
 
     ``nu`` may be a sequence of weights, which returns a list of pairs.  Every
     weight transforms the same uniform draws of ``sampler_seed`` (common
     random numbers), so an estimate does not depend on the other weights of
     the call, and the errors of estimates at different weights are correlated.
-    The draws and the sin^2 factors are formed once per chunk for all weights.
-    A non-finite chain weight raises FloatingPointError naming its nu.
+    The draws form one stream, cut into chunks of 2^16 samples that
+    :func:`_chain_chunk_sums` evaluates independently; ``map`` (the builtin,
+    or an executor's ``map``) runs them, and their sums are added in chunk
+    order, so the result does not depend on who ran which chunk.  A
+    non-finite chain weight raises FloatingPointError naming its nu.
     """
     nus, scalar = _weight_batch(nu)
     if n < 1:
@@ -241,31 +321,15 @@ def chained_kernel_integral(
     if n == 1:
         exact = [(1.0, 0.0)] * len(nus)
         return exact[0] if scalar else exact
-    rng = np.random.default_rng(sampler_seed)
-    totals = [0.0] * len(nus)
-    totals_sq = [0.0] * len(nus)
-    chunk = 1 << 16
-    done = 0
-    while done < sample_count:
-        m = min(chunk, sample_count - done)
-        tail = 1.0 - rng.random((n, m))  # u = 1 - tail^{1/(nu-1)} ~ Beta(1, nu-1)
-        theta = 2.0 * np.pi * rng.random((n, m))
-        half = np.sin(0.5 * (theta[:-1] - theta[1:]))
-        half_sq = half * half
-        for k, nu_k in enumerate(nus):
-            r = np.sqrt(1.0 - tail ** (1.0 / (nu_k - 1.0)))
-            log_w = np.zeros(m)
-            for i in range(n - 1):
-                log_w -= 0.5 * nu_k * np.log(_link_modulus_sq(r[i], r[i + 1], half_sq[i]))
-            with np.errstate(over="ignore"):  # reported below, with its nu
-                w = np.exp(log_w)
-            if not np.all(np.isfinite(w)):
-                raise FloatingPointError(f"non-finite chain weight at nu = {nu_k:g}")
-            totals[k] += float(np.sum(w))
-            totals_sq[k] += float(np.sum(w * w))
-        done += m
+    chunk_sums = map(partial(_chain_chunk_sums, n, nus, sampler_seed, sample_count),
+                     range(-(-sample_count // _CHUNK)))
+    totals = np.zeros(len(nus))
+    totals_sq = np.zeros(len(nus))
+    for sums, sums_sq in chunk_sums:
+        totals += sums
+        totals_sq += sums_sq
     out = []
-    for total, total_sq in zip(totals, totals_sq):
+    for total, total_sq in zip(totals.tolist(), totals_sq.tolist()):
         mean = total / sample_count
         var = max(0.0, total_sq / sample_count - mean * mean)
         out.append((mean, 1.96 * math.sqrt(var / sample_count)))
@@ -282,7 +346,9 @@ def chain2_tensor_quadrature(
     A is the relative-angle mean of |1 - r e^{i phi}|^{-nu}, r = sqrt(u v).
     Both radial integrals run on the Gauss-Jacobi rule of (1-u)^{nu-2} with
     ``radial_count`` nodes, and A on ``angular_count`` midpoint angles, with
-    the kernel in the real form (1 - r)^2 + 4 r sin^2(phi/2).
+    the kernel from 1 - u by :func:`_link_modulus_sq`.  The midpoint angles
+    phi_k and phi_{N-1-k} give the same kernel, so each such pair is summed
+    once with weight 2; an odd count keeps its middle angle once.
 
     ``nu`` may be a sequence of weights, which returns a list.  A non-finite
     value (the kernel overflows near the boundary, where a Jacobi weight
@@ -290,20 +356,22 @@ def chain2_tensor_quadrature(
     """
     nus, scalar = _weight_batch(nu)
     _require_counts(radial_count=radial_count, angular_count=angular_count)
-    half = np.sin(np.pi * (np.arange(angular_count) + 0.5) / angular_count)
+    half = np.sin(np.pi * (np.arange((angular_count + 1) // 2) + 0.5) / angular_count)
     half_sq = half * half
+    angular_weight = np.full(half.size, 2.0 / angular_count)
+    if angular_count % 2:
+        angular_weight[-1] = 1.0 / angular_count
     values = []
     for nu_k in nus:
-        u, _, log_weight = gauss_jacobi(radial_count, nu_k - 2.0)
+        _, rest, log_weight = gauss_jacobi(radial_count, nu_k - 2.0)
         radial = (nu_k - 1.0) * np.exp(log_weight)
-        radius = np.sqrt(u)
         angular = np.empty((radial_count, radial_count))
         # an overflowing kernel gives inf, or NaN against an underflowed
         # weight; either is reported below, with its nu
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, r in enumerate(radius):  # n x M floats per row, not n^2 x M
-                link = _link_modulus_sq(r, radius[:, None], half_sq)
-                angular[i] = np.mean(np.exp(-0.5 * nu_k * np.log(link)), axis=1)
+            for i, x in enumerate(rest):  # n x M floats per row, not n^2 x M
+                link = _link_modulus_sq(x, rest[:, None], half_sq)
+                angular[i] = np.exp(-0.5 * nu_k * np.log(link)) @ angular_weight
             value = float(radial @ angular @ radial)
         if not math.isfinite(value):
             raise FloatingPointError(

@@ -1,6 +1,7 @@
 """Special-function primitives against independent high-precision oracles."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from diskchannels.specfun import (
     HypergeometricPoleError,
+    _log_gamma_form,
     berezin_eigenvalue,
     berezin_eigenvalue_loggamma,
     channel_constant_sq,
@@ -227,6 +229,24 @@ class TestBerezinEigenvalue:
             nu) - mp.loggamma(nu - 1)
         assert log_berezin_eigenvalue(nu, lam) == pytest.approx(float(exact), rel=1e-14)
         assert berezin_eigenvalue(nu, lam) == pytest.approx(float(mp.exp(exact)), abs=0)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 1e4])
+    def test_huge_weight_memory_is_bounded(self, lam):
+        # the 10^7 - 1 factors are summed in blocks of 2^16; one array of
+        # them all would peak near 240 MB
+        nu = 10**7
+        tracemalloc.start()
+        try:
+            value = log_berezin_eigenvalue(nu, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        # both routes subtract log Gamma(nu) + log Gamma(nu - 1) ~ 3e8 from a
+        # sum of that size, so each is off by a few units in the last place
+        # of 3e8 (~1e-7 in log b), not by 1e-12 relative as at small nu
+        scale = math.lgamma(nu) + math.lgamma(nu - 1)
+        assert abs(value - _log_gamma_form(nu, lam)) <= 8 * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
     def test_non_finite_lambda_is_an_error(self, lam):

@@ -1,6 +1,7 @@
 """Eigenfunctions, spherical functions, multipliers, and chain integrals."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -14,6 +15,8 @@ from oracles import (
 from diskchannels.disk import gauss_jacobi
 from diskchannels.specfun import berezin_eigenvalue
 from diskchannels.spectral import (
+    _chain_chunk_sums,
+    _chain_weight_sums,
     _link_modulus_sq,
     chain2_tensor_quadrature,
     chained_kernel_integral,
@@ -236,12 +239,42 @@ class TestChainIntegral:
 
     @pytest.mark.parametrize("dtheta", [0.0, 1e-8, 1e-3])
     def test_link_modulus_near_boundary(self, dtheta):
-        r = 1.0 - 1e-9
-        with mpmath.workdps(30):
-            z = mpmath.mpf(r) * mpmath.expj(mpmath.mpf(dtheta))
-            exact = abs(1 - z * mpmath.mpf(r)) ** 2
-            half = math.sin(0.5 * dtheta)
-            assert abs(_link_modulus_sq(r, r, half * half) / exact - 1) <= 1e-14
+        half = math.sin(0.5 * dtheta)
+        for gap in (1e-9, 1e-12, 1e-15):
+            # |z| = |w| = 1 - gap, passed as the double x = 1 - |z|^2
+            x = gap * (2.0 - gap)
+            with mpmath.workdps(40):
+                r = mpmath.sqrt(1 - mpmath.mpf(x))
+                z = r * mpmath.expj(mpmath.mpf(dtheta))
+                exact = abs(1 - z * r) ** 2
+                assert abs(_link_modulus_sq(x, x, half * half) / exact - 1) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_chunks_start_anywhere_in_the_stream(self, n):
+        # two full chunks of 2^16 samples and a partial one, run last to
+        # first, each from a generator advanced to its start
+        nus, seed, count = [4.0, 6.0, 16.0], 23, 2 * 2**16 + 1001
+        rng = np.random.default_rng(seed)
+        sequential = []
+        for start in range(0, count, 2**16):
+            m = min(2**16, count - start)
+            radial = rng.random((n, m))
+            sequential.append(_chain_weight_sums(nus, radial, rng.random((n, m))))
+        for chunk in reversed(range(3)):
+            sums, sums_sq = _chain_chunk_sums(n, nus, seed, count, chunk)
+            assert sums.tolist() == sequential[chunk][0].tolist()
+            assert sums_sq.tolist() == sequential[chunk][1].tolist()
+
+    def test_estimate_does_not_depend_on_who_maps_the_chunks(self):
+        with ThreadPoolExecutor(3) as pool:
+            pooled = chained_kernel_integral(2, [4.0, 16.0], 5, 200000, map=pool.map)
+        assert pooled == chained_kernel_integral(2, [4.0, 16.0], 5, 200000)
+
+    def test_non_finite_weight_names_its_nu(self):
+        # at nu = 1.0001, 1 - |z|^2 = 0.5^10000 underflows to 0: the points
+        # sit on the circle, and equal angles give a zero link
+        with pytest.raises(FloatingPointError, match="nu = 1.0001$"):
+            _chain_weight_sums([4.0, 1.0001], np.full((2, 3), 0.5), np.zeros((2, 3)))
 
     def test_empty_grids_rejected(self):
         with pytest.raises(ValueError, match="sample_count"):
