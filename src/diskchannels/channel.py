@@ -191,9 +191,9 @@ class _Couplings:
     the last a cumprod along m whose every partial product is an r value.
     The cumprods carry a binary exponent (:func:`specfun.scaled_cumprod`), so
     a row whose ends lie below the double range still reaches its middle.
-    :func:`diagonal_output_spectrum` runs the same recurrence on the same
-    tables, with (mu)_m/m! as a table of its own.  r_m[p] is within
-    (4p + 3.5m + 7k) eps relative of exact (derived at the trace-tail
+    :func:`diagonal_output_spectrum` reads the same tables and runs the
+    recurrence as Horner's rule in m.  r_m[p] is within (4p + 3.5m + 7k)
+    eps relative of exact, one eps more there (derived at the trace-tail
     allowance of ``experiments._row_channel_limit``).
     """
 
@@ -206,7 +206,6 @@ class _Couplings:
         # from wherever r_0[p] itself is below the double range
         self.r0_mant, self.r0_exp = scaled_cumprod(
             pochhammer_steps(p_max, (1.0, nu + k), (s, k + 1.0)), first)
-        self.r0 = from_scaled(self.r0_mant, self.r0_exp)
         t = np.arange(p_max + k + 2.0)
         self.step = t / (nu + t - 1.0)
 
@@ -370,46 +369,114 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
     diagonal of T(A), which depends only on the diagonal of A.
 
     With n = p + k - m and s the target weight, lambda_p(m) = S(m,n)^2 r_m[p]
-    where r_m[p] = C^2 (p!/(s)_p) ((mu)_m/m!) ((nu)_n/n!) obeys a recurrence
-    in the input degree, run on the tables of ``_Couplings``:
+    where r_m[p] = r_0[p] ((mu)_m/m!) prod_{i=1..m} step[p+k+1-i],
+    r_0[p] = C^2 (p!/(s)_p) ((nu)_{p+k}/(p+k)!) and step[t] = t/(nu+t-1),
+    the tables of ``_Couplings``.  The sum over m is Horner's rule in the
+    input degree, from the top degree down:
 
-        r_0[p] = C^2 (p!/(s)_p) ((nu)_{p+k}/(p+k)!),   one cumprod in p,
-        r_m[p] = r_{m-1}[p] ((mu+m-1)/m) (n+1)/(nu+n).
+        acc_m = acc_{m+1} step[p+k-m] + diag[m] ((mu)_m/m!) S(m,n)^2,
+        out = r_0 acc_0,
 
-    A step is one multiply per entry, in place on the slice p >= m - k where
-    lambda_p(m) can be nonzero, with (mu)_m/m! read from its table.  S, the
-    degree-k polynomial of :func:`_derivative_sum`, is summed from the
-    falling factorials (n)_{k-j}, tabulated once.
+    in place on the slice p >= m - k where lambda_p(m) can be nonzero: one
+    multiply per entry per degree, and for a nonzero diag[m] the k + 1 term
+    sum of S (:func:`_derivative_sum`, from falling factorials (n)_{k-j}
+    tabulated once) with its terms scaled by the root of the coefficient,
+    its square and the add or subtract, in one work buffer: five passes at
+    k = 1.  (mu)_m/m! is never formed: acc is kept in units of the top
+    degree's weight (mu)_{m_top}/m_top!, so a degree's coefficient is the
+    running product w of the ratios (m+1)/(mu+m) < 1, carried as a mantissa
+    and a binary exponent.  Where w falls 2^900 below the stored acc, acc is rescaled by
+    an exact power of two, and the final multiply by r_0 (itself a mantissa
+    and exponent) and 1/w_0 adds the binary exponents, so no intermediate
+    product overflows to inf or NaN.  Input degrees whose weights
+    (mu)_m/m! span more than the double range, so that a lower degree's
+    term is not representable beside the acc of the upper ones, are a
+    ValueError.
     """
     diag = np.asarray(diag, dtype=float)
-    k = params.k
-    out = np.zeros(cut + 1)
+    k, mu = params.k, params.mu
+    acc = np.zeros(cut + 1)
     support = np.flatnonzero(diag)
     if support.size == 0:
-        return out
+        return acc
     couplings = _Couplings(params, cut)
-    rho = couplings.r0.copy()  # r_m[p] / ((mu)_m/m!), from m = 0
     step = couplings.step  # every n + 1 that a step reads
     fall_n = [_falling(np.arange(cut + k + 1.0), k - j) for j in range(k)]
     terms = _derivative_terms(params)
+    work = np.empty(cut + 1)
+    part = np.empty(cut + 1) if k > 1 else None  # the terms j = 1..k-1 of S
     m_top = min(int(support[-1]), cut + k)
-    scale = pochhammer_ratios(m_top + 1, (params.mu,), (1.0,))  # (mu)_m/m!
-    for m in range(m_top + 1):
+    # w = ((mu)_m/m!) / ((mu)_{m_top}/m_top!) = w_mant 2**w_exp, and the
+    # true acc, in units of (mu)_{m_top}/m_top!, is the stored one times
+    # 2**acc_exp
+    w_mant, w_exp = 0.5, 1
+    acc_exp = 0
+    for m in range(m_top, -1, -1):
         lo = max(0, m - k)  # lambda_p(m) = 0 for p < m - k
-        if m > 0:
-            rho[lo:] *= step[lo + k - m + 1 : cut + k - m + 2]
+        if m < m_top:
+            acc[lo:] *= step[lo + k - m : cut + k - m + 1]
+            w_mant, e = math.frexp(w_mant * ((m + 1.0) / (mu + m)))
+            w_exp += e
         if diag[m] == 0.0:
             continue
-        n = slice(lo + k - m, cut + k - m + 1)
-        c = [coeff * _falling(m, j) for j, coeff in terms]
-        S = np.full(cut + 1 - lo, c[k])
-        for j in range(k):
-            S += c[j] * fall_n[j][n]
+        if w_exp - acc_exp < -_TERM_BITS:
+            acc_exp = _rescale(acc, acc_exp, w_exp)
+        # S scaled by the root of the coefficient, so that its square is the
+        # term up to the coefficient's sign
+        coef = math.ldexp(diag[m] * w_mant, w_exp - acc_exp)
+        root = math.sqrt(abs(coef))
+        c = [root * coeff * _falling(m, j) for j, coeff in terms]
+        S = work[lo:]
+        if k:
+            n = slice(lo + k - m, cut + k - m + 1)
+            np.multiply(fall_n[0][n], c[0], out=S)
+            for j in range(1, k):
+                S += np.multiply(fall_n[j][n], c[j], out=part[lo:])
+            S += c[k]
+        else:
+            S.fill(c[0])
         S *= S
-        S *= rho[lo:]
-        S *= diag[m] * scale[m]
-        out[lo:] += S
-    return out
+        if coef > 0.0:
+            acc[lo:] += S
+        else:
+            acc[lo:] -= S
+    # out = r_0 acc 2**acc_exp / w_0
+    shift = acc_exp - w_exp
+    if couplings.r0_exp is None and abs(shift) <= 64:
+        # an entry whose product r_0 acc is subnormal is below 2**-957
+        acc *= couplings.r0_mant
+        acc *= math.ldexp(1.0 / w_mant, shift)
+        return acc
+    # the mantissas are multiplied and the binary exponents of acc, r_0 and
+    # w_0 added exactly
+    mant, expo = np.frexp(acc)
+    mant *= couplings.r0_mant
+    mant *= 1.0 / w_mant
+    expo = expo + shift if couplings.r0_exp is None else expo + (couplings.r0_exp + shift)
+    return np.ldexp(mant, expo, out=acc)
+
+
+# A degree's coefficient may fall this many binary places below the stored
+# acc before the acc is rescaled up to it.
+_TERM_BITS = 900
+
+
+def _rescale(acc: np.ndarray, acc_exp: int, w_exp: int) -> int:
+    """Multiply ``acc`` in place by the exact power of two that brings a
+    term of weight 2**w_exp closest to it while its largest entry stays
+    below 2**1000; return acc's new binary exponent."""
+    top = max(float(acc.max()), -float(acc.min()))
+    shift = acc_exp - w_exp
+    if top > 0.0:
+        shift = min(shift, 1000 - math.frexp(top)[1])
+        if w_exp - (acc_exp - shift) < -960:
+            raise ValueError(
+                "the input degrees' weights (mu)_m/m! span more than the "
+                "double range; pass far-apart degrees in separate calls and "
+                "add the outputs"
+            )
+        np.ldexp(acc, shift, out=acc)
+    return acc_exp - shift
 
 
 def response_tail_bound(params: ChannelParams, m: int, cut: int) -> float:

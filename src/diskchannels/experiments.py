@@ -381,17 +381,28 @@ def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
     # - r_0[p]: C^2 (nu)_k/k! as a product of k factors of three (7k), then p
     #   cumprod steps of four roundings, (1+p)(nu+k+p)/((s+p)(k+1+p)) and the
     #   multiply, plus the rounded parameters nu + k and s (4p).
-    # - r_m[p]: m steps of n/(nu + n - 1) and the multiply (2m), and (mu)_m/m!
-    #   from its table (1.5m).  As m < dim, r_m[p] is within
-    #   (4p + 3.5 dim + 7k) eps relative.
+    # - r_m[p]: Horner's rule multiplies degree m's term by the m steps
+    #   n/(nu + n - 1) of the levels below it (2m).  Its weight (mu)_m/m! is
+    #   w_m/w_0, running products of the ratios (m+1)/(mu+m) that carry a
+    #   binary exponent; w_0 continues the product from w_m, so the quotient
+    #   holds only the m factors below m (1.5m), and 1/w_0 is formed and
+    #   multiplied once (1).  As m < dim, r_m[p] is within
+    #   (4p + 3.5 dim + 7k + 1) eps relative.
     # - S: k + 1 terms of alternating sign whose coefficients are short
     #   products, off by gamma T with gamma = (2k + 2) eps, T the sum of the
     #   terms' absolute values.  Near a zero of S that is not relative to
     #   lambda (toeplitz input, nu = 800, m = 63: lambda = 0 at p = 25,262),
     #   but the entry is off by at most 3 gamma r T^2, whose sum over every p
     #   _abs_sum_trace gives exactly.
-    # - the squares and products of an entry (4) and the sums over m < dim and
-    #   p <= cut: (cut + 2 dim + 8) eps trace_factor Tr A.
+    # - an entry's products: the coefficient diag[m] w_m, its square root
+    #   (half the coefficient's rounding plus its own, twice in the square),
+    #   the root times the k + 1 coefficients of S (twice in the square), the
+    #   square and the multiply by r_0: at most 8 roundings (4).  The sums: a
+    #   term is added at each level from its degree down to 0, at most dim
+    #   adds of nonnegative terms, then summed over p <= cut:
+    #   (cut + 2 dim + 8) eps trace_factor Tr A.  With r_m[p] that is 4p per
+    #   entry plus (cut + 5.5 dim + 7k + 9), within the (cut + 6 dim + 7k + 12)
+    #   below.
     total = params.trace_factor * float(np.sum(diag_in))
     allowance = (
         4 * float(out_diag @ np.arange(cut + 1.0))

@@ -241,11 +241,21 @@ def log_berezin_eigenvalue(nu: float, lam: float) -> float:
 
     b_nu(lambda) = |Gamma(i lambda/2 + nu - 1/2)|^2 / (Gamma(nu) Gamma(nu-1)),
     the eigenvalue on e_{lambda,b}.  For integer nu >= 2 the modulus-squared
-    Gamma is evaluated by the exact finite product
-    pi/cosh(pi lambda/2) * prod_{j=1}^{nu-1} ((j-1/2)^2 + lambda^2/4),
-    each factor as hypot(j-1/2, lambda/2)^2 in logs so that no square
-    overflows, keeping library Gamma accuracy out of the result; real nu > 1
-    falls back to complex log-Gamma.  A non-finite lambda is a ValueError.
+    Gamma is the exact finite product
+    pi/cosh(pi lambda/2) * prod_{j=1}^{nu-1} ((j-1/2)^2 + lambda^2/4), and
+    Gamma(nu) Gamma(nu-1) = prod_{j=2}^{nu-1} j(j-1).  With
+    (j-1/2)^2 + lambda^2/4 = j(j-1) + h^2, h = hypot(1/2, lambda/2), the
+    factors pair into
+
+        log b = log(pi sech(pi lambda/2)) + 2 log h
+                + sum_{j=2}^{nu-1} log1p(q_j^2),   q_j = h / sqrt(j(j-1)),
+
+    each term log1p(q^2), or 2 log q + log1p(q^-2) where q > 1 so that no
+    square overflows.  No two large logs cancel, so at any nu log b is off
+    by a few eps times 1 + pi |lambda|/2 absolute (the log sech term sets
+    the scale), with no library Gamma in the result.
+    Real nu > 1 falls back to complex log-Gamma.  A non-finite lambda is a
+    ValueError.
     """
     nu = validate_weight(nu)
     lam = float(lam)
@@ -253,18 +263,22 @@ def log_berezin_eigenvalue(nu: float, lam: float) -> float:
         raise ValueError(f"lambda must be finite, got {lam}")
     if _is_integer_weight(nu) and nu >= 2:
         half = abs(0.5 * lam)
+        h = np.hypot(0.5, half)  # numpy's, like the log below: nu = 2 keeps its bits
         # 2^16 factors per block, the block sums added in order: memory stays
-        # bounded at any nu, and nu <= 2^16 + 1 is one block
-        prod_term = 0.0
-        for lo in range(1, int(nu), _LOG_BLOCK):
-            j = np.arange(lo, min(lo + _LOG_BLOCK, int(nu)))
-            prod_term += float(np.sum(np.log(np.hypot(j - 0.5, half))))
-        prod_term *= 2.0
+        # bounded at any nu, and nu <= 2^16 + 2 is one block
+        pairs = 0.0
+        for lo in range(2, int(nu), _LOG_BLOCK):
+            j = np.arange(lo, min(lo + _LOG_BLOCK, int(nu)), dtype=float)
+            q = h / np.sqrt(j * (j - 1.0))
+            small = np.minimum(q, 1.0 / q)
+            terms = np.log1p(small * small)
+            terms += 2.0 * np.log(np.maximum(q, 1.0))
+            pairs += float(np.sum(terms))
         # log(pi/cosh(pi*half)) evaluated overflow-free
         log_sech = math.log(math.pi) - (
             math.pi * half + math.log1p(math.exp(-2 * math.pi * half)) - math.log(2.0)
         )
-        return log_sech + prod_term - math.lgamma(nu) - math.lgamma(nu - 1)
+        return log_sech + 2.0 * float(np.log(h)) + pairs
     return _log_gamma_form(nu, lam)
 
 

@@ -6,6 +6,7 @@ and never touch the coefficient algebra they are checking.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from diskchannels.channel import (
     sqrt_series_coefficients,
 )
 from diskchannels.specfun import log_channel_constant_sq
+from diskchannels.transforms import radial_poly, toeplitz_diagonal
 
 
 class TestProjectionCoefficients:
@@ -477,7 +479,8 @@ def diagonal_response_reference(params, m, p):
     with np.errstate(divide="ignore"):
         log_S2 = 2.0 * np.log(np.abs(S), where=S != 0, out=np.full_like(S, -np.inf))
     log_c2 = log_channel_constant_sq(params.mu, params.nu, params.k)
-    return np.where(valid, np.exp(log_c2 + log_S2 + log_scale), 0.0)
+    with np.errstate(over="ignore"):  # at the masked n < 0 only
+        return np.where(valid, np.exp(log_c2 + log_S2 + log_scale), 0.0)
 
 
 def response_scale_reference(params, m, p):
@@ -490,7 +493,8 @@ def response_scale_reference(params, m, p):
         - log_norm_sq(params.nu, np.maximum(n, 0))
     )
     log_c2 = log_channel_constant_sq(params.mu, params.nu, params.k)
-    return np.where(n >= 0, np.exp(log_c2 + log_scale), 0.0)
+    with np.errstate(over="ignore"):  # at the masked n < 0 only
+        return np.where(n >= 0, np.exp(log_c2 + log_scale), 0.0)
 
 
 EPS = np.finfo(float).eps
@@ -504,7 +508,7 @@ def kernel_agreement_bound(params, m, p):
 
     The sum of their derived rounding bounds: the log-domain formula is within
     32 eps g_p relative in r_m[p], g_p = (s+p) log(s+p), and the recurrence
-    within (4p + 3.5m + 7k) eps <= 32 eps g_p (derivation at the
+    within (4p + 3.5m + 7k + 1) eps <= 32 eps g_p (derivation at the
     trace-tail allowance in experiments._row_channel_limit); their values of
     S differ only in the order of the k + 1 term sums, by at most 2k eps T.
     """
@@ -553,6 +557,22 @@ def assert_matches_reference(params, p, n, new):
     g = (s + p) * math.log(s + p)
     bound = 32 * EPS * g * np.abs(ref) + (np.sqrt(r) * 2 * params.k * EPS + math.sqrt(TINY)) * T
     assert np.all(np.abs(new - ref) <= np.where(valid, bound, 0.0))
+
+
+def assert_matches_per_m_sum(params, diag, cut):
+    """The output diagonal against the per-entry formula summed over the
+    input degrees, within the rows' kernel_agreement_bound plus the sums:
+    the reference adds the rows in ascending m, the Horner loop adds a row
+    at each level from its degree down to 0, (degree + 1) roundings each."""
+    ps = np.arange(cut + 1)
+    ref = np.zeros(cut + 1)
+    bound = np.zeros(cut + 1)
+    for m in np.flatnonzero(diag).tolist():
+        ref += diag[m] * diagonal_response_reference(params, m, ps)
+        bound += diag[m] * kernel_agreement_bound(params, m, ps)
+    bound += 2 * len(diag) * EPS * ref
+    err = np.abs(diagonal_output_spectrum(params, diag, cut) - ref)
+    assert np.all(err <= bound + TINY)
 
 
 @st.composite
@@ -604,17 +624,63 @@ class TestCouplingKernel:
         params = ChannelParams(mu, nu, k)
         rng = np.random.default_rng(seed)
         diag = rng.random(degree + 1) * (rng.random(degree + 1) < 0.7)
+        assert_matches_per_m_sum(params, diag, cut)
+
+    def test_output_spectrum_in_the_benchmark_regime(self):
+        # the channel-limit row of the degree-64 toeplitz state (f = |z|^4,
+        # mu = 2, k = 1) at nu = 800 and its auto cut 64 nu
+        diag = toeplitz_diagonal(radial_poly([0.0, 0.0, 1.0]), 2.0, 64)
+        assert_matches_per_m_sum(ChannelParams(2, 800.0, 1), diag / np.sum(diag), 64 * 800)
+
+    @pytest.mark.parametrize("m,cut", [(399, 10**5), (1500, 10**4)])
+    def test_output_spectrum_past_the_range_of_the_degree_weight(self, m, cut):
+        # (mu)_m/m! passes the double range at m = 308 for mu = 1000, and
+        # r_0[p] underflows long before the cut; the Horner weights and r_0
+        # carry binary exponents, so the unit input's output stays finite
+        params = ChannelParams(1000, 5, 1)
+        unit = np.zeros(m + 1)
+        unit[m] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = diagonal_output_spectrum(params, unit, cut)
+        assert np.all(np.isfinite(got))
         ps = np.arange(cut + 1)
-        ref = np.zeros(cut + 1)
-        bound = np.zeros(cut + 1)
-        for m in range(degree + 1):
-            if diag[m] != 0.0:
-                ref += diag[m] * diagonal_response_reference(params, m, ps)
-                bound += diag[m] * kernel_agreement_bound(params, m, ps)
-        # both add the rows in ascending m: (degree + 1) roundings each
-        bound += 2 * (degree + 1) * EPS * ref
-        err = np.abs(diagonal_output_spectrum(params, diag, cut) - ref)
-        assert np.all(err <= bound + TINY)
+        err = np.abs(got - diagonal_response_reference(params, m, ps))
+        assert np.all(err <= kernel_agreement_bound(params, m, ps) + TINY)
+
+    def test_output_spectrum_rescales_between_far_apart_degrees(self):
+        # w_0 = 0!/(1000)_0 over 300!/(1000)_300 is about 2^-1012: the
+        # accumulator is rescaled by a power of two before degree 0 is added
+        diag = np.zeros(301)
+        diag[[0, 300]] = 1.0
+        assert_matches_per_m_sum(ChannelParams(1000, 5, 1), diag, 10**4)
+
+    def test_output_spectrum_beyond_the_double_range_is_an_error(self):
+        # (1000)_1500/1500! is about 2^2400: no one binary scale holds the
+        # accumulator of degree 1500 and the term of degree 0
+        diag = np.zeros(1501)
+        diag[[0, 1500]] = 1.0
+        with pytest.raises(ValueError, match="span more than the double range"):
+            diagonal_output_spectrum(ChannelParams(1000, 5, 1), diag, 10**4)
+
+    def test_output_spectrum_memory_is_its_buffers_and_tables(self):
+        # arrays of cut + k + 2 or fewer entries, k = 1: the loop holds acc,
+        # r_0 (in range here, so without an exponent table), the step table,
+        # one falling-factorial table and the work buffer, 5 in all and
+        # nothing per degree; the most at any moment is while the falling
+        # table is built, after acc, r_0 and the step table: its arange and
+        # two products, 6 in all (building r_0 or the step table takes at
+        # most 5 with acc)
+        cut = 400_000
+        params = ChannelParams(2, 800.0, 1)
+        diag = toeplitz_diagonal(radial_poly([0.0, 0.0, 1.0]), 2.0, 64)
+        tracemalloc.start()
+        try:
+            diagonal_output_spectrum(params, diag, cut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * (cut + params.k + 2) + 2**16
 
     @pytest.mark.parametrize(
         "mu,nu,k,diag",

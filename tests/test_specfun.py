@@ -242,11 +242,26 @@ class TestBerezinEigenvalue:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
-        # both routes subtract log Gamma(nu) + log Gamma(nu - 1) ~ 3e8 from a
-        # sum of that size, so each is off by a few units in the last place
-        # of 3e8 (~1e-7 in log b), not by 1e-12 relative as at small nu
+        # the log-Gamma route subtracts log Gamma(nu) + log Gamma(nu - 1)
+        # ~ 3e8 from a sum of that size, so it is off by a few units in the
+        # last place of 3e8 (~1e-7 in log b), not by 1e-12 relative as at
+        # small nu; the product route pairs its factors before the logs
+        # (test_large_weight_against_mpmath)
         scale = math.lgamma(nu) + math.lgamma(nu - 1)
         assert abs(value - _log_gamma_form(nu, lam)) <= 8 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("nu", [10**5, 10**7])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0, 40.0])
+    def test_large_weight_against_mpmath(self, nu, lam):
+        # each factor (j - 1/2)^2 + lambda^2/4 = j(j-1) + h^2 is paired with
+        # the j(j-1) of Gamma(nu) Gamma(nu-1) before the logs, so no two
+        # large logs cancel: log b keeps a few eps absolute, plus eps per
+        # unit of the log sech term pi lambda/2 that the sum cancels
+        with mp.workdps(40):
+            exact = 2 * mp.re(mp.loggamma(mp.mpc(nu - 0.5, mp.mpf(lam) / 2))) - mp.loggamma(
+                nu) - mp.loggamma(nu - 1)
+            err = abs(log_berezin_eigenvalue(nu, lam) - exact)
+        assert err <= 4 * np.finfo(float).eps * (1.0 + math.pi * lam / 2)
 
     @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
     def test_non_finite_lambda_is_an_error(self, lam):
