@@ -1,8 +1,10 @@
 """Command-line experiment runner.
 
-One subcommand per experiment; the configuration file selects everything
-else.  Exit codes: 0 success, 1 configuration error, 2 when any per-row
-tolerance assertion fails (the report is still written).
+One flat parser: a positional argument names the experiment, which must
+match the configuration file's ``experiment`` key, and the file selects
+everything else; options may come before or after the name.  Exit codes:
+0 success, 1 configuration error, 2 when any per-row tolerance assertion
+fails (the report is still written) or the command line is malformed.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="diskchannels",
         description="Equivariant-channel experiments on weighted Bergman spaces",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} sweep")
-        p.add_argument("--config", required=True, help="flat key = value config file")
-        p.add_argument("--out", default=None, help="report output path")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="the sweep to run")
+    parser.add_argument("--config", required=True, help="flat key = value config file")
+    parser.add_argument("--out", default=None, help="report output path")
+    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
         if config.experiment != args.experiment:
             raise ConfigError(
                 f"experiment: config says {config.experiment!r}, "
-                f"subcommand is {args.experiment!r}"
+                f"command line says {args.experiment!r}"
             )
         if args.threads is not None:
             config.threads = args.threads

@@ -229,10 +229,6 @@ def channel_constant_sq(mu: float, nu: float, k: int) -> float:
     return float(math.prod((mu + i) * (nu + i) / ((i + 1.0) * (top + i)) for i in range(k)))
 
 
-def _is_integer_weight(nu: float) -> bool:
-    return float(nu) == math.floor(nu)
-
-
 _LOG_BLOCK = 1 << 16
 
 
@@ -240,46 +236,49 @@ def log_berezin_eigenvalue(nu: float, lam: float) -> float:
     """log b_nu(lambda) for the normalized Berezin transform (nu-1)B_nu.
 
     b_nu(lambda) = |Gamma(i lambda/2 + nu - 1/2)|^2 / (Gamma(nu) Gamma(nu-1)),
-    the eigenvalue on e_{lambda,b}.  For integer nu >= 2 the modulus-squared
-    Gamma is the exact finite product
-    pi/cosh(pi lambda/2) * prod_{j=1}^{nu-1} ((j-1/2)^2 + lambda^2/4), and
-    Gamma(nu) Gamma(nu-1) = prod_{j=2}^{nu-1} j(j-1).  With
-    (j-1/2)^2 + lambda^2/4 = j(j-1) + h^2, h = hypot(1/2, lambda/2), the
-    factors pair into
+    the eigenvalue on e_{lambda,b}.  One step in the weight multiplies it by
+    ((x-1/2)^2 + lambda^2/4)/(x(x-1)) = 1 + h^2/(x(x-1)) at x = nu,
+    h = hypot(1/2, lambda/2).  So from the base weight f = nu - N in (1, 2],
+    N = ceil(nu) - 2,
 
-        log b = log(pi sech(pi lambda/2)) + 2 log h
-                + sum_{j=2}^{nu-1} log1p(q_j^2),   q_j = h / sqrt(j(j-1)),
+        log b_nu = log b_f + sum_{j<N} log1p(q_j^2),   q_j = h / sqrt(x_j(x_j-1)),
 
-    each term log1p(q^2), or 2 log q + log1p(q^-2) where q > 1 so that no
-    square overflows.  No two large logs cancel, so at any nu log b is off
-    by a few eps times 1 + pi |lambda|/2 absolute (the log sech term sets
-    the scale), with no library Gamma in the result.
-    Real nu > 1 falls back to complex log-Gamma.  A non-finite lambda is a
-    ValueError.
+    with x_j = f + j, each term log1p(q^2), or 2 log q + log1p(q^-2) where
+    q > 1 so that no square overflows.  At f = 2 (every integer nu) the base
+    is exact, log b_2 = log(pi sech(pi lambda/2)) + 2 log h; otherwise it is
+    the complex log-Gamma form at f, whose arguments are small.  No two large
+    logs cancel at any nu: at integer nu log b is off by a few eps times
+    1 + pi |lambda|/2 absolute (the log sech term sets the scale), and at
+    other nu by the log-Gamma base's error on top, under 1e-14 absolute for
+    |lambda| <= 2.  A non-finite lambda is a ValueError.
     """
     nu = validate_weight(nu)
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
-    if _is_integer_weight(nu) and nu >= 2:
-        half = abs(0.5 * lam)
-        h = np.hypot(0.5, half)  # numpy's, like the log below: nu = 2 keeps its bits
-        # 2^16 factors per block, the block sums added in order: memory stays
-        # bounded at any nu, and nu <= 2^16 + 2 is one block
-        pairs = 0.0
-        for lo in range(2, int(nu), _LOG_BLOCK):
-            j = np.arange(lo, min(lo + _LOG_BLOCK, int(nu)), dtype=float)
-            q = h / np.sqrt(j * (j - 1.0))
-            small = np.minimum(q, 1.0 / q)
-            terms = np.log1p(small * small)
-            terms += 2.0 * np.log(np.maximum(q, 1.0))
-            pairs += float(np.sum(terms))
+    steps = math.ceil(nu) - 2  # >= 0, since nu > 1
+    base_weight = nu - steps
+    half = abs(0.5 * lam)
+    h = np.hypot(0.5, half)  # numpy's, like the log below: nu = 2 keeps its bits
+    if base_weight == 2.0:
         # log(pi/cosh(pi*half)) evaluated overflow-free
         log_sech = math.log(math.pi) - (
             math.pi * half + math.log1p(math.exp(-2 * math.pi * half)) - math.log(2.0)
         )
-        return log_sech + 2.0 * float(np.log(h)) + pairs
-    return _log_gamma_form(nu, lam)
+        log_base = log_sech + 2.0 * float(np.log(h))
+    else:
+        log_base = _log_gamma_form(base_weight, lam)
+    # 2^16 factors per block, the block sums added in order: memory stays
+    # bounded at any nu, and nu <= 2^16 + 2 is one block
+    pairs = 0.0
+    for lo in range(0, steps, _LOG_BLOCK):
+        x = base_weight + np.arange(lo, min(lo + _LOG_BLOCK, steps), dtype=float)
+        q = h / np.sqrt(x * (x - 1.0))
+        small = np.minimum(q, 1.0 / q)
+        terms = np.log1p(small * small)
+        terms += 2.0 * np.log(np.maximum(q, 1.0))
+        pairs += float(np.sum(terms))
+    return log_base + pairs
 
 
 def _log_gamma_form(nu: float, lam: float) -> float:

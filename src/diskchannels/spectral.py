@@ -38,6 +38,11 @@ def _validate_boundary(b: complex) -> complex:
     return b
 
 
+def _poisson_base(z, b: complex):
+    """(1-|z|^2)/|z-b|^2, the real positive base of e_{lambda,b}(z)."""
+    return (1.0 - np.abs(z) ** 2) / np.abs(z - b) ** 2
+
+
 def eigenfunction(lam, b: complex, z):
     """e_{lambda,b}(z) = ((1-|z|^2)/|z-b|^2)^{(-i lambda + 1)/2}.
 
@@ -46,8 +51,7 @@ def eigenfunction(lam, b: complex, z):
     """
     b = _validate_boundary(b)
     z = np.asarray(z, dtype=complex)
-    base = (1.0 - np.abs(z) ** 2) / np.abs(z - b) ** 2
-    out = np.exp(0.5 * (1.0 - 1j * lam) * np.log(base))
+    out = np.exp(0.5 * (1.0 - 1j * lam) * np.log(_poisson_base(z, b)))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -66,8 +70,7 @@ def spherical_function(
     while count <= max_nodes:
         theta = 2.0 * np.pi * (np.arange(count) + 0.5) / count
         b = np.exp(1j * theta)
-        base = (1.0 - np.abs(z[..., None]) ** 2) / np.abs(z[..., None] - b) ** 2
-        e = np.exp(0.5 * (1.0 - 1j * lam) * np.log(base))
+        e = np.exp(0.5 * (1.0 - 1j * lam) * np.log(_poisson_base(z[..., None], b)))
         cur = np.mean(e * b**n, axis=-1)
         if prev is not None and np.all(np.abs(cur - prev) < tol):
             return complex(cur) if cur.ndim == 0 else cur
@@ -119,9 +122,13 @@ def eigen_relation_residual(
     B_nu f(z0) = int_0^1 (1-u)^{nu-2} mean_theta f(phi(sqrt(u) e^{i theta})) du.
     That is Gauss-Jacobi in u (alpha = nu - 2) on ``radial_count`` nodes
     times the graded angular rule on ``angular_count`` nodes, clustered at
-    arg phi^{-1}(b), with e_{lambda,b} evaluated at phi(w); the reference
-    eigenvalue comes from the closed-form product.  A sample off the open disk
-    raises ValueError, and a non-finite residual FloatingPointError.
+    arg phi^{-1}(b).  The base P = (1-|phi(w)|^2)/|phi(w) - b|^2 of
+    e_{lambda,b}(phi(w)) = P^{1/2} e^{-i (lambda/2) log P} is real and
+    positive, so log P and P^{1/2} are formed once per grid, and each lambda
+    integrates P^{1/2} cos and P^{1/2} sin of its phase in real arithmetic
+    (lambda = 0 needs neither); the reference eigenvalue comes from
+    :func:`berezin_eigenvalue`.  A sample off the open disk raises
+    ValueError, and a non-finite residual FloatingPointError.
     """
     nus, scalar = _weight_batch(nu)
     _require_counts(radial_count=radial_count, angular_count=angular_count)
@@ -145,12 +152,18 @@ def eigen_relation_residual(
             theta, angular = _graded_angles(
                 angular_count, float(np.angle((b - z0) / (1.0 - np.conj(z0) * b))))
             w = radius * np.exp(1j * theta)
-            # one e_{lambda,b} grid per lambda, at phi(w)
-            on_grid = eigenfunction(lam_values[:, None, None], b,
-                                    (w + z0) / (1.0 + np.conj(z0) * w))
+            base = _poisson_base((w + z0) / (1.0 + np.conj(z0) * w), b)
+            log_base = np.log(base)
+            root = np.sqrt(base)
             at_z0 = eigenfunction(lam_values, b, z0)
-            for values, e0, target in zip(on_grid, at_z0, targets):
-                gap = abs(radial @ values @ angular / e0 - target)
+            for lam_j, e0, target in zip(lams, at_z0, targets):
+                if lam_j == 0.0:
+                    integral = complex(radial @ root @ angular)
+                else:
+                    phase = (-0.5 * lam_j) * log_base
+                    integral = complex(radial @ (root * np.cos(phase)) @ angular,
+                                       radial @ (root * np.sin(phase)) @ angular)
+                gap = abs(integral / e0 - target)
                 if not math.isfinite(gap):
                     raise FloatingPointError(
                         f"eigen-relation residual is not finite at nu = {nu_k:g}, "

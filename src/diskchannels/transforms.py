@@ -116,6 +116,15 @@ def _check_decay(f: DiskFunction, nu: float):
         )
 
 
+def _column_form(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_{m,n} left[m, z] matrix[m, n] right[n, z] for every column z.
+
+    One matrix product (a single GEMM) and a column-wise dot, instead of a
+    three-operand contraction that no BLAS call serves.
+    """
+    return np.einsum("mz,mz->z", left, matrix @ right)
+
+
 def covariant_symbol(A: TruncatedOperator, z):
     """R_nu(A)(z) = A(z,z)(1-|z|^2)^nu, the bounded diagonal symbol.
 
@@ -125,7 +134,7 @@ def covariant_symbol(A: TruncatedOperator, z):
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     e = bergman.scaled_basis_values(A.weight, z, A.degree)  # includes (1-u)^{nu/2}
-    out = np.einsum("mz,mn,nz->z", e, A.matrix, np.conj(e))
+    out = _column_form(e, A.matrix, np.conj(e))
     if A.hermitian:
         out = np.real(out)
     return complex(out[0]) if out.size == 1 else out
@@ -254,7 +263,9 @@ def husimi_grid(A: TruncatedOperator, index: int, ws) -> np.ndarray:
     Each point w is carried by the coefficient arrays of its canonical
     transporter.  Points are processed in chunks so the transported-vector
     workspace stays bounded even for quadrature-sized grids against large
-    operators.
+    operators.  With v the transported vectors (one column per point), a
+    diagonal operator gives diag @ |v|^2; any other gives
+    sum_m conj(v)[m] (A v)[m] per column, one GEMM and a column dot.
     """
     if not A.hermitian:
         raise ValueError("Husimi values are defined for Hermitian operators")
@@ -269,9 +280,7 @@ def husimi_grid(A: TruncatedOperator, index: int, ws) -> np.ndarray:
         if is_diag:
             out[i0 : i0 + chunk] = diag @ (np.abs(vecs) ** 2)
         else:
-            out[i0 : i0 + chunk] = np.real(
-                np.einsum("mz,mn,nz->z", np.conj(vecs), A.matrix, vecs)
-            )
+            out[i0 : i0 + chunk] = np.real(_column_form(np.conj(vecs), A.matrix, vecs))
     return out
 
 

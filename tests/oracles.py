@@ -11,8 +11,14 @@ import mpmath as mp
 import numpy as np
 from scipy.special import gammaln, roots_jacobi, roots_legendre
 
-from diskchannels.bergman import TruncatedOperator
-from diskchannels.specfun import channel_constant_sq
+from diskchannels.bergman import (
+    TruncatedOperator,
+    scaled_basis_values,
+    transported_basis_vectors,
+)
+from diskchannels.disk import gauss_jacobi, transporter_coefficients
+from diskchannels.specfun import berezin_eigenvalue, channel_constant_sq
+from diskchannels.spectral import _graded_angles, eigenfunction
 
 
 def lpoch(a, n):
@@ -221,3 +227,52 @@ def random_psd(mu, dim, rank, seed, unit_trace=True):
 
 def lowest_state(mu):
     return TruncatedOperator(mu, np.array([[1.0 + 0j]]), hermitian=True)
+
+
+def column_form_oracle(left, matrix, right):
+    """(sum_{m,n} left[m,z] matrix[m,n] right[n,z], the same sum of moduli)
+    per column z, by one three-operand contraction with no matrix product."""
+    value = np.einsum("mz,mn,nz->z", left, matrix, right)
+    scale = np.einsum("mz,mn,nz->z", np.abs(left), np.abs(matrix), np.abs(right))
+    return value, scale
+
+
+def husimi_grid_oracle(A, index, ws):
+    """(Husimi values, rounding scale) at the points ws: the form
+    conj(v)^T A v of the transported vectors v by :func:`column_form_oracle`."""
+    ws = np.asarray(ws, dtype=complex)
+    vecs, _ = transported_basis_vectors(
+        A.weight, transporter_coefficients(ws), index, A.degree)
+    value, scale = column_form_oracle(np.conj(vecs), A.matrix, vecs)
+    return np.real(value), scale
+
+
+def covariant_symbol_oracle(A, z):
+    """(covariant symbol, rounding scale) at the points z: e^T A conj(e) of
+    the scaled basis values e by :func:`column_form_oracle`."""
+    e = scaled_basis_values(A.weight, np.asarray(z, dtype=complex), A.degree)
+    return column_form_oracle(e, A.matrix, np.conj(e))
+
+
+def eigen_residual_oracle(nu, lam, samples, radial_count, angular_count, boundary=1.0):
+    """(max over samples of |(nu-1) B_nu(e)(z0)/e(z0) - b_nu(lambda)|, rounding
+    scale) on the grid of ``eigen_relation_residual``, with every value of
+    e_{lambda,b}(phi(w)) taken as one complex exp of (1 - i lambda)/2 log P.
+    The scale is the largest over samples of sum |weight| |e| (1 + |log P|)/|e(z0)|."""
+    b = complex(boundary)
+    u, _, log_weight = gauss_jacobi(radial_count, nu - 2.0)
+    radial = (nu - 1.0) * np.exp(log_weight)
+    target = berezin_eigenvalue(nu, lam)
+    residual = scale = 0.0
+    for z0 in np.asarray(samples, dtype=complex).ravel():
+        theta, angular = _graded_angles(
+            angular_count, float(np.angle((b - z0) / (1.0 - np.conj(z0) * b))))
+        w = np.sqrt(u)[:, None] * np.exp(1j * theta)
+        z = (w + z0) / (1.0 + np.conj(z0) * w)
+        log_base = np.log((1.0 - np.abs(z) ** 2) / np.abs(z - b) ** 2)
+        values = np.exp(0.5 * (1.0 - 1j * lam) * log_base)
+        e0 = eigenfunction(lam, b, z0)
+        residual = max(residual, abs(radial @ values @ angular / e0 - target))
+        moduli = np.abs(values) * (1.0 + np.abs(log_base))
+        scale = max(scale, float(radial @ moduli @ angular) / abs(e0))
+    return residual, scale

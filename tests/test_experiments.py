@@ -23,6 +23,7 @@ from diskchannels.channel import (
 from diskchannels.cli import main as cli_main
 from diskchannels.disk import build_quadrature
 from diskchannels.experiments import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentReport,
     ReportRow,
@@ -696,6 +697,40 @@ class TestCli:
     def test_subcommand_mismatch(self, tmp_path):
         cfg = self._write(tmp_path, "experiment = constants\nnu_list = 2,3\n")
         assert cli_main(["kernel-chain", "--config", cfg]) == 1
+
+    def test_unknown_experiment_exits_2_naming_every_experiment(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "experiment = constants\nnu_list = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bogus", "--config", cfg])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert all(repr(name) in err for name in EXPERIMENTS)
+
+    def test_missing_config_option_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["constants"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_help_lists_every_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(EXPERIMENTS) + "}" in out
+        for option in ("--config", "--out", "--format", "--threads", "--seed"):
+            assert option in out
+
+    def test_options_before_experiment(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "experiment = constants\nnu_list = 2,3\ntiming = off\n")
+        out = str(tmp_path / "report.json")
+        code = cli_main(["--format", "json", "--out", out, "--seed", "3", "--threads", "1",
+                         "--config", cfg, "constants"])
+        assert code == 0
+        report = json.loads(Path(out).read_text())
+        assert report["config"]["seed"] == 3
+        assert [row["nu"] for row in report["rows"]] == [2, 3]
 
     def test_missing_config_file(self, tmp_path):
         assert cli_main(["constants", "--config", str(tmp_path / "nope.txt")]) == 1

@@ -263,13 +263,25 @@ class TestBerezinEigenvalue:
             err = abs(log_berezin_eigenvalue(nu, lam) - exact)
         assert err <= 4 * np.finfo(float).eps * (1.0 + math.pi * lam / 2)
 
+    @pytest.mark.parametrize("nu", [2.5, 7.3, 800.5, 10**5 + 0.25, 10**7 + 0.5])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+    def test_non_integer_weight_against_mpmath(self, nu, lam):
+        # the log-Gamma form runs only at the base weight f = nu - N in (1, 2],
+        # N = ceil(nu) - 2, whose logs are O(1); the N steps to nu are the
+        # paired factors of the integer route, so no large logs cancel
+        with mp.workdps(40):
+            exact = 2 * mp.re(mp.loggamma(mp.mpc(nu - 0.5, mp.mpf(lam) / 2))) - mp.loggamma(
+                nu) - mp.loggamma(nu - 1)
+            err = abs(log_berezin_eigenvalue(nu, lam) - exact)
+        assert err <= 1e-14
+
     @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
     def test_non_finite_lambda_is_an_error(self, lam):
         with pytest.raises(ValueError, match="lambda must be finite"):
             berezin_eigenvalue(4, lam)
 
     def test_real_weight_route(self):
-        # non-integer weights go through complex log-Gamma
+        # non-integer weights start from complex log-Gamma at a weight in (1, 2)
         assert berezin_eigenvalue(2.5, 1.0) == pytest.approx(
             eigenvalue_oracle(2.5, 1.0), rel=1e-12
         )

@@ -10,6 +10,7 @@ from oracles import (
     chain2_complex_quadrature_oracle,
     chain2_series_oracle,
     chain_estimate_oracle,
+    eigen_residual_oracle,
 )
 
 from diskchannels.disk import gauss_jacobi
@@ -104,6 +105,21 @@ class TestEigenRelation:
             lams = (0.0, 1.0, 2.0)
             each = [eigen_relation_residual(nu, lam, samples, 40, 64) for lam in lams]
             assert eigen_relation_residual(nu, lams, samples, 40, 64) == max(each)
+
+    @pytest.mark.parametrize("nu", [2, 4, 800])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+    def test_matches_complex_exp_integrand(self, nu, lam):
+        # the oracle takes e_{lambda,b} as one complex exp; per node the two
+        # differ by the exp(log(P)/2) and phase roundings, under
+        # (|log P| (1 + lambda)/2 + 7) eps relative, and each side's sums
+        # over R radial then A angular nodes add (R + A + 2) eps of the sum
+        # of moduli; division and subtraction add a few eps of |B e/e(z0)|
+        radial_count, angular_count = 400, 512
+        samples = [0.0, 0.3, 0.45j, -0.2 + 0.3j]
+        expect, scale = eigen_residual_oracle(nu, lam, samples, radial_count, angular_count)
+        bound = (2 * (radial_count + angular_count) + 16) * np.finfo(float).eps * scale
+        got = eigen_relation_residual(nu, lam, samples, radial_count, angular_count)
+        assert abs(got - expect) <= bound
 
     @pytest.mark.parametrize("nu", [800, 1000])
     def test_large_weight_residual_keeps_every_sample(self, nu):

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import covariant_symbol_oracle, husimi_grid_oracle
 
 from diskchannels.bergman import TruncatedOperator, transported_basis_vectors
 from diskchannels.disk import GroupElement, build_quadrature, mobius, transporter
@@ -39,6 +40,20 @@ def lowest_state(mu):
     return TruncatedOperator(mu, np.array([[1.0 + 0j]]), hermitian=True)
 
 
+def disk_points(count, seed, radius=0.995):
+    rng = np.random.default_rng(seed)
+    return radius * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+
+
+def column_form_bound(dim):
+    """Rounding bound, in units of eps times the sum of moduli, between two
+    evaluations of sum_{m,n} l_m A_mn r_n: the oracle's one accumulator of
+    dim^2 terms (dim^2 - 1 adds), the library's two length-dim sums
+    (2 (dim - 1) adds), and each side's two complex products (2 sqrt(2)
+    gamma_2 apiece, under 6 eps for both)."""
+    return (dim * dim + 2 * dim + 12) * np.finfo(float).eps
+
+
 class TestCovariantSymbol:
     def test_lowest_projector(self):
         A = lowest_state(3)
@@ -69,6 +84,17 @@ class TestCovariantSymbol:
         rng = np.random.default_rng(4)
         zs = 0.97 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
         assert np.max(np.abs(covariant_symbol(A, zs))) <= norm + 1e-12
+
+    def test_non_hermitian_matches_three_operand_form(self):
+        rng = np.random.default_rng(12)
+        dim = 24
+        A = TruncatedOperator(
+            3.0, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        zs = disk_points(1200, seed=13)
+        expect, scale = covariant_symbol_oracle(A, zs)
+        vals = covariant_symbol(A, zs)
+        assert np.iscomplexobj(vals) and np.any(np.abs(vals.imag) > 1e-3)
+        assert np.all(np.abs(vals - expect) <= column_form_bound(dim) * scale)
 
 
 class TestToeplitz:
@@ -245,6 +271,16 @@ class TestHusimi:
         ws = 0.95 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
         vals = husimi_grid(A, 1, ws)
         assert np.all(vals >= -1e-14) and np.all(vals <= norm + 1e-12)
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    def test_non_diagonal_grid_matches_three_operand_form(self, index):
+        # a rank-3 state of degree 23, as the dense sweep's, on 1200 points
+        A = random_psd(2, 24, 3, seed=14)
+        assert not A.is_diagonal
+        ws = disk_points(1200, seed=15)
+        expect, scale = husimi_grid_oracle(A, index, ws)
+        vals = husimi_grid(A, index, ws)
+        assert np.all(np.abs(vals - expect) <= column_form_bound(A.degree + 1) * scale)
 
 
 class TestETransform:
