@@ -8,6 +8,7 @@ multipliers, and Monte Carlo estimation of the chained-kernel integrals.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from functools import partial
 
@@ -206,7 +207,7 @@ def inverse_multiplier_bound(nu: int, nu0: int) -> float:
     )
 
 
-def _link_modulus_sq(x, y, half_sq, out=None):
+def _link_modulus_sq(x, y, half_sq, out=None, scratch=None):
     """|1 - z conj(w)|^2 for 1 - |z|^2 = x, 1 - |w|^2 = y and
     half_sq = sin^2((arg z - arg w)/2).
 
@@ -215,17 +216,25 @@ def _link_modulus_sq(x, y, half_sq, out=None):
     complex arithmetic.  With |z||w| = sqrt((1 - x)(1 - y)), the gap
     1 - |z||w| is formed as (1 - |z|^2 |w|^2)/(1 + |z||w|) =
     (x + y (1 - x))/(1 + |z||w|), which subtracts no nearly equal numbers.
-    With x, y broadcasting to (P, 1) and half_sq of shape (M,), only the last
-    product and sum run on (P, M).  ``out``, of the shape of x and y, takes
-    the gap and then the result in place.
+    With x, y broadcasting to (P, 1) and half_sq of shape (M,), only the
+    angular term and the last sum run on (P, M).  ``out``, of the result's
+    shape, takes the angular term and then the result; ``scratch``, a pair
+    of arrays of the shape of x and y broadcast together, takes 1 - x, then
+    the gap, and |z||w|, then 1 + |z||w|.  Either may be None, which
+    allocates; the buffers change no bit of the result.
     """
-    rest = 1.0 - x
-    rs = np.sqrt(rest * (1.0 - y))
-    gap = np.multiply(y, rest, out=out)
+    s, t = (None, None) if scratch is None else scratch
+    rest = np.subtract(1.0, x, out=s)
+    rs = np.multiply(np.subtract(1.0, y, out=t), rest, out=t)
+    rs = np.sqrt(rs, out=t)
+    term = np.multiply(half_sq, 4.0, out=out)
+    term = np.multiply(term, rs, out=out)
+    gap = np.multiply(y, rest, out=s)
     gap += x
-    gap /= 1.0 + rs
+    gap /= np.add(rs, 1.0, out=t)
     gap *= gap
-    return np.add(gap, rs * (4.0 * half_sq), out=out)
+    term += gap
+    return term
 
 
 def _require_counts(**counts: int) -> None:
@@ -239,6 +248,40 @@ _CHUNK = 1 << 16
 _BLOCK = 1 << 13
 
 
+class _ChainWorkspace:
+    """The buffers of one thread's chunks of chains of ``n`` points at
+    ``count`` weights.
+
+    ``radial`` and ``angular`` take a chunk's draws, which its pass
+    overwrites with log(1 - U) and the sin^2 factors; ``x``, ``w``, ``link``
+    and ``scratch`` take a block's 1 - |z|^2, chain weights, links and link
+    intermediates.  A draw array or a link is a view of a flat buffer's
+    prefix, so it is C-contiguous whatever its width, as a fresh array is.
+    """
+
+    def __init__(self, n: int, count: int):
+        self.key = (n, count)
+        self.radial = np.empty(n * _CHUNK)
+        self.angular = np.empty(n * _CHUNK)
+        self.x = np.empty((n, count, _BLOCK))
+        self.w = np.empty((count, _BLOCK))
+        self.link = np.empty(count * _BLOCK)
+        self.scratch = (np.empty((count, _BLOCK)), np.empty((count, _BLOCK)))
+
+
+# one chain workspace per thread: a pool's are freed when its threads end
+_thread_state = threading.local()
+
+
+def _workspace(n: int, count: int) -> _ChainWorkspace:
+    """This thread's workspace for chains of n points at ``count`` weights,
+    built on first use and rebuilt when (n, count) changes."""
+    space = getattr(_thread_state, "chain", None)
+    if space is None or space.key != (n, count):
+        space = _thread_state.chain = _ChainWorkspace(n, count)
+    return space
+
+
 def _chain_chunk_sums(
     n: int, nus: Sequence[float], sampler_seed: int, sample_count: int, chunk: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -249,13 +292,18 @@ def _chain_chunk_sums(
     n m uniforms for the radii, then n m for the angles.  Each double takes
     one 64-bit output of PCG64, so a fresh generator advanced by
     2 n 2^16 chunk outputs starts at this chunk and reads exactly the draws a
-    sequential pass gives it.
+    sequential pass gives it.  The draws and every array of the pass live in
+    the calling thread's workspace, sized by (n, number of weights) and
+    built on its first chunk: a warm chunk allocates no array larger than
+    one per weight.
     """
     m = min(_CHUNK, sample_count - chunk * _CHUNK)
     rng = np.random.default_rng(sampler_seed)
     rng.bit_generator.advance(2 * n * _CHUNK * chunk)
-    radial = rng.random((n, m))
-    return _chain_weight_sums(nus, radial, rng.random((n, m)))
+    space = _workspace(n, len(nus))
+    radial = rng.random(out=space.radial[:n * m].reshape(n, m))
+    angular = rng.random(out=space.angular[:n * m].reshape(n, m))
+    return _chain_sums_in_place(nus, radial, angular, space)
 
 
 def _chain_weight_sums(
@@ -267,16 +315,31 @@ def _chain_weight_sums(
     A uniform U gives 1 - |z|^2 = (1 - U)^{1/(nu-1)} = exp(log(1 - U)/(nu - 1))
     and the angle 2 pi U.  log(1 - U) and the sin^2 factors are formed once;
     every weight is then evaluated together on (weights x 2^13) blocks.  A
-    non-finite sum raises FloatingPointError naming its nu.
+    non-finite sum raises FloatingPointError naming its nu.  The uniforms
+    are copied, never written.
     """
+    radial = np.array(radial, dtype=float)
+    return _chain_sums_in_place(nus, radial, np.array(angular, dtype=float),
+                                _workspace(len(radial), len(nus)))
+
+
+def _chain_sums_in_place(
+    nus: Sequence[float], radial: np.ndarray, angular: np.ndarray,
+    space: _ChainWorkspace,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_chain_weight_sums` on C-contiguous uniforms, which it
+    overwrites: ``radial`` with log(1 - U), the first n - 1 rows of
+    ``angular`` with the sin^2 factors; blocks run in ``space``."""
     n, m = radial.shape
-    log_tail = np.log(1.0 - radial)
-    half = np.sin(np.pi * (angular[:-1] - angular[1:]))
-    half_sq = half * half
+    log_tail = np.log(np.subtract(1.0, radial, out=radial), out=radial)
+    for i in range(n - 1):
+        np.subtract(angular[i], angular[i + 1], out=angular[i])
+    half_sq = angular[:-1]
+    half_sq *= np.pi
+    np.sin(half_sq, out=half_sq)
+    half_sq *= half_sq
     weights = np.asarray(nus)[:, None]
     inv = 1.0 / (weights - 1.0)
-    x_block = np.empty((n, len(nus), _BLOCK))
-    w_block = np.empty((len(nus), _BLOCK))
     sums = np.zeros(len(nus))
     sums_sq = np.zeros(len(nus))
     # reported below, with its nu
@@ -284,12 +347,17 @@ def _chain_weight_sums(
         for lo in range(0, m, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             width = min(_BLOCK, m - lo)
-            x = np.multiply(log_tail[:, None, block], inv, out=x_block[..., :width])
+            scratch = [buffer[:, :width] for buffer in space.scratch]
+            x = np.multiply(log_tail[:, None, block], inv, out=space.x[..., :width])
             np.exp(x, out=x)  # (n, weights, width)
-            w = _link_modulus_sq(x[0], x[1], half_sq[0, block], out=w_block[:, :width])
+            w = _link_modulus_sq(x[0], x[1], half_sq[0, block],
+                                 out=space.w[:, :width], scratch=scratch)
             np.log(w, out=w)
+            link = space.link[:w.size].reshape(w.shape)
             for i in range(1, n - 1):
-                w += np.log(_link_modulus_sq(x[i], x[i + 1], half_sq[i, block]))
+                _link_modulus_sq(x[i], x[i + 1], half_sq[i, block],
+                                 out=link, scratch=scratch)
+                w += np.log(link, out=link)
             w *= -0.5 * weights
             np.exp(w, out=w)
             sums += w.sum(axis=1)
@@ -324,7 +392,11 @@ def chained_kernel_integral(
     The draws form one stream, cut into chunks of 2^16 samples that
     :func:`_chain_chunk_sums` evaluates independently; ``map`` (the builtin,
     or an executor's ``map``) runs them, and their sums are added in chunk
-    order, so the result does not depend on who ran which chunk.  A
+    order, so the result does not depend on who ran which chunk.  Each
+    thread that runs chunks keeps one workspace for them, sized by (n,
+    number of weights) and filled in place by every chunk, so a warm chunk
+    allocates no draw-sized array; a pool's workspaces are freed when its
+    threads end, and the calling thread's when this call returns.  A
     non-finite chain weight raises FloatingPointError naming its nu.
     """
     nus, scalar = _weight_batch(nu)
@@ -338,9 +410,12 @@ def chained_kernel_integral(
                      range(-(-sample_count // _CHUNK)))
     totals = np.zeros(len(nus))
     totals_sq = np.zeros(len(nus))
-    for sums, sums_sq in chunk_sums:
-        totals += sums
-        totals_sq += sums_sq
+    try:
+        for sums, sums_sq in chunk_sums:
+            totals += sums
+            totals_sq += sums_sq
+    finally:
+        _thread_state.chain = None
     out = []
     for total, total_sq in zip(totals.tolist(), totals_sq.tolist()):
         mean = total / sample_count
@@ -374,6 +449,8 @@ def chain2_tensor_quadrature(
     angular_weight = np.full(half.size, 2.0 / angular_count)
     if angular_count % 2:
         angular_weight[-1] = 1.0 / angular_count
+    link = np.empty((radial_count, half.size))  # n x M floats, not n^2 x M
+    scratch = (np.empty((radial_count, 1)), np.empty((radial_count, 1)))
     values = []
     for nu_k in nus:
         _, rest, log_weight = gauss_jacobi(radial_count, nu_k - 2.0)
@@ -382,9 +459,11 @@ def chain2_tensor_quadrature(
         # an overflowing kernel gives inf, or NaN against an underflowed
         # weight; either is reported below, with its nu
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, x in enumerate(rest):  # n x M floats per row, not n^2 x M
-                link = _link_modulus_sq(x, rest[:, None], half_sq)
-                angular[i] = np.exp(-0.5 * nu_k * np.log(link)) @ angular_weight
+            for i, x in enumerate(rest):  # one row of the kernel at a time
+                _link_modulus_sq(x, rest[:, None], half_sq, out=link, scratch=scratch)
+                np.log(link, out=link)
+                link *= -0.5 * nu_k
+                angular[i] = np.exp(link, out=link) @ angular_weight
             value = float(radial @ angular @ radial)
         if not math.isfinite(value):
             raise FloatingPointError(

@@ -1,6 +1,7 @@
 """Eigenfunctions, spherical functions, multipliers, and chain integrals."""
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -292,6 +293,60 @@ class TestChainIntegral:
         with pytest.raises(FloatingPointError, match="nu = 1.0001$"):
             _chain_weight_sums([4.0, 1.0001], np.full((2, 3), 0.5), np.zeros((2, 3)))
 
+    def test_reused_workspace_changes_no_result(self):
+        # a thread's workspace outlives its chunks: a partial chunk, another
+        # (n, weights) and a failed pass before full chunks must leave no trace
+        seed, count = 29, 2 * 2**16 + 1001
+        nus3, nus8 = [4.0, 6.0, 16.0], [8.0, 10.0, 12.0, 16.0, 20.0, 24.0, 32.0, 48.0]
+        steps = [(3, nus3, 2), (2, nus8, 0), None, (3, nus3, 0), (3, nus3, 1)]
+        expected = [None if step is None else _on_new_thread(
+            _sequential_chunk_sums, *step, seed, count) for step in steps]
+
+        def run(step):
+            if step is None:
+                with pytest.raises(FloatingPointError, match="nu = 1.0001$"):
+                    _chain_weight_sums([4.0, 6.0, 1.0001], np.full((3, 3), 0.5),
+                                       np.zeros((3, 3)))
+                return None
+            n, nus, chunk = step
+            sums, sums_sq = _chain_chunk_sums(n, nus, seed, count, chunk)
+            return sums.tolist(), sums_sq.tolist()
+
+        assert _on_new_thread(lambda: [run(step) for step in steps]) == expected
+        with ThreadPoolExecutor(3) as pool:
+            assert list(pool.map(run, steps)) == expected
+
+    def test_warm_chunk_allocates_no_draw_sized_array(self):
+        # a cold chunk allocates about 7 MiB of temporaries; a warm one
+        # writes every array of its pass into the thread's workspace
+        nus = [8.0, 10.0, 12.0, 16.0, 20.0, 24.0, 32.0, 48.0]
+
+        def warm_peak():
+            _chain_chunk_sums(2, nus, 3, 10**6, 0)
+            tracemalloc.start()
+            try:
+                _chain_chunk_sums(2, nus, 3, 10**6, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert _on_new_thread(warm_peak) < 64 * 2**10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_estimate_bits_are_pinned(self, n):
+        # (estimate, half-width) per weight as float.hex, recorded from the
+        # allocating pass that preceded the per-thread workspace; they hang
+        # on numpy's float64 exp, log and sin, so they are keyed by dispatch
+        introspect = pytest.importorskip("numpy.lib.introspect")
+        found = introspect.opt_func_info(func_name="^(exp|log|sin)$", signature="float64")
+        targets = {found[name]["dd"]["current"] for name in ("exp", "log", "sin")}
+        bits = PINNED_CHAIN_BITS.get(targets.pop()) if len(targets) == 1 else None
+        if bits is None or np.__version__ != "2.4.6":
+            pytest.skip(f"no bits recorded for numpy {np.__version__} "
+                        f"float64 exp/log/sin on {found}")
+        got = chained_kernel_integral(n, [4.0, 16.0], 11, 150000)
+        assert [(e.hex(), h.hex()) for e, h in got] == bits[n]
+
     def test_empty_grids_rejected(self):
         with pytest.raises(ValueError, match="sample_count"):
             chained_kernel_integral(2, 4, 1, 0)
@@ -303,6 +358,48 @@ class TestChainIntegral:
     def test_longer_chain_runs(self):
         est, half = chained_kernel_integral(3, 6, 5, 50000)
         assert est > 0 and half > 0 and est + half < 3**6
+
+
+def _on_new_thread(fn, *args):
+    """fn(*args) on a thread of its own, whose chain workspace starts empty."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def _sequential_chunk_sums(n, nus, chunk, seed, count):
+    """(sums, sums_sq) lists of chunk ``chunk`` from one sequential draw
+    stream, checking that the pass leaves its uniforms as they were."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, chunk * 2**16 + 1, 2**16):
+        m = min(2**16, count - start)
+        radial = rng.random((n, m))
+        angular = rng.random((n, m))
+    kept = radial.copy(), angular.copy()
+    sums, sums_sq = _chain_weight_sums(nus, radial, angular)
+    assert np.array_equal(radial, kept[0]) and np.array_equal(angular, kept[1])
+    return sums.tolist(), sums_sq.tolist()
+
+
+_X86_V4_BITS = {
+    2: [("0x1.751f58edebf0ep+0", "0x1.d0c0c47f014e4p-6"),
+        ("0x1.5e909e89bf7bap+0", "0x1.01923974cef2bp-6")],
+    3: [("0x1.15db34a4621acp+1", "0x1.6aa66776458d9p-4"),
+        ("0x1.f0f202e642e8bp+0", "0x1.704cca5334778p-5")],
+}
+_X86_V3_BITS = {
+    2: [("0x1.751f58edebf0fp+0", "0x1.d0c0c47f014e4p-6"),
+        ("0x1.5e909e89bf7bap+0", "0x1.01923974cef2bp-6")],
+    3: [("0x1.15db34a4621acp+1", "0x1.6aa66776458d9p-4"),
+        ("0x1.f0f202e642e8ap+0", "0x1.704cca5334777p-5")],
+}
+# chained_kernel_integral(n, [4.0, 16.0], 11, 150000) with numpy 2.4.6 on
+# x86-64, by the dispatch target of its float64 exp, log and sin: AVX-512
+# has its own exp and log; the AVX2 and baseline targets give the same bits
+PINNED_CHAIN_BITS = {
+    "X86_V4": _X86_V4_BITS,
+    "X86_V3": _X86_V3_BITS,
+    "baseline(X86_V2)": _X86_V3_BITS,
+}
 
 
 class TestBatches:
