@@ -132,6 +132,15 @@ class ExperimentConfig:
                      "chain_length", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
+        if self.quadrature_radial > 2000:
+            # gauss_jacobi(2000, 0) takes 1.2 s and 53 MiB on a 2-core x86-64
+            # machine (numpy 2.4.6), and 4,000 nodes take 213 MiB
+            raise ConfigError(
+                f"quadrature_radial: must be <= 2000 (5x the default), got "
+                f"{self.quadrature_radial}: a berezin-eigen row at nu = 2 builds "
+                "a Gauss-Jacobi rule of that many nodes, whose cost grows as "
+                "the cube of the count and its memory as the square"
+            )
         if self.kmax < 0:
             raise ConfigError("kmax: must be >= 0")
         if self.input_state not in ("lowest", "rank-r-random", "toeplitz"):

@@ -436,7 +436,11 @@ def chain2_tensor_quadrature(
     ``radial_count`` nodes, and A on ``angular_count`` midpoint angles, with
     the kernel from 1 - u by :func:`_link_modulus_sq`.  The midpoint angles
     phi_k and phi_{N-1-k} give the same kernel, so each such pair is summed
-    once with weight 2; an odd count keeps its middle angle once.
+    once with weight 2; an odd count keeps its middle angle once.  The
+    kernel is evaluated on blocks of whole radial rows, each at most
+    2^16 floats (a single row when one row alone is larger), in one buffer
+    reused by every block and weight; each row's angular mean is its own
+    matvec, so the value does not depend on the block size.
 
     ``nu`` may be a sequence of weights, which returns a list.  A non-finite
     value (the kernel overflows near the boundary, where a Jacobi weight
@@ -449,8 +453,11 @@ def chain2_tensor_quadrature(
     angular_weight = np.full(half.size, 2.0 / angular_count)
     if angular_count % 2:
         angular_weight[-1] = 1.0 / angular_count
-    link = np.empty((radial_count, half.size))  # n x M floats, not n^2 x M
-    scratch = (np.empty((radial_count, 1)), np.empty((radial_count, 1)))
+    # whole rows of the kernel per block, at most the 8 x 2^13 floats of an
+    # eight-weight Monte Carlo block (one row when a row alone is larger)
+    rows = max(1, min(radial_count, 8 * _BLOCK // (radial_count * half.size)))
+    block = np.empty((rows, radial_count, half.size))
+    scratch = (np.empty((rows, radial_count, 1)), np.empty((rows, radial_count, 1)))
     values = []
     for nu_k in nus:
         _, rest, log_weight = gauss_jacobi(radial_count, nu_k - 2.0)
@@ -459,11 +466,18 @@ def chain2_tensor_quadrature(
         # an overflowing kernel gives inf, or NaN against an underflowed
         # weight; either is reported below, with its nu
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, x in enumerate(rest):  # one row of the kernel at a time
-                _link_modulus_sq(x, rest[:, None], half_sq, out=link, scratch=scratch)
-                np.log(link, out=link)
-                link *= -0.5 * nu_k
-                angular[i] = np.exp(link, out=link) @ angular_weight
+            for lo in range(0, radial_count, rows):
+                hi = min(lo + rows, radial_count)
+                kernel = _link_modulus_sq(
+                    rest[lo:hi, None, None], rest[None, :, None], half_sq,
+                    out=block[:hi - lo], scratch=[s[:hi - lo] for s in scratch])
+                np.log(kernel, out=kernel)
+                kernel *= -0.5 * nu_k
+                np.exp(kernel, out=kernel)
+                # one matvec per row: a single (rows n x M) matvec can
+                # round differently
+                for i in range(lo, hi):
+                    angular[i] = kernel[i - lo] @ angular_weight
             value = float(radial @ angular @ radial)
         if not math.isfinite(value):
             raise FloatingPointError(

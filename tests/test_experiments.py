@@ -674,6 +674,16 @@ class TestCli:
         assert err.startswith(f"config error: {key}:")
         assert "Traceback" not in err
 
+    def test_radial_count_above_limit_is_config_error(self, tmp_path, capsys):
+        # a 4,000-node rule would take 213 MiB before any row reports
+        text = "experiment = berezin-eigen\nnu_list = 2\nquadrature_radial = {}\n"
+        assert parse_config(text.format(2000)).quadrature_radial == 2000
+        cfg = self._write(tmp_path, text.format(2001))
+        assert cli_main(["berezin-eigen", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: quadrature_radial: must be <= 2000")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_flag_below_range_is_config_error(self, tmp_path, capsys, threads):
         cfg = self._write(tmp_path, "experiment = constants\nnu_list = 3\n")

@@ -335,17 +335,36 @@ class TestChainIntegral:
     @pytest.mark.parametrize("n", [2, 3])
     def test_estimate_bits_are_pinned(self, n):
         # (estimate, half-width) per weight as float.hex, recorded from the
-        # allocating pass that preceded the per-thread workspace; they hang
-        # on numpy's float64 exp, log and sin, so they are keyed by dispatch
-        introspect = pytest.importorskip("numpy.lib.introspect")
-        found = introspect.opt_func_info(func_name="^(exp|log|sin)$", signature="float64")
-        targets = {found[name]["dd"]["current"] for name in ("exp", "log", "sin")}
-        bits = PINNED_CHAIN_BITS.get(targets.pop()) if len(targets) == 1 else None
-        if bits is None or np.__version__ != "2.4.6":
-            pytest.skip(f"no bits recorded for numpy {np.__version__} "
-                        f"float64 exp/log/sin on {found}")
+        # allocating pass that preceded the per-thread workspace
+        bits = _pinned_bits(PINNED_CHAIN_BITS)
         got = chained_kernel_integral(n, [4.0, 16.0], 11, 150000)
         assert [(e.hex(), h.hex()) for e, h in got] == bits[n]
+
+    @pytest.mark.parametrize("args", [
+        (8,), (10,), (12,), (16,), (20,), (24,), (32,), (48,), (200,), (800,),
+        (48, 51, 63), ((8, 16), 17, 33),
+    ])
+    def test_quadrature_bits_are_pinned(self, args):
+        # float.hex of each value, recorded from the one-row-at-a-time
+        # kernel that preceded the row blocks; 51 rows of 32 angles end on a
+        # partial block
+        bits = _pinned_bits(PINNED_QUADRATURE_BITS)
+        got = chain2_tensor_quadrature(*args)
+        assert [v.hex() for v in np.atleast_1d(got)] == bits[args]
+
+    @pytest.mark.parametrize("args, limit", [((8, 200, 512), 2 * 2**20), ((8,), 2**20)])
+    def test_quadrature_memory_is_bounded(self, args, limit):
+        # the kernel is held in blocks of whole rows of at most 2^16 floats,
+        # never as the n^2 x M tensor (82 MB at 200 x 512); a 200-node row
+        # alone is 51,200 floats, and the rule's own n x n work adds to it
+        chain2_tensor_quadrature(*args)
+        tracemalloc.start()
+        try:
+            chain2_tensor_quadrature(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
 
     def test_empty_grids_rejected(self):
         with pytest.raises(ValueError, match="sample_count"):
@@ -380,6 +399,20 @@ def _sequential_chunk_sums(n, nus, chunk, seed, count):
     return sums.tolist(), sums_sq.tolist()
 
 
+def _pinned_bits(table):
+    """The entry of ``table`` for this machine's dispatch target of numpy's
+    float64 exp, log and sin, on which the last bits of the chain estimate
+    and of the quadrature hang; skips where none was recorded."""
+    introspect = pytest.importorskip("numpy.lib.introspect")
+    found = introspect.opt_func_info(func_name="^(exp|log|sin)$", signature="float64")
+    targets = {found[name]["dd"]["current"] for name in ("exp", "log", "sin")}
+    bits = table.get(targets.pop()) if len(targets) == 1 else None
+    if bits is None or np.__version__ != "2.4.6":
+        pytest.skip(f"no bits recorded for numpy {np.__version__} "
+                    f"float64 exp/log/sin on {found}")
+    return bits
+
+
 _X86_V4_BITS = {
     2: [("0x1.751f58edebf0ep+0", "0x1.d0c0c47f014e4p-6"),
         ("0x1.5e909e89bf7bap+0", "0x1.01923974cef2bp-6")],
@@ -399,6 +432,34 @@ PINNED_CHAIN_BITS = {
     "X86_V4": _X86_V4_BITS,
     "X86_V3": _X86_V3_BITS,
     "baseline(X86_V2)": _X86_V3_BITS,
+}
+
+# chain2_tensor_quadrature(*args), keyed like PINNED_CHAIN_BITS; AVX-512
+# differs from the other targets at nu = 24, 48 and 800
+_X86_V4_QUADRATURE_BITS = {
+    (8,): ["0x1.605d8081bde78p+0"],
+    (10,): ["0x1.5de2f3eb7bc66p+0"],
+    (12,): ["0x1.5c50df05b5c5ep+0"],
+    (16,): ["0x1.5a7066e8c89d4p+0"],
+    (20,): ["0x1.595b5d57490e0p+0"],
+    (24,): ["0x1.58a72d47056bap+0"],
+    (32,): ["0x1.57cadd8e14f0dp+0"],
+    (48,): ["0x1.56f3e20076b52p+0"],
+    (200,): ["0x1.55b6fe0f01ceap+0"],
+    (800,): ["0x1.556da4302bfa8p+0"],
+    (48, 51, 63): ["0x1.56f3e20076adap+0"],
+    ((8, 16), 17, 33): ["0x1.605cfff05c35ep+0", "0x1.5a7066b20bb1dp+0"],
+}
+_X86_V3_QUADRATURE_BITS = {
+    **_X86_V4_QUADRATURE_BITS,
+    (24,): ["0x1.58a72d47056bbp+0"],
+    (48,): ["0x1.56f3e20076b53p+0"],
+    (800,): ["0x1.556da4302bfaap+0"],
+}
+PINNED_QUADRATURE_BITS = {
+    "X86_V4": _X86_V4_QUADRATURE_BITS,
+    "X86_V3": _X86_V3_QUADRATURE_BITS,
+    "baseline(X86_V2)": _X86_V3_QUADRATURE_BITS,
 }
 
 
