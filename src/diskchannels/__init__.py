@@ -13,7 +13,6 @@ from .bergman import (
     coherent_vector,
     group_action_matrix,
     kernel_eval,
-    monomial_norm_sq,
 )
 from .channel import (
     ChannelParams,
@@ -22,7 +21,6 @@ from .channel import (
     functional_trace,
     pk_star_vector,
     projection_coefficients,
-    sqrt_series_coefficient,
 )
 from .disk import DiskQuadrature, GroupElement, build_quadrature, mobius, transporter
 from .specfun import (
@@ -45,7 +43,7 @@ from .transforms import (
     covariant_symbol,
     e_transform,
     eigen_function,
-    husimi,
+    husimi_grid,
     radial_poly,
     toeplitz_operator,
 )
@@ -57,14 +55,12 @@ __all__ = [
     "coherent_vector",
     "group_action_matrix",
     "kernel_eval",
-    "monomial_norm_sq",
     "ChannelParams",
     "apply_channel",
     "banded_trace",
     "functional_trace",
     "pk_star_vector",
     "projection_coefficients",
-    "sqrt_series_coefficient",
     "DiskQuadrature",
     "GroupElement",
     "build_quadrature",
@@ -85,7 +81,7 @@ __all__ = [
     "covariant_symbol",
     "e_transform",
     "eigen_function",
-    "husimi",
+    "husimi_grid",
     "radial_poly",
     "toeplitz_operator",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "TruncatedOperator",
     "BandedOperator",
     "TruncationTailError",
-    "monomial_norm_sq",
     "log_monomial_norm_sq",
     "kernel_eval",
     "coherent_vector",
@@ -43,13 +42,9 @@ class TruncationTailError(ValueError):
     """A truncated series carries more mass above the cut than tolerated."""
 
 
-def monomial_norm_sq(nu: float, j: int) -> float:
-    """||z^j||^2 in the weight-nu space: j!/(nu)_j."""
-    return float(np.exp(log_monomial_norm_sq(nu, j)))
-
-
 def log_monomial_norm_sq(nu: float, j):
-    """log(j!/(nu)_j) for scalar or array j (log domain for large j).
+    """log ||z^j||^2 = log(j!/(nu)_j) in the weight-nu space, for scalar or
+    array j (log domain for large j).
 
     A scalar j takes three ``math.lgamma``; an array of indices >= 0 reads
     the table of log((1)_i/(nu)_i), i <= max(j), a cumprod of the ratios
@@ -94,13 +89,6 @@ class TruncatedOperator:
         return np.count_nonzero(self.matrix) == np.count_nonzero(
             np.diagonal(self.matrix)
         )
-
-    def trace(self) -> complex:
-        t = np.trace(self.matrix)
-        return t.real if self.hermitian else t
-
-    def hs_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
 
 
 @dataclass(frozen=True)

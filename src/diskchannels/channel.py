@@ -15,6 +15,7 @@ degree, which the output diagonal of a diagonal input shares.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from .specfun import (
 
 __all__ = [
     "ChannelParams",
-    "ProjectionCoefficients",
     "SpectrumWindowError",
     "projection_coefficients",
     "pk_star_vector",
@@ -46,7 +46,6 @@ __all__ = [
     "power_sum",
     "functional_trace",
     "banded_trace",
-    "sqrt_series_coefficient",
     "sqrt_series_coefficients",
 ]
 
@@ -59,7 +58,11 @@ class SpectrumWindowError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Parameters of T: weight mu input, weight nu tensor factor, grade k."""
+    """Parameters of T: weight mu input, weight nu tensor factor, grade k.
+
+    An integral k is stored as an int; ``output_degree`` is None (the
+    default cut) or an int >= 0.
+    """
 
     mu: float
     nu: float
@@ -69,8 +72,13 @@ class ChannelParams:
     def __post_init__(self):
         validate_weight(self.mu)
         validate_weight(self.nu)
-        if self.k < 0 or self.k != int(self.k):
-            raise ValueError("k must be a natural number")
+        if not (isinstance(self.k, numbers.Real) and float(self.k).is_integer()
+                and self.k >= 0):
+            raise ValueError(f"k must be a natural number, got {self.k!r}")
+        object.__setattr__(self, "k", int(self.k))
+        degree = self.output_degree
+        if degree is not None and not (isinstance(degree, numbers.Integral) and degree >= 0):
+            raise ValueError(f"output_degree must be None or an int >= 0, got {degree!r}")
 
     @property
     def target_weight(self) -> float:
@@ -237,33 +245,18 @@ class _Couplings:
         return S * np.sqrt(r)
 
 
-@dataclass(frozen=True)
-class ProjectionCoefficients:
-    """Graded action P_k(z^m w^n) = c_{m,n} zeta^{m+n-k} for m+n <= max_grade+k."""
-
-    params: ChannelParams
-    max_grade: int
-    values: np.ndarray  # values[m, n], zero where m + n < k
-
-    def __getitem__(self, mn) -> float:
-        m, n = mn
-        return float(self.values[m, n])
-
-
-def projection_coefficients(
-    params: ChannelParams, max_grade: int
-) -> ProjectionCoefficients:
-    """All c_{m,n} with m + n <= max_grade + k."""
+def projection_coefficients(params: ChannelParams, max_grade: int) -> np.ndarray:
+    """The graded action P_k(z^m w^n) = c_{m,n} zeta^{m+n-k}: the array of
+    c_{m,n} for m, n <= max_grade + k, zero where m + n < k or
+    m + n > max_grade + k."""
     if max_grade < params.k:
         raise ValueError("max_grade must be >= k")
     top = max_grade + params.k
     m = np.arange(top + 1)[:, None]
     n = np.arange(top + 1)[None, :]
-    const = math.exp(0.5 * log_channel_constant_sq(params.mu, params.nu, params.k))
+    const = math.sqrt(channel_constant_sq(params.mu, params.nu, params.k))
     vals = const * _derivative_sum(params, m, n)
-    vals = np.where(m + n < params.k, 0.0, vals)
-    vals = np.where(m + n > top, 0.0, vals)
-    return ProjectionCoefficients(params, max_grade, vals)
+    return np.where((m + n < params.k) | (m + n > top), 0.0, vals)
 
 
 def isometry_weights(params: ChannelParams, p: int, n=None) -> np.ndarray:
@@ -272,6 +265,8 @@ def isometry_weights(params: ChannelParams, p: int, n=None) -> np.ndarray:
     Defaults to the full row n = 0..p+k; pass ``n`` (array) to select entries.
     The full row has unit square sum.
     """
+    if p < 0:
+        raise ValueError("p must be >= 0")
     if n is None:
         n = np.arange(p + params.k + 1)
     return _Couplings(params, p).weights([p], p + params.k - np.asarray(n))[0]
@@ -661,17 +656,11 @@ def banded_trace(B: BandedOperator, psi) -> float | complex:
     return total.real if B.hermitian else complex(total)
 
 
-def sqrt_series_coefficient(i: int) -> float:
-    """Coefficient (1/2)_{i-1} / (2 i!) of the boundary-flattened sqrt series.
+def sqrt_series_coefficients(count: int) -> np.ndarray:
+    """Coefficients (1/2)_{i-1} / (2 i!), i = 1..count, of the
+    boundary-flattened sqrt series: 1/2, then ratios (i-1/2)/(i+1).
 
     These are the positive weights with x = sum_i coeff_i (1 - (1-x^2)^i) on
     [0, 1]; they sum to 1 and decay like i^{-3/2}.
     """
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    return float(sqrt_series_coefficients(i)[-1])
-
-
-def sqrt_series_coefficients(count: int) -> np.ndarray:
-    """First ``count`` coefficients, i = 1..count: 1/2, then ratios (i-1/2)/(i+1)."""
     return pochhammer_ratios(count, (0.5,), (2.0,), 0.5)

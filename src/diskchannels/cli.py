@@ -69,8 +69,8 @@ def main(argv=None) -> int:
         else:
             gate = ""
             if config.tol_abs > 0.0:
-                ok = row.abs_error <= config.tol_abs
-                gate = "  ok" if ok else f"  TOLERANCE EXCEEDED (> {config.tol_abs:g})"
+                gate = (f"  TOLERANCE EXCEEDED (> {config.tol_abs:g})"
+                        if report.exceeds_tolerance(row) else "  ok")
             print(
                 f"nu={row.nu:g}  measured={row.measured:.12g}  "
                 f"target={row.target:.12g}  abs_error={row.abs_error:.3e}"

@@ -102,10 +102,9 @@ class DiskQuadrature:
     """Nodes and weights for integrals against the invariant measure.
 
     ``sum(weights * h(nodes))`` approximates the d iota integral of h.  With
-    u = |z|^2, it is exact (to roundoff) for h = (1-u)^c p(u) e^{i m theta},
-    where p is a polynomial of degree <= exactness_degree = 2 radial_count - 1
-    and |m| < angular_count; c = 2 for the Legendre radial rule and
-    c = min_decay for the Jacobi one.
+    u = |z|^2, it is exact (to roundoff) for h = (1-u)^min_decay p(u)
+    e^{i m theta}, where p is a polynomial of degree <= exactness_degree =
+    2 radial_count - 1 and |m| < angular_count.
     """
 
     nodes: np.ndarray
@@ -236,29 +235,24 @@ def _polished_nodes(n: int, alpha: float, a, c, b2):
 
 
 def build_quadrature(
-    radial_count: int,
-    angular_count: int,
-    min_decay: float,
-    radial_rule: str = "legendre",
+    radial_count: int, angular_count: int, min_decay: float
 ) -> DiskQuadrature:
-    """Tensor rule for d iota: Gauss in u = |z|^2 on (0,1), uniform angles.
+    """Tensor rule for d iota: Gauss-Jacobi in u = |z|^2 on (0,1), uniform angles.
 
     ``min_decay`` declares the weakest boundary decay (1-|z|^2)^s the caller
     will integrate; it must be >= 2 so the measure's boundary singularity is
-    cancelled.  ``radial_rule="jacobi"`` keys the radial rule to the weight
-    (1-u)^{min_decay-2}, which keeps exactness independent of how large the
-    decay exponent is (useful when integrands carry (1-|z|^2)^nu with huge nu).
+    cancelled.  The radial rule is Gauss-Jacobi for the weight
+    (1-u)^{min_decay-2} (Gauss-Legendre in u at min_decay = 2), which keeps
+    exactness independent of how large the decay exponent is (integrands
+    that carry (1-|z|^2)^nu with huge nu).
     """
     if radial_count < 1 or angular_count < 1:
         raise ValueError("node counts must be positive")
     if not min_decay >= 2.0:
         raise ValueError(f"min_decay must be >= 2, got {min_decay}")
-    if radial_rule not in ("legendre", "jacobi"):
-        raise ValueError(f"unknown radial_rule {radial_rule!r}")
-    # Legendre in u is the Jacobi rule at alpha = 0
-    alpha = float(min_decay) - 2.0 if radial_rule == "jacobi" else 0.0
+    alpha = float(min_decay) - 2.0
     u, complement, log_weight = gauss_jacobi(radial_count, alpha)
-    # times the measure's (1-u)^{-2}, and (1-u)^{-alpha} for the Jacobi rule, in logs
+    # times (1-u)^{-alpha} and the measure's (1-u)^{-2}, in logs
     radial_weight = np.exp(log_weight - (alpha + 2.0) * np.log(complement))
     # half-step angular offset: exactness for |m| < angular_count is unchanged
     # and no node lands on the positive real axis (where boundary-point

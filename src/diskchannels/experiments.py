@@ -54,6 +54,7 @@ __all__ = [
     "parse_config",
     "run_experiment",
     "emit_report",
+    "report_from_json",
 ]
 
 EXPERIMENTS = (
@@ -121,6 +122,10 @@ class ExperimentConfig:
             raise ConfigError("nu_list: weights must be > 1")
         if self.experiment == "berezin-eigen" and not self.lambda_list:
             raise ConfigError("lambda_list: berezin-eigen needs at least one value")
+        for key, values in (("tol_abs", (self.tol_abs,)), ("psi", self.psi),
+                            ("f", self.f_coeffs), ("lambda_list", self.lambda_list)):
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{key}: must be finite")
         if not self.psi or self.psi[0] != 0.0:
             raise ConfigError("psi: constant term must be 0")
         if self.tol_abs < 0.0:
@@ -250,12 +255,14 @@ class ExperimentReport:
     fitted_order_stderr: float | None = None
     version: str = __version__
 
+    def exceeds_tolerance(self, row: ReportRow) -> bool:
+        """Whether ``row`` fails the ``tol_abs`` gate (when set): every
+        abs_error that is not <= tol_abs, NaN included."""
+        return self.config.tol_abs > 0.0 and not row.abs_error <= self.config.tol_abs
+
     @property
     def failures(self) -> list[ReportRow]:
-        bad = [r for r in self.rows if r.error]
-        if self.config.tol_abs > 0.0:
-            bad += [r for r in self.rows if not r.error and r.abs_error > self.config.tol_abs]
-        return bad
+        return [r for r in self.rows if r.error or self.exceeds_tolerance(r)]
 
 
 def _fit_order(rows: list[ReportRow]) -> tuple[float | None, float | None]:
@@ -344,7 +351,7 @@ def _husimi_integral(state: TruncatedOperator, k: int, psi) -> float:
     top = max((j for j, a in enumerate(psi) if a != 0.0), default=1)
     n_r = math.floor((top * (state.degree + k) + (top - 1) * state.weight) / 2) + 1
     n_theta = 1 if state.is_diagonal else top * state.degree + 1
-    quad = build_quadrature(n_r, n_theta, state.weight, radial_rule="jacobi")
+    quad = build_quadrature(n_r, n_theta, state.weight)
     hvals = husimi_grid(state, k, quad.nodes)
     return sum((a * float(np.real(quad.integrate(hvals**j)))
                 for j, a in enumerate(psi) if j >= 1 and a != 0.0), 0.0)

@@ -96,28 +96,18 @@ def _graded_angles(count: int, cluster: float, power: int = 6):
     return theta, dv / count
 
 
-def _weight_batch(nu) -> tuple[list[float], bool]:
-    """(validated weights, whether ``nu`` is one scalar): a scalar is a batch of one."""
-    scalar = np.ndim(nu) == 0
-    nus = [validate_weight(v) for v in ([nu] if scalar else nu)]
-    if not nus:
-        raise ValueError("nu must hold at least one weight")
-    return nus, scalar
-
-
 def eigen_relation_residual(
-    nu: float | Sequence[float],
+    nu: float,
     lam: float | Sequence[float],
     samples,
     radial_count: int = 400,
     angular_count: int = 512,
     boundary: complex = 1.0 + 0j,
-) -> float | list[float]:
+) -> float:
     """max_{z, lambda} |(nu-1) B_nu(e_{lambda,b})(z)/e_{lambda,b}(z) - b_nu(lambda)|.
 
-    ``nu`` is one weight or a sequence of them (one residual each, returned as
-    a list), and ``lam`` one spectral parameter or a sequence of them (the
-    residual is the worst over all).  The transform is evaluated by honest
+    ``lam`` is one spectral parameter or a sequence of them (the residual is
+    the worst over all).  The transform is evaluated by honest
     quadrature, recentred at each sample z0: the kernel and d iota are
     invariant, so with phi(w) = (w + z0)/(1 + conj(z0) w),
     B_nu f(z0) = int_0^1 (1-u)^{nu-2} mean_theta f(phi(sqrt(u) e^{i theta})) du.
@@ -131,7 +121,7 @@ def eigen_relation_residual(
     :func:`berezin_eigenvalue`.  A sample off the open disk raises
     ValueError, and a non-finite residual FloatingPointError.
     """
-    nus, scalar = _weight_batch(nu)
+    nu = validate_weight(nu)
     _require_counts(radial_count=radial_count, angular_count=angular_count)
     b = _validate_boundary(boundary)
     lams = [lam] if np.ndim(lam) == 0 else list(lam)
@@ -142,37 +132,34 @@ def eigen_relation_residual(
     for z0 in points:
         if not abs(z0) < 1.0:  # phi is undefined there
             raise ValueError(f"sample z0 = {z0} is not in the open unit disk")
-    worst = []
-    for nu_k in nus:
-        u, _, log_weight = gauss_jacobi(radial_count, nu_k - 2.0)
-        radial = (nu_k - 1.0) * np.exp(log_weight)
-        radius = np.sqrt(u)[:, None]
-        targets = [berezin_eigenvalue(nu_k, lam_j) for lam_j in lams]
-        residual = 0.0
-        for z0 in points:
-            theta, angular = _graded_angles(
-                angular_count, float(np.angle((b - z0) / (1.0 - np.conj(z0) * b))))
-            w = radius * np.exp(1j * theta)
-            base = _poisson_base((w + z0) / (1.0 + np.conj(z0) * w), b)
-            log_base = np.log(base)
-            root = np.sqrt(base)
-            at_z0 = eigenfunction(lam_values, b, z0)
-            for lam_j, e0, target in zip(lams, at_z0, targets):
-                if lam_j == 0.0:
-                    integral = complex(radial @ root @ angular)
-                else:
-                    phase = (-0.5 * lam_j) * log_base
-                    integral = complex(radial @ (root * np.cos(phase)) @ angular,
-                                       radial @ (root * np.sin(phase)) @ angular)
-                gap = abs(integral / e0 - target)
-                if not math.isfinite(gap):
-                    raise FloatingPointError(
-                        f"eigen-relation residual is not finite at nu = {nu_k:g}, "
-                        f"z0 = {z0}"
-                    )
-                residual = max(residual, gap)
-        worst.append(residual)
-    return worst[0] if scalar else worst
+    u, _, log_weight = gauss_jacobi(radial_count, nu - 2.0)
+    radial = (nu - 1.0) * np.exp(log_weight)
+    radius = np.sqrt(u)[:, None]
+    targets = [berezin_eigenvalue(nu, lam_j) for lam_j in lams]
+    residual = 0.0
+    for z0 in points:
+        theta, angular = _graded_angles(
+            angular_count, float(np.angle((b - z0) / (1.0 - np.conj(z0) * b))))
+        w = radius * np.exp(1j * theta)
+        base = _poisson_base((w + z0) / (1.0 + np.conj(z0) * w), b)
+        log_base = np.log(base)
+        root = np.sqrt(base)
+        at_z0 = eigenfunction(lam_values, b, z0)
+        for lam_j, e0, target in zip(lams, at_z0, targets):
+            if lam_j == 0.0:
+                integral = complex(radial @ root @ angular)
+            else:
+                phase = (-0.5 * lam_j) * log_base
+                integral = complex(radial @ (root * np.cos(phase)) @ angular,
+                                   radial @ (root * np.sin(phase)) @ angular)
+            gap = abs(integral / e0 - target)
+            if not math.isfinite(gap):
+                raise FloatingPointError(
+                    f"eigen-relation residual is not finite at nu = {nu:g}, "
+                    f"z0 = {z0}"
+                )
+            residual = max(residual, gap)
+    return residual
 
 
 def inverse_multiplier(nu: float, nu0: float, lam: float) -> float:
@@ -399,7 +386,10 @@ def chained_kernel_integral(
     threads end, and the calling thread's when this call returns.  A
     non-finite chain weight raises FloatingPointError naming its nu.
     """
-    nus, scalar = _weight_batch(nu)
+    scalar = np.ndim(nu) == 0
+    nus = [validate_weight(v) for v in ([nu] if scalar else nu)]
+    if not nus:
+        raise ValueError("nu must hold at least one weight")
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_counts(sample_count=sample_count)
@@ -425,8 +415,8 @@ def chained_kernel_integral(
 
 
 def chain2_tensor_quadrature(
-    nu: float | Sequence[float], radial_count: int = 32, angular_count: int = 512
-) -> float | list[float]:
+    nu: float, radial_count: int = 32, angular_count: int = 512
+) -> float:
     """I_2(nu) by a tensor rule: two radial directions, one relative angle.
 
     Cross-checks the Monte Carlo route and never uses the closed form:
@@ -439,14 +429,12 @@ def chain2_tensor_quadrature(
     once with weight 2; an odd count keeps its middle angle once.  The
     kernel is evaluated on blocks of whole radial rows, each at most
     2^16 floats (a single row when one row alone is larger), in one buffer
-    reused by every block and weight; each row's angular mean is its own
-    matvec, so the value does not depend on the block size.
-
-    ``nu`` may be a sequence of weights, which returns a list.  A non-finite
-    value (the kernel overflows near the boundary, where a Jacobi weight
-    underflows) raises FloatingPointError naming its nu.
+    reused by every block; each row's angular mean is its own matvec, so
+    the value does not depend on the block size.  A non-finite value (the
+    kernel overflows near the boundary, where a Jacobi weight underflows)
+    raises FloatingPointError naming its nu.
     """
-    nus, scalar = _weight_batch(nu)
+    nu = validate_weight(nu)
     _require_counts(radial_count=radial_count, angular_count=angular_count)
     half = np.sin(np.pi * (np.arange((angular_count + 1) // 2) + 0.5) / angular_count)
     half_sq = half * half
@@ -458,31 +446,28 @@ def chain2_tensor_quadrature(
     rows = max(1, min(radial_count, 8 * _BLOCK // (radial_count * half.size)))
     block = np.empty((rows, radial_count, half.size))
     scratch = (np.empty((rows, radial_count, 1)), np.empty((rows, radial_count, 1)))
-    values = []
-    for nu_k in nus:
-        _, rest, log_weight = gauss_jacobi(radial_count, nu_k - 2.0)
-        radial = (nu_k - 1.0) * np.exp(log_weight)
-        angular = np.empty((radial_count, radial_count))
-        # an overflowing kernel gives inf, or NaN against an underflowed
-        # weight; either is reported below, with its nu
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, radial_count, rows):
-                hi = min(lo + rows, radial_count)
-                kernel = _link_modulus_sq(
-                    rest[lo:hi, None, None], rest[None, :, None], half_sq,
-                    out=block[:hi - lo], scratch=[s[:hi - lo] for s in scratch])
-                np.log(kernel, out=kernel)
-                kernel *= -0.5 * nu_k
-                np.exp(kernel, out=kernel)
-                # one matvec per row: a single (rows n x M) matvec can
-                # round differently
-                for i in range(lo, hi):
-                    angular[i] = kernel[i - lo] @ angular_weight
-            value = float(radial @ angular @ radial)
-        if not math.isfinite(value):
-            raise FloatingPointError(
-                f"chain-2 quadrature is not finite at nu = {nu_k:g}: "
-                "the kernel overflows on this grid"
-            )
-        values.append(value)
-    return values[0] if scalar else values
+    _, rest, log_weight = gauss_jacobi(radial_count, nu - 2.0)
+    radial = (nu - 1.0) * np.exp(log_weight)
+    angular = np.empty((radial_count, radial_count))
+    # an overflowing kernel gives inf, or NaN against an underflowed
+    # weight; either is reported below, with its nu
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, radial_count, rows):
+            hi = min(lo + rows, radial_count)
+            kernel = _link_modulus_sq(
+                rest[lo:hi, None, None], rest[None, :, None], half_sq,
+                out=block[:hi - lo], scratch=[s[:hi - lo] for s in scratch])
+            np.log(kernel, out=kernel)
+            kernel *= -0.5 * nu
+            np.exp(kernel, out=kernel)
+            # one matvec per row: a single (rows n x M) matvec can
+            # round differently
+            for i in range(lo, hi):
+                angular[i] = kernel[i - lo] @ angular_weight
+        value = float(radial @ angular @ radial)
+    if not math.isfinite(value):
+        raise FloatingPointError(
+            f"chain-2 quadrature is not finite at nu = {nu:g}: "
+            "the kernel overflows on this grid"
+        )
+    return value

@@ -29,7 +29,6 @@ __all__ = [
     "toeplitz_diagonal",
     "toeplitz_operator",
     "berezin_transform",
-    "husimi",
     "husimi_grid",
     "e_transform",
 ]
@@ -244,28 +243,21 @@ def berezin_transform(
     return out[0] if out.size == 1 else out
 
 
-def husimi(A: TruncatedOperator, index: int, w: complex) -> float:
-    """Generalized Husimi function H^index(A)(w) at the point w.
+def husimi_grid(A: TruncatedOperator, index: int, ws) -> np.ndarray:
+    """Generalized Husimi function H^index(A) at the points ``ws``.
 
     H^i(A)(g . 0) = ((nu)_i/i!) <A g.z^i, g.z^i> with g the canonical
     transporter of w.  For a truncated operator the transported-vector
     sandwich is exact (the expansion recursion is lower triangular), so the
-    value carries no series-truncation error and any |w| < 1 is accepted.
-    """
-    if not A.hermitian:
-        raise ValueError("Husimi values are defined for Hermitian operators")
-    return float(husimi_grid(A, index, [w])[0])
-
-
-def husimi_grid(A: TruncatedOperator, index: int, ws) -> np.ndarray:
-    """Husimi values at many points at once (vectorized transport recursion).
+    values carry no series-truncation error and any |w| < 1 is accepted.
 
     Each point w is carried by the coefficient arrays of its canonical
-    transporter.  Points are processed in chunks so the transported-vector
-    workspace stays bounded even for quadrature-sized grids against large
-    operators.  With v the transported vectors (one column per point), a
-    diagonal operator gives diag @ |v|^2; any other gives
-    sum_m conj(v)[m] (A v)[m] per column, one GEMM and a column dot.
+    transporter (vectorized transport recursion).  Points are processed in
+    chunks so the transported-vector workspace stays bounded even for
+    quadrature-sized grids against large operators.  With v the transported
+    vectors (one column per point), a diagonal operator gives diag @ |v|^2;
+    any other gives sum_m conj(v)[m] (A v)[m] per column, one GEMM and a
+    column dot.
     """
     if not A.hermitian:
         raise ValueError("Husimi values are defined for Hermitian operators")

@@ -21,7 +21,7 @@ from oracles import (
     random_psd,
 )
 
-from diskchannels.bergman import TruncatedOperator
+from diskchannels.bergman import TruncatedOperator, log_monomial_norm_sq
 from diskchannels.channel import (
     ChannelParams,
     SpectrumWindowError,
@@ -38,7 +38,6 @@ from diskchannels.channel import (
     pk_star_vector,
     projection_coefficients,
     response_tail_bound,
-    sqrt_series_coefficient,
     sqrt_series_coefficients,
 )
 from diskchannels.specfun import log_channel_constant_sq
@@ -49,7 +48,7 @@ class TestProjectionCoefficients:
     def test_grade_zero_constant(self):
         pc = projection_coefficients(ChannelParams(2, 3, 0), 6)
         m = np.arange(7)[:, None] + np.arange(7)[None, :]  # retained grades only
-        assert np.abs(pc.values[:7, :7][m <= 6] - 1.0).max() < 1e-14
+        assert np.abs(pc[:7, :7][m <= 6] - 1.0).max() < 1e-14
 
     def test_vanishing_below_grade(self):
         pc = projection_coefficients(ChannelParams(2, 3, 2), 8)
@@ -66,6 +65,27 @@ class TestProjectionCoefficients:
                 assert oracle == pytest.approx(
                     pc[m, n] * zeta ** (m + n - k), rel=2e-8, abs=1e-9
                 )
+
+
+class TestParamsValidation:
+    @pytest.mark.parametrize("degree", [-3, 2.5, 2.0])
+    def test_output_degree_must_be_a_natural_int(self, degree):
+        with pytest.raises(ValueError, match="output_degree"):
+            ChannelParams(2, 3, 1, output_degree=degree)
+
+    def test_integral_k_is_stored_as_int(self):
+        params = ChannelParams(2, 3, 1.0)
+        assert type(params.k) is int and params == ChannelParams(2, 3, 1)
+        assert isometry_weights(params, 4).size == 6
+
+    @pytest.mark.parametrize("k", [-1, 0.5, math.inf, math.nan, "1"])
+    def test_k_must_be_a_natural_number(self, k):
+        with pytest.raises(ValueError, match="k must"):
+            ChannelParams(2, 3, k)
+
+    def test_negative_isometry_row_rejected(self):
+        with pytest.raises(ValueError, match="p must"):
+            isometry_weights(ChannelParams(2, 3, 1), -1)
 
 
 class TestAdjointVector:
@@ -229,8 +249,7 @@ class TestFunctionalTrace:
 
 class TestSqrtSeries:
     def test_first_coefficients(self):
-        assert sqrt_series_coefficient(1) == pytest.approx(0.5, rel=1e-14)
-        assert sqrt_series_coefficient(2) == pytest.approx(0.125, rel=1e-14)
+        assert sqrt_series_coefficients(2) == pytest.approx([0.5, 0.125], rel=1e-14)
 
     def test_positive_and_sum(self):
         c = sqrt_series_coefficients(10**6)
@@ -271,18 +290,17 @@ class TestChannelSymbolRoute:
     def test_adjoint_vector_norm_identity(self):
         # <P* zeta^p, P* zeta^p> computed from the monomial expansion equals
         # ||zeta^p||^2 (independent of the normalized-weight route)
-        from diskchannels.bergman import monomial_norm_sq
-
         for (mu, nu, k) in [(2, 3, 1), (3, 4, 2)]:
             params = ChannelParams(mu, nu, k)
             s = params.target_weight
             for p in (0, 3, 17, 50):
                 total = math.fsum(
-                    coeff**2 * monomial_norm_sq(mu, m) * monomial_norm_sq(nu, n)
+                    coeff**2
+                    * math.exp(log_monomial_norm_sq(mu, m) + log_monomial_norm_sq(nu, n))
                     for m, n, coeff in pk_star_vector(params, p)
                 )
                 assert total == pytest.approx(
-                    monomial_norm_sq(s, p), rel=1e-12
+                    math.exp(log_monomial_norm_sq(s, p)), rel=1e-12
                 )
 
 

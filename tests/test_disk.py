@@ -104,10 +104,9 @@ class TestQuadrature:
             val = q.integrate((1 - u) ** nu)
             assert val == pytest.approx(1.0 / (nu - 1), abs=1e-12)
 
-    @pytest.mark.parametrize("rule", ["legendre", "jacobi"])
-    def test_beta_moment_table(self, rule):
+    def test_beta_moment_table(self):
         # int |z|^{2m} (1-|z|^2)^s d iota = m! Gamma(s-1)/Gamma(s+m)
-        q = build_quadrature(80, 8, 2.0, radial_rule=rule)
+        q = build_quadrature(80, 8, 2.0)
         u = np.abs(q.nodes) ** 2
         for m in range(0, 41, 5):
             for s in range(2, 41, 5):
@@ -133,7 +132,7 @@ class TestQuadrature:
     def test_jacobi_exact_for_its_decay(self, decay):
         # exact for (1-u)^decay p(u), deg p <= 2n-1, at any real decay, also
         # past 2^{decay-1} overflowing (decay > 1025); rounding grows ~ decay
-        q = build_quadrature(6, 1, decay, radial_rule="jacobi")
+        q = build_quadrature(6, 1, decay)
         assert np.all(np.isfinite(q.weights)) and np.all(q.weights > 0)
         u = np.abs(q.nodes) ** 2
         for m in (0, 6, 11):
@@ -146,10 +145,10 @@ class TestQuadrature:
         # at decay 1e200 the squares (2k + alpha)^2 of the Jacobi matrix
         # overflow; a row error beats a silent nan integral
         with pytest.raises(ValueError, match="Gauss-Jacobi"):
-            build_quadrature(300, 1, 1e200, radial_rule="jacobi")
+            build_quadrature(300, 1, 1e200)
 
     def test_jacobi_handles_huge_weight(self):
-        q = build_quadrature(60, 4, 802.0, radial_rule="jacobi")
+        q = build_quadrature(60, 4, 802.0)
         u = np.abs(q.nodes) ** 2
         val = q.integrate(np.exp(800.0 * np.log1p(-u)) * (1 - u) ** 2)
         assert val == pytest.approx(1.0 / 801.0, rel=1e-12)

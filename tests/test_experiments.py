@@ -88,6 +88,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(BASE + "seed = not-a-number\n")
 
+    @pytest.mark.parametrize("line", [
+        "tol_abs = nan", "tol_abs = inf", "f = radial:0,0,inf",
+        "lambda_list = 0,nan", "psi = 0,0,nan",
+    ])
+    def test_non_finite_value_is_config_error(self, line):
+        # a NaN tol_abs would switch the gate off, and a NaN psi, f or lambda
+        # would fill every row with NaN
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+            parse_config(BASE.replace("psi = 0,0,1\n", "") + line + "\n")
+
     def test_channel_limit_needs_integer_mu(self):
         # the exact Gauss-Jacobi Husimi target needs an integer weight
         with pytest.raises(ConfigError, match="mu:"):
@@ -470,6 +481,15 @@ timing = off
         assert math.isnan(rep.rows[0].measured)
         assert rep.failures
 
+    def test_nan_row_fails_the_tolerance_gate(self):
+        # abs_error NaN is not <= tol_abs, so the row fails the gate
+        good = ReportRow(nu=2, measured=0.5, target=0.5)
+        nan_row = ReportRow(nu=3, measured=math.nan, target=0.0)
+        rep = ExperimentReport(parse_config(BASE + "tol_abs = 1e-3\n"), [good, nan_row])
+        assert rep.failures == [nan_row]
+        rep.config.tol_abs = 0.0  # the gate is off
+        assert rep.failures == []
+
     def test_berezin_eigen_large_weight_passes_gate(self, tmp_path):
         # recentred, the residual meets criterion 6's 1e-6 at nu = 800 and 1000
         cfg = tmp_path / "cfg.txt"
@@ -744,6 +764,19 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path):
         assert cli_main(["constants", "--config", str(tmp_path / "nope.txt")]) == 1
+
+    def test_gate_line_and_exit_code_agree_on_a_nan_row(self, tmp_path, capsys, monkeypatch):
+        def nan_report(config):
+            rows = [ReportRow(nu=2, measured=0.5, target=0.5),
+                    ReportRow(nu=3, measured=math.nan, target=0.0)]
+            return ExperimentReport(config, rows)
+
+        monkeypatch.setattr("diskchannels.cli.run_experiment", nan_report)
+        cfg = self._write(tmp_path, "experiment = constants\nnu_list = 2,3\ntol_abs = 1e-3\n")
+        assert cli_main(["constants", "--config", cfg]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("  ok")
+        assert lines[1].endswith("  TOLERANCE EXCEEDED (> 0.001)")
 
     def test_tolerance_exit_code(self, tmp_path):
         cfg = self._write(

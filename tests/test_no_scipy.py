@@ -1,14 +1,21 @@
-"""The runtime never imports scipy.
+"""The package's import surface: the export lists, and no scipy at run time.
 
-pytest's own process already holds scipy (the oracles use it), so the check
-runs in a fresh interpreter whose import system refuses scipy: it imports the
-package and the command line, and runs every experiment through ``cli.main``.
+pytest's own process already holds scipy (the oracles use it), so the scipy
+check runs in a fresh interpreter whose import system refuses scipy: it
+imports the package and the command line, and runs every experiment through
+``cli.main``.
 """
 
+import importlib
+import inspect
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
+
+import diskchannels
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -75,3 +82,21 @@ def test_runtime_runs_every_experiment_without_scipy(tmp_path):
     experiments = {text.split("\n")[0].split("=")[1].strip() for text in CONFIGS.values()}
     assert len(experiments) == 7
     assert len(list(tmp_path.glob("*.json"))) == len(CONFIGS)
+
+
+@pytest.mark.parametrize("name", ["bergman", "channel", "disk", "experiments",
+                                  "specfun", "spectral", "transforms"])
+def test_module_exports_exactly_its_public_functions_and_classes(name):
+    module = importlib.import_module(f"diskchannels.{name}")
+    public = {
+        attr for attr, value in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    }
+    assert sorted(module.__all__) == sorted(public)
+
+
+def test_package_exports_resolve():
+    assert len(set(diskchannels.__all__)) == len(diskchannels.__all__)
+    assert [name for name in diskchannels.__all__ if not hasattr(diskchannels, name)] == []

@@ -342,15 +342,15 @@ class TestChainIntegral:
 
     @pytest.mark.parametrize("args", [
         (8,), (10,), (12,), (16,), (20,), (24,), (32,), (48,), (200,), (800,),
-        (48, 51, 63), ((8, 16), 17, 33),
+        (48, 51, 63), (8, 17, 33), (16, 17, 33), (8, 7, 17),
     ])
     def test_quadrature_bits_are_pinned(self, args):
-        # float.hex of each value, recorded from the one-row-at-a-time
-        # kernel that preceded the row blocks; 51 rows of 32 angles end on a
-        # partial block
+        # float.hex of the value, recorded from the one-row-at-a-time kernel
+        # that preceded the row blocks; 51 rows of 32 angles end on a partial
+        # block, and on 7 radii and 9 angle pairs one 49 x 9 matvec over the
+        # block would round differently from the seven 7 x 9 per-row matvecs
         bits = _pinned_bits(PINNED_QUADRATURE_BITS)
-        got = chain2_tensor_quadrature(*args)
-        assert [v.hex() for v in np.atleast_1d(got)] == bits[args]
+        assert chain2_tensor_quadrature(*args).hex() == bits[args]
 
     @pytest.mark.parametrize("args, limit", [((8, 200, 512), 2 * 2**20), ((8,), 2**20)])
     def test_quadrature_memory_is_bounded(self, args, limit):
@@ -437,24 +437,26 @@ PINNED_CHAIN_BITS = {
 # chain2_tensor_quadrature(*args), keyed like PINNED_CHAIN_BITS; AVX-512
 # differs from the other targets at nu = 24, 48 and 800
 _X86_V4_QUADRATURE_BITS = {
-    (8,): ["0x1.605d8081bde78p+0"],
-    (10,): ["0x1.5de2f3eb7bc66p+0"],
-    (12,): ["0x1.5c50df05b5c5ep+0"],
-    (16,): ["0x1.5a7066e8c89d4p+0"],
-    (20,): ["0x1.595b5d57490e0p+0"],
-    (24,): ["0x1.58a72d47056bap+0"],
-    (32,): ["0x1.57cadd8e14f0dp+0"],
-    (48,): ["0x1.56f3e20076b52p+0"],
-    (200,): ["0x1.55b6fe0f01ceap+0"],
-    (800,): ["0x1.556da4302bfa8p+0"],
-    (48, 51, 63): ["0x1.56f3e20076adap+0"],
-    ((8, 16), 17, 33): ["0x1.605cfff05c35ep+0", "0x1.5a7066b20bb1dp+0"],
+    (8,): "0x1.605d8081bde78p+0",
+    (10,): "0x1.5de2f3eb7bc66p+0",
+    (12,): "0x1.5c50df05b5c5ep+0",
+    (16,): "0x1.5a7066e8c89d4p+0",
+    (20,): "0x1.595b5d57490e0p+0",
+    (24,): "0x1.58a72d47056bap+0",
+    (32,): "0x1.57cadd8e14f0dp+0",
+    (48,): "0x1.56f3e20076b52p+0",
+    (200,): "0x1.55b6fe0f01ceap+0",
+    (800,): "0x1.556da4302bfa8p+0",
+    (48, 51, 63): "0x1.56f3e20076adap+0",
+    (8, 17, 33): "0x1.605cfff05c35ep+0",
+    (16, 17, 33): "0x1.5a7066b20bb1dp+0",
+    (8, 7, 17): "0x1.60484cc3fc2e5p+0",
 }
 _X86_V3_QUADRATURE_BITS = {
     **_X86_V4_QUADRATURE_BITS,
-    (24,): ["0x1.58a72d47056bbp+0"],
-    (48,): ["0x1.56f3e20076b53p+0"],
-    (800,): ["0x1.556da4302bfaap+0"],
+    (24,): "0x1.58a72d47056bbp+0",
+    (48,): "0x1.56f3e20076b53p+0",
+    (800,): "0x1.556da4302bfaap+0",
 }
 PINNED_QUADRATURE_BITS = {
     "X86_V4": _X86_V4_QUADRATURE_BITS,
@@ -464,7 +466,8 @@ PINNED_QUADRATURE_BITS = {
 
 
 class TestBatches:
-    """A sequence of weights returns, bit for bit, each weight's scalar result."""
+    """A sequence of weights returns, bit for bit, each weight's scalar
+    Monte Carlo estimate."""
 
     @staticmethod
     def _check(fn, nus):
@@ -473,29 +476,11 @@ class TestBatches:
         assert batch == [fn(nu) for nu in nus]
         assert fn(nus[::-1]) == batch[::-1]
 
-    @pytest.mark.parametrize("radial_count, angular_count", [(200, 512), (51, 63)])
-    def test_chain2_quadrature(self, radial_count, angular_count):
-        self._check(
-            lambda nu: chain2_tensor_quadrature(nu, radial_count, angular_count),
-            [4.0, 8.0, 16.0, 48.0],
-        )
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_chain_estimate(self, n):
         # 150000 draws span two full chunks and a partial one
         self._check(lambda nu: chained_kernel_integral(n, nu, 11, 150000), [4.0, 6.0, 16.0])
 
-    def test_eigen_relation_residual(self):
-        samples = [0.0, 0.3, 0.45j, -0.2 + 0.3j]
-        self._check(
-            lambda nu: eigen_relation_residual(nu, (0.0, 1.0, 2.0), samples, 40, 64),
-            [2.0, 4.0, 8.0, 16.0],
-        )
-
     def test_empty_weight_list_rejected(self):
         with pytest.raises(ValueError, match="nu"):
-            chain2_tensor_quadrature([])
-        with pytest.raises(ValueError, match="nu"):
             chained_kernel_integral(2, [], 1, 10)
-        with pytest.raises(ValueError, match="nu"):
-            eigen_relation_residual([], 0.0, [0.1], 8, 8)

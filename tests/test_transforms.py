@@ -17,7 +17,6 @@ from diskchannels.transforms import (
     e_transform,
     eigen_function,
     grid_function,
-    husimi,
     husimi_grid,
     radial_poly,
     toeplitz_diagonal,
@@ -210,19 +209,17 @@ class TestBerezin:
 class TestHusimi:
     def test_lowest_index_zero(self):
         A = lowest_state(2)
-        for w in (0.0, 0.3 + 0.2j, 0.8):
-            assert husimi(A, 0, w) == pytest.approx(
-                (1 - abs(w) ** 2) ** 2, rel=1e-13
-            )
+        ws = np.array([0.0, 0.3 + 0.2j, 0.8])
+        assert husimi_grid(A, 0, ws) == pytest.approx((1 - abs(ws) ** 2) ** 2, rel=1e-13)
 
     def test_lowest_index_k(self):
         mu = 2
         A = lowest_state(mu)
+        ws = np.array([0.3 + 0.2j, 0.5])
+        t = abs(ws) ** 2
         for k in (1, 2, 3):
-            for w in (0.3 + 0.2j, 0.5):
-                t = abs(w) ** 2
-                expect = pochhammer(mu, k) / math.factorial(k) * t**k * (1 - t) ** mu
-                assert husimi(A, k, w) == pytest.approx(expect, rel=1e-12)
+            expect = pochhammer(mu, k) / math.factorial(k) * t**k * (1 - t) ** mu
+            assert husimi_grid(A, k, ws) == pytest.approx(expect, rel=1e-12)
 
     def test_normalization(self):
         # int H_mu^k(A) d iota = Tr(A)/(mu - 1): Schur orthogonality with the
@@ -246,7 +243,7 @@ class TestHusimi:
             g2 = base @ GroupElement.rotation(theta)
             v, _ = transported_basis_vectors(mu, g2, k, A.degree)
             val = np.real(np.conj(v) @ (A.matrix @ v))
-            assert val == pytest.approx(husimi(A, k, w), abs=1e-12)
+            assert val == pytest.approx(husimi_grid(A, k, [w])[0], abs=1e-12)
 
     def test_rotation_covariance(self):
         # H(g A g^{-1})(w) = H(A)(g . w) exactly for rotations: the point
@@ -259,10 +256,9 @@ class TestHusimi:
             mu, phases[:, None] * A.matrix * np.conj(phases)[None, :], hermitian=True
         )
         g = GroupElement.rotation(theta)
-        for w in (0.3, 0.2 + 0.4j):
-            lhs = husimi(conj, k, w)
-            rhs = husimi(A, k, mobius(g, w))
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+        ws = np.array([0.3, 0.2 + 0.4j])
+        lhs = husimi_grid(conj, k, ws)
+        assert lhs == pytest.approx(husimi_grid(A, k, mobius(g, ws)), rel=1e-12)
 
     def test_psd_range(self):
         A = random_psd(2, 8, 3, seed=10)
@@ -357,4 +353,4 @@ class TestLargeWeightStability:
         assert covariant_symbol(A, 0.9) == pytest.approx(
             (1 - 0.81) ** 800, rel=1e-10
         )
-        assert husimi(A, 1, 0.9) >= 0.0
+        assert husimi_grid(A, 1, [0.9])[0] >= 0.0
