@@ -104,12 +104,16 @@ class TestQuadrature:
             val = q.integrate((1 - u) ** nu)
             assert val == pytest.approx(1.0 / (nu - 1), abs=1e-12)
 
-    def test_beta_moment_table(self):
-        # int |z|^{2m} (1-|z|^2)^s d iota = m! Gamma(s-1)/Gamma(s+m)
-        q = build_quadrature(80, 8, 2.0)
+    @pytest.mark.parametrize("min_decay", [pytest.param(2.0, id="legendre"),
+                                           pytest.param(7.0, id="jacobi")])
+    def test_beta_moment_table(self, min_decay):
+        # int |z|^{2m} (1-|z|^2)^s d iota = m! Gamma(s-1)/Gamma(s+m), for every
+        # s the rule declares: Gauss-Legendre in u at min_decay 2, Gauss-Jacobi
+        # in (1-u)^5 at min_decay 7
+        q = build_quadrature(80, 8, min_decay)
         u = np.abs(q.nodes) ** 2
         for m in range(0, 41, 5):
-            for s in range(2, 41, 5):
+            for s in range(int(min_decay), 41, 5):
                 oracle = float(mp.gamma(m + 1) * mp.gamma(s - 1) / mp.gamma(s + m))
                 val = q.integrate(u**m * (1 - u) ** s)
                 assert val == pytest.approx(oracle, rel=1e-12, abs=1e-15)
