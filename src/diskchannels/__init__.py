@@ -18,6 +18,7 @@ from .channel import (
     ChannelParams,
     apply_channel,
     banded_trace,
+    channel_trace,
     functional_trace,
     pk_star_vector,
     projection_coefficients,
@@ -58,6 +59,7 @@ __all__ = [
     "ChannelParams",
     "apply_channel",
     "banded_trace",
+    "channel_trace",
     "functional_trace",
     "pk_star_vector",
     "projection_coefficients",

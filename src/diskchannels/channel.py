@@ -22,12 +22,13 @@ import numpy as np
 
 from .bergman import BandedOperator, TruncatedOperator, log_monomial_norm_sq
 from .specfun import (
+    BLOCK,
+    CarriedCumprod,
     channel_constant_sq,
     from_scaled,
     log_channel_constant_sq,
     pochhammer,
     pochhammer_ratios,
-    pochhammer_steps,
     scaled_cumprod,
     validate_weight,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "pk_star_vector",
     "isometry_weights",
     "apply_channel",
+    "channel_trace",
     "diagonal_response",
     "diagonal_output_spectrum",
     "response_tail_bound",
@@ -186,40 +188,47 @@ def _abs_sum_trace(params: ChannelParams, diag) -> float:
 
 
 class _Couplings:
-    """The coupling weights w^{(p)}_{m,n}, n = p + k - m, for 0 <= p <= p_max.
+    """The coupling weights w^{(p)}_{m,n}, n = p + k - m, a block of output
+    indices p at a time.
 
     w = S(m,n) r_m[p]^{1/2}, r_m[p] = C^2 (p!/(s)_p) ((mu)_m/m!) ((nu)_n/n!),
-    s the target weight, read from tables over consecutive integers built
-    once (each a cumprod of consecutive ratios, or one ratio per entry):
+    s the target weight, from products over consecutive integers:
 
-        r_0[p] = C^2 ((nu)_k/k!) (1)_p (nu+k)_p / ((s)_p (k+1)_p),  p <= p_max,
+        r_0[p] = C^2 ((nu)_k/k!) (1)_p (nu+k)_p / ((s)_p (k+1)_p),
         step[t] = ((nu)_{t-1}/(t-1)!) / ((nu)_t/t!) = t/(nu+t-1),
         r_m[p] = r_{m-1}[p] step[n+1] (mu+m-1)/m,
 
     the last a cumprod along m whose every partial product is an r value.
-    The cumprods carry a binary exponent (:func:`specfun.scaled_cumprod`), so
-    a row whose ends lie below the double range still reaches its middle.
-    :func:`diagonal_output_spectrum` reads the same tables and runs the
+    r_0 is a :class:`specfun.CarriedCumprod`, read in order a block at a
+    time, and step[t] is formed where it is read, so no table grows with the
+    cut.  The cumprods carry a binary exponent (:func:`specfun.scaled_cumprod`),
+    so a row whose ends lie below the double range still reaches its middle;
+    the stretches of the cumprod along m are set per block, so only such a
+    grid can round differently from one built whole.
+    :func:`diagonal_output_spectrum` reads the same r_0 and step and runs the
     recurrence as Horner's rule in m.  r_m[p] is within (4p + 3.5m + 7k)
     eps relative of exact, one eps more there (derived at the trace-tail
     allowance of ``experiments._row_channel_limit``).
     """
 
-    def __init__(self, params: ChannelParams, p_max: int):
+    def __init__(self, params: ChannelParams):
         self.params = params
-        mu, nu, k, s = params.mu, params.nu, params.k, params.target_weight
-        self.c2 = channel_constant_sq(mu, nu, k)
-        first = self.c2 * math.prod((nu + i) / (i + 1.0) for i in range(k))
-        # as mantissa and exponent, which the m recurrence of a row starts
-        # from wherever r_0[p] itself is below the double range
-        self.r0_mant, self.r0_exp = scaled_cumprod(
-            pochhammer_steps(p_max, (1.0, nu + k), (s, k + 1.0)), first)
-        t = np.arange(p_max + k + 2.0)
-        self.step = t / (nu + t - 1.0)
+        nu, k = params.nu, params.k
+        self.c2 = channel_constant_sq(params.mu, nu, k)
+        self.first = self.c2 * math.prod((nu + i) / (i + 1.0) for i in range(k))
 
-    def terms(self, ps, ms) -> tuple[np.ndarray, np.ndarray]:
+    def r0(self, p_max: int) -> CarriedCumprod:
+        """r_0[p], p = 0..p_max, as mantissa and exponent, read in order; the
+        m recurrence of a row starts from the mantissa wherever r_0[p] itself
+        is below the double range."""
+        nu, k = self.params.nu, self.params.k
+        return CarriedCumprod.pochhammer(
+            p_max + 1, (1.0, nu + k), (self.params.target_weight, k + 1.0), self.first)
+
+    def terms(self, ps, ms, r0) -> tuple[np.ndarray, np.ndarray]:
         """(S, r) on the grid of output indices ``ps`` (rows) by input
-        degrees ``ms`` (columns): r = r_m[p], and S = 0 unless m, n >= 0."""
+        degrees ``ms`` (columns), given ``r0`` = r_0 at ``ps`` as (mantissa,
+        exponent): r = r_m[p], and S = 0 unless m, n >= 0."""
         k = self.params.k
         ps, ms = np.asarray(ps), np.asarray(ms)
         n = ps[:, None] + k - ms
@@ -229,20 +238,27 @@ class _Couplings:
         # step[n + 1] (mu+m-1)/m; a step to n < 0 reads step[0] = 0, and the
         # weight there is 0 anyway
         j = np.arange(1, max(int(ms.max(initial=0)), 0) + 1)[:, None]
-        index = (ps + (k + 1)) - j  # n + 1
-        factors = self.step[np.maximum(index, 0, out=index)]
+        t = np.maximum((ps + (k + 1)) - j, 0).astype(float)  # n + 1
+        factors = t / (self.params.nu + t - 1.0)
         factors *= (self.params.mu + j - 1.0) / j
-        mant, expo = scaled_cumprod(factors, self.r0_mant[ps])
-        if self.r0_exp is not None:
-            expo = self.r0_exp[ps] if expo is None else expo + self.r0_exp[ps]
+        r0_mant, r0_exp = r0
+        mant, expo = scaled_cumprod(factors, r0_mant)
+        if r0_exp is not None:
+            expo = r0_exp if expo is None else expo + r0_exp
         # back to one row per p, in row-major order for the callers' row reads
         return S, np.ascontiguousarray(from_scaled(mant, expo)[np.maximum(ms, 0)].T)
 
-    def weights(self, ps, ms) -> np.ndarray:
+    def weights(self, ps, ms, r0) -> np.ndarray:
         """Signed w^{(p)}_{m,n} = C S(m,n) ||zeta^p|| / (||z^m|| ||w^n||) on
         the grid ``ps`` by ``ms``."""
-        S, r = self.terms(ps, ms)
+        S, r = self.terms(ps, ms, r0)
         return S * np.sqrt(r)
+
+    def row_terms(self, p: int, ms) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`terms` on the single output index p."""
+        table = self.r0(p)
+        table.skip(p)
+        return self.terms([p], ms, table.take(1))
 
 
 def projection_coefficients(params: ChannelParams, max_grade: int) -> np.ndarray:
@@ -269,7 +285,8 @@ def isometry_weights(params: ChannelParams, p: int, n=None) -> np.ndarray:
         raise ValueError("p must be >= 0")
     if n is None:
         n = np.arange(p + params.k + 1)
-    return _Couplings(params, p).weights([p], p + params.k - np.asarray(n))[0]
+    S, r = _Couplings(params).row_terms(p, p + params.k - np.asarray(n))
+    return (S * np.sqrt(r))[0]
 
 
 def pk_star_vector(params: ChannelParams, p: int) -> list[tuple[int, int, float]]:
@@ -280,9 +297,9 @@ def pk_star_vector(params: ChannelParams, p: int) -> list[tuple[int, int, float]
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    couplings = _Couplings(params, p)
+    couplings = _Couplings(params)
     ms = p + params.k - np.arange(p + params.k + 1)
-    S, r = couplings.terms([p], ms)
+    S, r = couplings.row_terms(p, ms)
     # c_{m,n} ||zeta^p||^2 / (||z^m||^2 ||w^n||^2) = S r_m[p] / C
     coeffs = S[0] * r[0] / math.sqrt(couplings.c2)
     return [
@@ -293,8 +310,82 @@ def pk_star_vector(params: ChannelParams, p: int) -> list[tuple[int, int, float]
 
 
 def _weight_grid(params: ChannelParams, p_max: int, m_max: int) -> np.ndarray:
-    """V[p, m] = w^{(p)}_{m, p+k-m} for 0 <= p <= p_max, 0 <= m <= m_max."""
-    return _Couplings(params, p_max).weights(np.arange(p_max + 1), np.arange(m_max + 1))
+    """V[p, m] = w^{(p)}_{m, p+k-m} for 0 <= p <= p_max, 0 <= m <= m_max, as
+    one grid: the reference that the blocks of :func:`_channel_blocks`
+    reproduce."""
+    couplings = _Couplings(params)
+    return couplings.weights(np.arange(p_max + 1), np.arange(m_max + 1),
+                             couplings.r0(p_max).take(p_max + 1))
+
+
+def _block_bounds(n: int, b: int) -> list[tuple[int, int]]:
+    """The blocks [t0, t1) of BLOCK band-storage indices over [0, n) that the
+    band routines share; the last one holds at least b + 2 (or all n), so
+    that no band of bandwidth b but one of a single entry ends in a block
+    with one entry: numpy forms a one-row product as a dot, which rounds
+    apart from the matrix-vector product of the rest of the band."""
+    starts = list(range(0, n, BLOCK))
+    while len(starts) > 1 and n - starts[-1] < b + 2:
+        starts.pop()
+    return list(zip(starts, [*starts[1:], n]))
+
+
+def _channel_blocks(A: TruncatedOperator, params: ChannelParams):
+    """(bandwidth, blocks) of T(A): ``blocks`` yields (t0, t1, bands) for
+    the blocks of band-storage indices t of :func:`_block_bounds`, with
+    bands[off] the entries t0 <= t < t1 of band off (fewer where it ends).
+
+    Entry (q, p) of the output is sum_m V[p, m] A[m - (p-q), m] V[q, m - (p-q)];
+    band off = p - q stores it at t = min(p, q), so a block reads the weight
+    rows [t0, t1 + b), b the bandwidth: the rows of the block before it past
+    t1, kept, and the new rows, whose r_0 continues the carried table.
+    """
+    if A.weight != params.mu:
+        raise ValueError(
+            f"operator lives at weight {A.weight}, channel expects mu={params.mu}"
+        )
+    L = params.default_output_degree()
+    m_top = min(A.degree, L + params.k)
+    nz_rows, nz_cols = np.nonzero(np.abs(A.matrix) > 0)
+    offsets = np.unique(nz_cols - nz_rows)  # off = m - m' = p - q
+    if A.hermitian:
+        offsets = offsets[offsets >= 0]  # the lower triangle is the mirror
+    plan = []
+    for off in offsets.tolist():
+        # both m and m - off stay on the grid (m_top <= d)
+        m_lo, m_hi = max(0, off), min(m_top, m_top + off)
+        if m_lo > m_hi or abs(off) > L:
+            continue
+        ms = np.arange(m_lo, m_hi + 1)
+        diag = A.matrix[ms - off, ms]  # entries with m - m' = off
+        if np.any(np.abs(diag) > 0):
+            plan.append((off, m_lo, m_hi, diag))
+    b = max((abs(off) for off, *_ in plan), default=0)
+
+    def blocks():
+        couplings = _Couplings(params)
+        r0 = couplings.r0(L)
+        ms = np.arange(m_top + 1)
+        V, v_lo, v_hi = None, 0, 0  # V holds the weight rows [v_lo, v_hi)
+        for t0, t1 in _block_bounds(L + 1, b):
+            hi = min(t1 + b, L + 1)
+            if hi > v_hi:
+                new = couplings.weights(np.arange(v_hi, hi), ms, r0.take(hi - v_hi))
+                V = new if V is None else np.concatenate((V[t0 - v_lo :], new))
+            else:
+                V = V[t0 - v_lo :]
+            v_lo, v_hi = t0, hi
+            bands = {}
+            for off, m_lo, m_hi, diag in plan:
+                size = min(t1, L + 1 - abs(off)) - t0
+                if size > 0:
+                    # rows p = t + off, q = t for off >= 0; p = t, q = t - off below
+                    p, q = max(off, 0), max(-off, 0)
+                    bands[off] = (V[p : p + size, m_lo : m_hi + 1]
+                                  * V[q : q + size, m_lo - off : m_hi - off + 1]) @ diag
+            yield t0, t1, bands
+
+    return b, blocks() if plan else iter(())
 
 
 def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator:
@@ -303,41 +394,29 @@ def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator
     Entry (q, p) of the output is sum_m V[p, m] A[m - (p-q), m] V[q, m - (p-q)];
     grade conservation makes the output banded with A's bandwidth, so the
     cost is O(L * bandwidth * support) and the result is returned in band
-    storage of O(L * bandwidth) entries.  Hermiticity propagates exactly (the
-    coupling weights are real).
+    storage of O(L * bandwidth) entries, assembled from the blocks of
+    :func:`_channel_blocks`.  Hermiticity propagates exactly (the coupling
+    weights are real).  :func:`channel_trace` reads the same blocks without
+    holding the bands.
     """
-    if A.weight != params.mu:
-        raise ValueError(
-            f"operator lives at weight {A.weight}, channel expects mu={params.mu}"
-        )
     L = params.default_output_degree()
-    k = params.k
-    d = A.degree
-    nz_rows, nz_cols = np.nonzero(np.abs(A.matrix) > 0)
+    _, blocks = _channel_blocks(A, params)
     bands = {}
-    if len(nz_rows) == 0:
-        return BandedOperator(params.target_weight, L, bands, hermitian=A.hermitian)
-    m_top = min(d, L + k)
-    V = _weight_grid(params, L, m_top)
-    offsets = np.unique(nz_cols - nz_rows)  # off = m - m' = p - q
-    if A.hermitian:
-        offsets = offsets[offsets >= 0]  # the lower triangle is the mirror
-    for off in offsets.tolist():
-        # both m and m - off stay on the grid (m_top <= d)
-        m_lo, m_hi = max(0, off), min(m_top, m_top + off)
-        if m_lo > m_hi or abs(off) > L:
-            continue
-        ms = np.arange(m_lo, m_hi + 1)
-        diag = A.matrix[ms - off, ms]  # entries with m - m' = off
-        if not np.any(np.abs(diag) > 0):
-            continue
-        # rows p = p0 .. p0 + size - 1 and q = p - off, read as views
-        size, p0 = L + 1 - abs(off), max(off, 0)
-        q0 = p0 - off
-        # entry (q, p) = sum_m V[p, m] A[m - off, m] V[q, m - off]
-        bands[off] = (V[p0:p0 + size, m_lo:m_hi + 1]
-                      * V[q0:q0 + size, m_lo - off:m_hi - off + 1]) @ diag
+    for t0, _, chunks in blocks:
+        for off, chunk in chunks.items():
+            if off not in bands:
+                bands[off] = np.empty(L + 1 - abs(off), dtype=chunk.dtype)
+            bands[off][t0 : t0 + chunk.size] = chunk
     return BandedOperator(params.target_weight, L, bands, hermitian=A.hermitian)
+
+
+def channel_trace(A: TruncatedOperator, params: ChannelParams, psi) -> float | complex:
+    """sum_j a_j Tr T(A)^j: :func:`banded_trace` of :func:`apply_channel`
+    (bit for bit unless T(A) is diagonal), with T(A)'s bands read a block of
+    output indices at a time, so its memory does not grow with the cut."""
+    psi = _check_psi(psi)
+    b, blocks = _channel_blocks(A, params)
+    return _blocks_trace(blocks, params.default_output_degree() + 1, b, A.hermitian, psi)
 
 
 def diagonal_response(params: ChannelParams, m: int, p) -> np.ndarray:
@@ -366,89 +445,120 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
     With n = p + k - m and s the target weight, lambda_p(m) = S(m,n)^2 r_m[p]
     where r_m[p] = r_0[p] ((mu)_m/m!) prod_{i=1..m} step[p+k+1-i],
     r_0[p] = C^2 (p!/(s)_p) ((nu)_{p+k}/(p+k)!) and step[t] = t/(nu+t-1),
-    the tables of ``_Couplings``.  The sum over m is Horner's rule in the
+    as ``_Couplings`` has them.  The sum over m is Horner's rule in the
     input degree, from the top degree down:
 
         acc_m = acc_{m+1} step[p+k-m] + diag[m] ((mu)_m/m!) S(m,n)^2,
         out = r_0 acc_0,
 
-    in place on the slice p >= m - k where lambda_p(m) can be nonzero: one
-    multiply per entry per degree, and for a nonzero diag[m] the k + 1 term
-    sum of S (:func:`_derivative_sum`, from falling factorials (n)_{k-j}
-    tabulated once) with its terms scaled by the root of the coefficient,
-    its square and the add or subtract, in one work buffer: five passes at
-    k = 1.  (mu)_m/m! is never formed: acc is kept in units of the top
+    in place in the output, on the entries p >= m - k where lambda_p(m) can
+    be nonzero: one multiply per entry per degree, and for a nonzero diag[m]
+    the k + 1 term sum of S (:func:`_derivative_sum`, from falling factorials
+    (n)_{k-j}) with its terms scaled by the root of the coefficient, its
+    square and the add or subtract, in one work buffer: five passes at
+    k = 1.  The loop runs on blocks of BLOCK output indices, each with its
+    own tables of step and (n)_{k-j} over the n of every degree and the next
+    block of the carried r_0, so the output is the only array that grows
+    with the cut; every entry goes through the operations it would in one
+    block.  (mu)_m/m! is never formed: acc is kept in units of the top
     degree's weight (mu)_{m_top}/m_top!, so a degree's coefficient is the
     running product w of the ratios (m+1)/(mu+m) < 1, carried as a mantissa
-    and a binary exponent.  Where w falls 2^900 below the stored acc, acc is rescaled by
-    an exact power of two, and the final multiply by r_0 (itself a mantissa
-    and exponent) and 1/w_0 adds the binary exponents, so no intermediate
-    product overflows to inf or NaN.  Input degrees whose weights
-    (mu)_m/m! span more than the double range, so that a lower degree's
-    term is not representable beside the acc of the upper ones, are a
-    ValueError.
+    and a binary exponent.  Where w falls 2^900 below the stored acc, acc is
+    rescaled by an exact power of two, set by its largest entry: the blocks
+    stop before that degree's term, so that the largest entry over all of
+    them sets it.  The final multiply by r_0 (itself a mantissa and
+    exponent) and 1/w_0 adds the binary exponents, so no intermediate
+    product overflows to inf or NaN.  Input degrees whose weights (mu)_m/m!
+    span more than the double range, so that a lower degree's term is not
+    representable beside the acc of the upper ones, are a ValueError.
     """
     diag = np.asarray(diag, dtype=float)
-    k, mu = params.k, params.mu
-    acc = np.zeros(cut + 1)
+    k, mu, nu = params.k, params.mu, params.nu
+    out = np.zeros(cut + 1)
     support = np.flatnonzero(diag)
     if support.size == 0:
-        return acc
-    couplings = _Couplings(params, cut)
-    step = couplings.step  # every n + 1 that a step reads
-    fall_n = [_falling(np.arange(cut + k + 1.0), k - j) for j in range(k)]
-    terms = _derivative_terms(params)
-    work = np.empty(cut + 1)
-    part = np.empty(cut + 1) if k > 1 else None  # the terms j = 1..k-1 of S
+        return out
     m_top = min(int(support[-1]), cut + k)
-    # w = ((mu)_m/m!) / ((mu)_{m_top}/m_top!) = w_mant 2**w_exp, and the
-    # true acc, in units of (mu)_{m_top}/m_top!, is the stored one times
+    terms = _derivative_terms(params)
+    # w = ((mu)_m/m!) / ((mu)_{m_top}/m_top!) = w_mant[m] 2**w_exp[m]
+    w_mant, w_exp = [0.0] * m_top + [0.5], [0] * m_top + [1]
+    for m in range(m_top - 1, -1, -1):
+        w_mant[m], e = math.frexp(w_mant[m + 1] * ((m + 1.0) / (mu + m)))
+        w_exp[m] = w_exp[m + 1] + e
+    r0 = _Couplings(params).r0(cut)
+    work = np.empty(min(cut + 1, BLOCK))
+    part = np.empty_like(work) if k > 1 else None  # the terms j = 1..k-1 of S
+
+    def horner(acc, p0, m_hi, m_lo, acc_exp, resumed, add_last):
+        """Degrees m_hi down to m_lo on the block acc = out[p0:p1]; the
+        multiply of m_hi is done already when ``resumed``, and the term of
+        m_lo is left out unless ``add_last``."""
+        p1 = p0 + acc.size
+        n_lo = max(0, p0 + k - m_top)  # the n = p + k - m of the block
+        n_all = np.arange(n_lo, p1 + k, dtype=float)
+        step = n_all / (nu + n_all - 1.0)
+        fall_n = [_falling(n_all, k - j) for j in range(k)]
+        for m in range(m_hi, m_lo - 1, -1):
+            lo = max(0, m - k - p0)  # lambda_p(m) = 0 for p < m - k
+            if lo >= acc.size:
+                continue
+            n = slice(p0 + lo + k - m - n_lo, p1 + k - m - n_lo)
+            if m < m_top and not (resumed and m == m_hi):
+                acc[lo:] *= step[n]
+            if diag[m] == 0.0 or (m == m_lo and not add_last):
+                continue
+            # S scaled by the root of the coefficient, so that its square is
+            # the term up to the coefficient's sign
+            coef = math.ldexp(diag[m] * w_mant[m], w_exp[m] - acc_exp)
+            root = math.sqrt(abs(coef))
+            c = [root * coeff * _falling(m, j) for j, coeff in terms]
+            S = work[lo : acc.size]
+            if k:
+                np.multiply(fall_n[0][n], c[0], out=S)
+                for j in range(1, k):
+                    S += np.multiply(fall_n[j][n], c[j], out=part[lo : acc.size])
+                S += c[k]
+            else:
+                S.fill(c[0])
+            S *= S
+            if coef > 0.0:
+                acc[lo:] += S
+            else:
+                acc[lo:] -= S
+
+    # the true acc, in units of (mu)_{m_top}/m_top!, is the stored one times
     # 2**acc_exp
-    w_mant, w_exp = 0.5, 1
-    acc_exp = 0
-    for m in range(m_top, -1, -1):
-        lo = max(0, m - k)  # lambda_p(m) = 0 for p < m - k
-        if m < m_top:
-            acc[lo:] *= step[lo + k - m : cut + k - m + 1]
-            w_mant, e = math.frexp(w_mant * ((m + 1.0) / (mu + m)))
-            w_exp += e
-        if diag[m] == 0.0:
-            continue
-        if w_exp - acc_exp < -_TERM_BITS:
-            acc_exp = _rescale(acc, acc_exp, w_exp)
-        # S scaled by the root of the coefficient, so that its square is the
-        # term up to the coefficient's sign
-        coef = math.ldexp(diag[m] * w_mant, w_exp - acc_exp)
-        root = math.sqrt(abs(coef))
-        c = [root * coeff * _falling(m, j) for j, coeff in terms]
-        S = work[lo:]
-        if k:
-            n = slice(lo + k - m, cut + k - m + 1)
-            np.multiply(fall_n[0][n], c[0], out=S)
-            for j in range(1, k):
-                S += np.multiply(fall_n[j][n], c[j], out=part[lo:])
-            S += c[k]
-        else:
-            S.fill(c[0])
-        S *= S
-        if coef > 0.0:
-            acc[lo:] += S
-        else:
-            acc[lo:] -= S
-    # out = r_0 acc 2**acc_exp / w_0
-    shift = acc_exp - w_exp
-    if couplings.r0_exp is None and abs(shift) <= 64:
-        # an entry whose product r_0 acc is subnormal is below 2**-957
-        acc *= couplings.r0_mant
-        acc *= math.ldexp(1.0 / w_mant, shift)
-        return acc
-    # the mantissas are multiplied and the binary exponents of acc, r_0 and
-    # w_0 added exactly
-    mant, expo = np.frexp(acc)
-    mant *= couplings.r0_mant
-    mant *= 1.0 / w_mant
-    expo = expo + shift if couplings.r0_exp is None else expo + (couplings.r0_exp + shift)
-    return np.ldexp(mant, expo, out=acc)
+    acc_exp, m_hi, resumed = 0, m_top, False
+    while True:
+        # the next rescale: binary exponents alone place it
+        m_r = next((m for m in range(m_hi - resumed, -1, -1)
+                    if diag[m] != 0.0 and w_exp[m] - acc_exp < -_TERM_BITS), None)
+        top = 0.0
+        for p0 in range(0, cut + 1, BLOCK):
+            acc = out[p0 : p0 + BLOCK]
+            horner(acc, p0, m_hi, m_r or 0, acc_exp, resumed, m_r is None)
+            if m_r is not None:
+                top = max(top, float(acc.max()), -float(acc.min()))
+                continue
+            # out = r_0 acc 2**acc_exp / w_0
+            shift = acc_exp - w_exp[0]
+            r0_mant, r0_exp = r0.take(acc.size)
+            if r0_exp is None and abs(shift) <= 64:
+                # an entry whose product r_0 acc is subnormal is below 2**-957
+                acc *= r0_mant
+                acc *= math.ldexp(1.0 / w_mant[0], shift)
+                continue
+            # the mantissas are multiplied and the binary exponents of acc,
+            # r_0 and w_0 added exactly
+            mant, expo = np.frexp(acc)
+            mant *= r0_mant
+            mant *= 1.0 / w_mant[0]
+            expo = expo + shift if r0_exp is None else expo + (r0_exp + shift)
+            np.ldexp(mant, expo, out=acc)
+        if m_r is None:
+            return out
+        acc_exp = _rescale(out, acc_exp, w_exp[m_r], top)
+        m_hi, resumed = m_r, True
 
 
 # A degree's coefficient may fall this many binary places below the stored
@@ -456,11 +566,11 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
 _TERM_BITS = 900
 
 
-def _rescale(acc: np.ndarray, acc_exp: int, w_exp: int) -> int:
-    """Multiply ``acc`` in place by the exact power of two that brings a
-    term of weight 2**w_exp closest to it while its largest entry stays
-    below 2**1000; return acc's new binary exponent."""
-    top = max(float(acc.max()), -float(acc.min()))
+def _rescale(acc: np.ndarray, acc_exp: int, w_exp: int, top: float) -> int:
+    """Multiply ``acc``, whose largest magnitude is ``top``, in place by the
+    exact power of two that brings a term of weight 2**w_exp closest to it
+    while its largest entry stays below 2**1000; return acc's new binary
+    exponent."""
     shift = acc_exp - w_exp
     if top > 0.0:
         shift = min(shift, 1000 - math.frexp(top)[1])
@@ -553,14 +663,17 @@ def power_sum(psi, values: np.ndarray) -> float | complex:
     """sum_j a_j sum_i values_i^j for psi = [0, a1, a2, ...].
 
     Applied to a spectrum this is Tr psi(B).  Real values give a float,
-    complex values a complex.
+    complex values a complex.  The powers are formed up to psi's top nonzero
+    coefficient only.
     """
+    top = max((j for j, a in enumerate(psi) if a != 0.0), default=0)
     total = 0.0
-    power = values.copy()
-    for a in psi[1:]:
-        if a != 0.0:
-            total += a * np.sum(power).item()
-        power = power * values
+    power = values
+    for j in range(1, top + 1):
+        if j > 1:
+            power = power * values
+        if psi[j] != 0.0:
+            total += psi[j] * np.sum(power).item()
     return total
 
 
@@ -591,38 +704,120 @@ def functional_trace(B: TruncatedOperator | BandedOperator, psi) -> float:
     return power_sum(psi, np.clip(eigs, 0.0, 1.0))
 
 
-def _row_bands(B: BandedOperator) -> tuple[int, np.ndarray]:
-    """(b, R) with R[b + off, i] = B[i, i + off], zero outside the matrix."""
-    n, b = B.degree + 1, B.bandwidth
-    R = np.zeros((2 * b + 1, n), dtype=complex)
-    for off, band in B.bands.items():
-        R[b + off, max(0, -off) : n - max(0, off)] = band
-        if B.hermitian and off > 0:
-            R[b - off, off:] = np.conj(band)
-    return b, R
-
-
 def _band_product(X: tuple[int, np.ndarray], Y: tuple[int, np.ndarray]):
-    """Row-indexed bands of X @ Y: C[i, i+c] = sum_a X[i, i+a] Y[i+a, i+c]."""
+    """Row-indexed bands of X @ Y: C[i, i+c] = sum_a X[i, i+a] Y[i+a, i+c].
+
+    A row's entries are right wherever the rows of Y that it reads are on
+    hand; a row near the end of the window reads zeros in their place."""
     (bx, RX), (by, RY) = X, Y
     n = RX.shape[1]
     C = np.zeros((2 * (bx + by) + 1, n), dtype=complex)
     for ia, a in enumerate(range(-bx, bx + 1)):
         lo, hi = max(0, -a), min(n, n - a)
-        C[ia : ia + 2 * by + 1, lo:hi] += RX[ia, lo:hi] * RY[:, lo + a : hi + a]
-    bc = min(bx + by, n - 1)  # offsets past n - 1 are empty
-    return bc, C[bx + by - bc : bx + by + bc + 1]
+        if lo < hi:
+            C[ia : ia + 2 * by + 1, lo:hi] += RX[ia, lo:hi] * RY[:, lo + a : hi + a]
+    return bx + by, C
 
 
-def _band_pairing(X: tuple[int, np.ndarray], Y: tuple[int, np.ndarray]) -> complex:
-    """Tr(X @ Y) = sum_a sum_i X[i, i+a] Y[i+a, i], O(n * bandwidth)."""
-    (bx, RX), (by, RY) = X, Y
-    n = RX.shape[1]
+def _window_rows(W, w0, r0, r1, b, hermitian, transpose=False) -> np.ndarray:
+    """R[b + a, r - r0] = M[r, r + a] for rows r0 <= r < r1, M = B or B^T,
+    from W[b + off, t - w0] = band off of B at t (zero past its end)."""
+    sign = -1 if transpose else 1
+    R = np.zeros((2 * b + 1, r1 - r0), dtype=complex)
+    for a in range(-b, b + 1):
+        if a >= 0:  # band sign * a at r
+            R[b + a] = W[b + sign * a, r0 - w0 : r1 - w0]
+            continue
+        # M[r, r - |a|] sits at t = r - |a|: band -sign * |a|, or the mirror
+        # of band |a| for Hermitian B
+        lo = max(r0, -a)
+        src = W[b - a if hermitian else b + sign * a, lo + a - w0 : r1 + a - w0]
+        R[b + a, lo - r0 :] = np.conj(src) if hermitian else src
+    return R
+
+
+def _window_trace(W, w0, c0, c1, n, b, hermitian, psi) -> complex:
+    """sum_j a_j sum_{c0 <= i < c1} (B^j)_{ii} for the n x n B whose bands W
+    holds from w0 (:func:`_window_rows`) over [c0 - h b, c1 + (h - 1) b),
+    h = ceil(deg psi / 2).
+
+    (B^j)_{ii} = sum_c (B^hx)[i, c] ((B^T)^hy)[i, c], hx + hy = j, hy = hx
+    or hx - 1, so only the rows of B^hx and (B^T)^hy in the block are read;
+    they need B's rows within (hx - 1) b of it.  (B^T)^hy is the conjugate
+    of B^hy for Hermitian B.
+    """
+    top = len(psi) - 1
+    h = (top + 1) // 2
+    r0, r1 = max(0, c0 - (h - 1) * b), min(n, c1 + (h - 1) * b)
+    R = _window_rows(W, w0, r0, r1, b, hermitian)
+    P = [None, (b, R)]
+    for _ in range(2, h + 1):  # B^h up to h = ceil(deg / 2)
+        P.append(_band_product(P[-1], P[1]))
+    if hermitian:
+        Q = [None] + [(bp, np.conj(X)) for bp, X in P[1 : top // 2 + 1]]
+    else:
+        Q = [None, (b, _window_rows(W, w0, r0, r1, b, False, transpose=True))]
+        for _ in range(2, top // 2 + 1):
+            Q.append(_band_product(Q[-1], Q[1]))
+    lo, hi = c0 - r0, c1 - r0
     total = 0j
-    for a in range(-min(bx, by), min(bx, by) + 1):
-        lo, hi = max(0, -a), min(n, n - a)
-        total += RX[bx + a, lo:hi] @ RY[by - a, lo + a : hi + a]
+    for j, a in enumerate(psi):
+        if j == 0 or a == 0.0:
+            continue
+        if j == 1:
+            tr = np.sum(R[b, lo:hi])
+        else:
+            (bx, X), (by, Y) = P[(j + 1) // 2], Q[j // 2]
+            c = min(bx, by)
+            tr = np.sum(X[bx - c : bx + c + 1, lo:hi] * Y[by - c : by + c + 1, lo:hi])
+        total += a * tr
     return total
+
+
+def _blocks_trace(blocks, n: int, b: int, hermitian: bool, psi) -> float | complex:
+    """sum_j a_j Tr B^j for the n x n B of bandwidth b whose bands arrive in
+    consecutive blocks (t0, t1, {off: band[t0:t1]}), exact, with no
+    eigensolve.
+
+    Tr B = sum of the diagonal, and Tr B^2 = sum_t band_0[t]^2 +
+    2 sum_{off>0} sum_t band_off[t] band_-off[t] (sum_t |band_0[t]|^2 +
+    2 sum_{off>0} sum_t |band_off[t]|^2 for Hermitian B, the squared
+    Frobenius norm): each block adds its own part.  Higher powers go through
+    :func:`_window_trace`, on a window that keeps the last h b band rows of
+    the blocks before, h = ceil(deg psi / 2), and waits (h - 1) b rows past
+    a block before it traces the block's rows.  Hermitian B gives a float,
+    otherwise a complex.
+    """
+    top = max((j for j, a in enumerate(psi) if a != 0.0), default=0)
+    psi = psi[: top + 1]
+    total = 0j
+    if top <= 2:
+        for _, _, bands in blocks:
+            diag = bands.get(0)
+            if top >= 1 and psi[1] != 0.0 and diag is not None:
+                total += psi[1] * np.sum(diag)
+            if top == 2:
+                square = 0j
+                for off, band in bands.items():
+                    if hermitian:
+                        square += (1 + (off > 0)) * np.vdot(band, band).real
+                    elif off >= 0 and -off in bands:
+                        square += (1 + (off > 0)) * np.dot(band, bands[-off])
+                total += psi[2] * square
+        return total.real if hermitian else complex(total)
+    h = (top + 1) // 2
+    W, w0, done = np.zeros((2 * b + 1, 0), dtype=complex), 0, 0
+    for t0, t1, bands in blocks:
+        new = np.zeros((2 * b + 1, t1 - t0), dtype=complex)
+        for off, band in bands.items():
+            new[b + off, : band.size] = band
+        keep = max(0, done - h * b)  # the rows that the next blocks read
+        W, w0 = np.concatenate((W[:, keep - w0 :], new), axis=1), keep
+        c1 = n if t1 == n else t1 - (h - 1) * b
+        if c1 > done:
+            total += _window_trace(W, w0, done, c1, n, b, hermitian, psi)
+            done = c1
+    return total.real if hermitian else complex(total)
 
 
 def banded_trace(B: BandedOperator, psi) -> float | complex:
@@ -630,30 +825,18 @@ def banded_trace(B: BandedOperator, psi) -> float | complex:
 
     Over the spectrum this is sum_j a_j sum_i lambda_i^j = Tr psi(B); unlike
     :func:`functional_trace` it applies no spectrum window.  A diagonal B is
-    summed over its diagonal.  Otherwise Tr B = sum of the diagonal, and
-    Tr B^{2h} = Tr(B^h B^h), Tr B^{2h+1} = Tr(B^{h+1} B^h) are O(n * bandwidth)
-    pairings of band powers B^h, h <= ceil(deg psi / 2), built by
-    band-times-band products (Tr B^2 is the squared Frobenius norm for
-    Hermitian B).  Hermitian B gives a float, otherwise a complex.
+    summed over its diagonal; otherwise the bands go a block of BLOCK rows
+    at a time through the routine that :func:`channel_trace` runs on
+    (:func:`_blocks_trace`).  Hermitian B gives a float, otherwise a complex.
     """
     psi = _check_psi(psi)
     if B.is_diagonal:
         diag = B.bands.get(0, np.zeros(B.degree + 1, dtype=complex))
         return power_sum(psi, diag.real if B.hermitian else diag)
-    powers = [None, _row_bands(B)]
-    for _ in range(2, psi.size // 2 + 1):  # B^h up to h = ceil(deg / 2)
-        powers.append(_band_product(powers[-1], powers[1]))
-    total = 0j
-    for j, a in enumerate(psi):
-        if j == 0 or a == 0.0:
-            continue
-        if j == 1:
-            b, R = powers[1]
-            tr = np.sum(R[b])
-        else:
-            tr = _band_pairing(powers[(j + 1) // 2], powers[j // 2])
-        total += a * tr
-    return total.real if B.hermitian else complex(total)
+    n = B.degree + 1
+    blocks = ((t0, t1, {off: band[t0:t1] for off, band in B.bands.items()})
+              for t0, t1 in _block_bounds(n, B.bandwidth))
+    return _blocks_trace(blocks, n, B.bandwidth, B.hermitian, psi)
 
 
 def sqrt_series_coefficients(count: int) -> np.ndarray:

@@ -24,14 +24,13 @@ from .bergman import TruncatedOperator
 from .channel import (
     ChannelParams,
     _abs_sum_trace,
-    apply_channel,
-    banded_trace,
+    channel_trace,
     diagonal_output_spectrum,
     isometry_weights,
     power_sum,
 )
-# unused here: bench/tracing.py wraps these two names in this module
-from .channel import diagonal_response, response_tail_bound  # noqa: F401
+# unused here: bench/tracing.py wraps these three names in this module
+from .channel import apply_channel, diagonal_response, response_tail_bound  # noqa: F401
 from .disk import build_quadrature
 from .spectral import (
     chain2_tensor_quadrature,
@@ -387,8 +386,9 @@ def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
     if state.is_diagonal:
         measured = power_sum(cfg.psi, out_diag) / nu
     else:
-        # sum_j a_j Tr T(A)^j from the bands: the sum of psi over the spectrum
-        measured = banded_trace(apply_channel(state, params), cfg.psi) / nu
+        # sum_j a_j Tr T(A)^j from the bands, a block at a time: the sum of
+        # psi over the spectrum
+        measured = channel_trace(state, params, cfg.psi) / nu
     # Tr T(A) = trace_factor Tr A, so the cut drops trace_factor Tr A minus the
     # captured sum; |psi(x)| <= (sum_j |a_j|) x on [0, 1] bounds psi's share.
     # Rounding of the captured sum, whose entries diagonal_output_spectrum forms

@@ -25,6 +25,7 @@ __all__ = [
     "log_pochhammer",
     "pochhammer_steps",
     "scaled_cumprod",
+    "CarriedCumprod",
     "from_scaled",
     "pochhammer_ratios",
     "log_pochhammer_ratios",
@@ -40,6 +41,9 @@ __all__ = [
 
 # the smallest normal double: below it a product keeps fewer digits
 _NORMAL = np.finfo(float).tiny
+# Tables over consecutive integers that grow with a truncation cut are built
+# and read this many entries at a time (:class:`CarriedCumprod`).
+BLOCK = 1 << 13
 
 
 class HypergeometricPoleError(ZeroDivisionError):
@@ -97,10 +101,10 @@ def log_pochhammer(a: float, n: int) -> tuple[float, float]:
     return log_abs, sign
 
 
-def pochhammer_steps(count: int, numer, denom) -> np.ndarray:
-    """prod_a (a + j) / prod_b (b + j) for j = 0..count-1: the ratios of
-    consecutive entries of prod_a (a)_j / prod_b (b)_j."""
-    j = np.arange(count, dtype=float)
+def pochhammer_steps(count: int, numer, denom, start: int = 0) -> np.ndarray:
+    """prod_a (a + j) / prod_b (b + j) for j = start..start+count-1: the
+    ratios of consecutive entries of prod_a (a)_j / prod_b (b)_j."""
+    j = np.arange(start, start + count, dtype=float)
     num, den = numer[0] + j, denom[0] + j
     for a in numer[1:]:
         num *= a + j
@@ -130,28 +134,162 @@ def scaled_cumprod(factors, first=1.0) -> tuple[np.ndarray, np.ndarray | None]:
     mant[1:] = f
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumprod(mant, axis=0, out=mant)
-    if mant.max() < 2.0**1000 and np.min(mant, where=mant > 0.0, initial=1.0) >= _NORMAL:
+    if _in_range(mant):
         return mant, None
-    expo = np.empty(mant.shape, dtype=np.int64)
     m, e = np.frexp(np.broadcast_to(np.asarray(first, dtype=float), lead))
-    e = e.astype(np.int64)
+    expo = np.empty(mant.shape, dtype=np.int64)
     mant[0], expo[0] = m, e
-    with np.errstate(divide="ignore"):
-        bits = np.abs(np.log2(np.abs(f)))
-    bits[~np.isfinite(bits)] = 0.0  # a zero factor zeroes the rest of its column
-    span = np.cumsum(bits.reshape(count, -1).max(axis=1))
-    edges = np.searchsorted(span, 400.0 * np.arange(1, int(span[-1] // 400) + 1))
-    lo = 0
-    for hi in [*edges.tolist(), count]:
-        if hi > lo:
-            run = np.cumprod(f[lo:hi], axis=0)
-            run *= m
-            mant[lo + 1 : hi + 1] = run
-            expo[lo + 1 : hi + 1] = e
-            m, step = np.frexp(run[-1])
-            e = e + step
-            lo = hi
+    _Stretches(m, e.astype(np.int64)).extend(f, mant[1:], expo[1:])
     return mant, expo
+
+
+class _Stretches:
+    """The exponent stretches of :func:`scaled_cumprod`, extended by the
+    factors of one call after another: the running bit count of the
+    factors (the widest column's) and the next multiple of 400 it waits
+    for, the mantissa m and exponent e of the stretch's start, and the
+    partial product of the stretch's factors and its last scaled entry
+    (None at the start of a stretch)."""
+
+    def __init__(self, m, e):
+        self.m, self.e = m, e
+        self.span, self.edge = 0.0, 1
+        self.run = self.end = None
+
+    def extend(self, f: np.ndarray, mant: np.ndarray, expo: np.ndarray):
+        """Write the products that the factors ``f`` (first axis) add into
+        ``mant`` and ``expo``: a stretch ends at the factor where the bit
+        count passes a multiple of 400, and the next one starts from its
+        last product, renormalized by its exact power of two."""
+        count = f.shape[0]
+        if count == 0:
+            return
+        with np.errstate(divide="ignore"):
+            bits = np.abs(np.log2(np.abs(f)))
+        bits[~np.isfinite(bits)] = 0.0  # a zero factor zeroes the rest of its column
+        span = np.cumsum(np.concatenate(([self.span], bits.reshape(count, -1).max(axis=1))))[1:]
+        self.span = span[-1]
+        edges = []
+        while span[-1] >= 400.0 * self.edge:
+            edges.append(int(np.searchsorted(span, 400.0 * self.edge)))
+            self.edge += 1
+        lo = 0
+        for i, hi in enumerate([*edges, count]):
+            # every segment but a first one at 0 starts where a stretch ends
+            if (i or edges[:1] == [0]) and self.end is not None:
+                self.m, step = np.frexp(self.end)
+                self.e = self.e + step
+                self.run = self.end = None
+            if hi > lo:
+                head = () if self.run is None else (self.run[None],)
+                run = np.cumprod(np.concatenate((*head, f[lo:hi])), axis=0)[len(head):]
+                self.run = run[-1].copy()
+                run *= self.m
+                self.end = run[-1].copy()
+                mant[lo:hi] = run
+                expo[lo:hi] = self.e
+                lo = hi
+
+
+def _in_range(products: np.ndarray) -> bool:
+    """Every product below 2^1000 and every nonzero one normal."""
+    return bool(products.max() < 2.0**1000
+                and np.min(products, where=products > 0.0, initial=1.0) >= _NORMAL)
+
+
+class CarriedCumprod:
+    """The 1-D table of :func:`scaled_cumprod`, read in order a block at a time.
+
+    ``factors(i0, i1)`` returns the factors f_{i0} .. f_{i1-1}; entry j of the
+    table is first * f_0 ... f_{j-1}, j = 0..count-1.  :meth:`take` returns
+    the next n entries as (mantissa, exponent or None) with the bits that
+    ``scaled_cumprod(factors(0, count - 1), first)`` gives them, while only a
+    carry is kept between calls: the plain cumprod's last product, or, for a
+    table that leaves the double range, the state of the exponent stretches
+    (running bit count, mantissa, exponent, partial product).  Which of the
+    two a table is, is a property of the whole table: ``in_range`` tells it
+    when the caller knows; otherwise a pass of plain cumprods over the
+    factors, a block at a time, decides it.  A table of one block is one
+    :func:`scaled_cumprod`.
+    """
+
+    def __init__(self, factors, count: int, first: float = 1.0, in_range=None):
+        self._factors, self._count, self._first = factors, count, float(first)
+        self._next = 0  # the next entry to return
+        self._table = None
+        if count <= BLOCK + 1:
+            self._table = scaled_cumprod(factors(0, count - 1), first)
+            return
+        self._plain = self._plain_in_range() if in_range is None else in_range
+        self._last = self._first  # the plain cumprod's last product
+        m, e = np.frexp(self._first)
+        self._stretches = _Stretches(m, np.int64(e))
+
+    @classmethod
+    def pochhammer(cls, count: int, numer, denom, first: float = 1.0) -> "CarriedCumprod":
+        """first * prod_a (a)_j / prod_b (b)_j, j = 0..count-1, the table of
+        :func:`pochhammer_ratios` before :func:`from_scaled`.
+
+        When the parameters pair off as a_i <= b_i, all >= 1, no factor
+        exceeds 1 (up to rounding), so the table falls from first to its last
+        entry, which log-gammas place to far better than a factor 2: a table
+        that stays 16 times inside the double range skips the range pass.
+        """
+        def factors(i0, i1):
+            return pochhammer_steps(i1 - i0, numer, denom, start=i0)
+
+        in_range = None
+        a, b = sorted(numer), sorted(denom)
+        if (len(a) == len(b) and min(a + b) >= 1.0 and all(x <= y for x, y in zip(a, b))
+                and 2.0**-1018 <= first <= 2.0**996):
+            n = count - 1
+            log2_last = math.log2(first) + (
+                sum(math.lgamma(x + n) - math.lgamma(x) for x in a)
+                - sum(math.lgamma(y + n) - math.lgamma(y) for y in b)) / math.log(2.0)
+            in_range = True if log2_last >= -1018.0 else None
+        return cls(factors, count, first, in_range)
+
+    def _plain_in_range(self) -> bool:
+        last = self._first
+        for lo in range(0, self._count - 1, BLOCK):
+            run = np.concatenate(([last], self._factors(lo, min(lo + BLOCK, self._count - 1))))
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.cumprod(run, out=run)
+            if not _in_range(run):
+                return False
+            last = run[-1]
+        return True
+
+    def skip(self, n: int):
+        """Pass over the next n entries, a block at a time."""
+        while n > 0:
+            self.take(min(n, BLOCK))
+            n -= BLOCK
+
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The next n entries as (mantissa, exponent); the exponent is None
+        when the whole table is in range."""
+        j0, j1 = self._next, self._next + n
+        if n < 0 or j1 > self._count:
+            raise ValueError("read outside the table")
+        self._next = j1
+        if self._table is not None:
+            mant, expo = self._table
+            return mant[j0:j1], None if expo is None else expo[j0:j1]
+        # entry j >= 1 takes factor j - 1; entry 0 is first itself
+        lead = int(j0 == 0 and n > 0)
+        f = self._factors(max(j0, 1) - 1, max(j1, 1) - 1)
+        if self._plain:
+            mant = np.concatenate(([self._last], f))
+            np.cumprod(mant, out=mant)
+            self._last = mant[-1]
+            return mant[1 - lead :], None
+        mant = np.empty(f.size + lead)
+        expo = np.empty(f.size + lead, dtype=np.int64)
+        if lead:
+            mant[0], expo[0] = self._stretches.m, self._stretches.e
+        self._stretches.extend(f, mant[lead:], expo[lead:])
+        return mant, expo
 
 
 def from_scaled(mant: np.ndarray, expo: np.ndarray | None) -> np.ndarray:

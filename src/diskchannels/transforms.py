@@ -17,7 +17,14 @@ import numpy as np
 from . import bergman
 from .bergman import TruncatedOperator
 from .disk import DiskQuadrature, transporter_coefficients
-from .specfun import channel_constant_sq, pochhammer, pochhammer_ratios, validate_weight
+from .specfun import (
+    BLOCK,
+    CarriedCumprod,
+    channel_constant_sq,
+    from_scaled,
+    pochhammer,
+    validate_weight,
+)
 
 __all__ = [
     "DiskFunction",
@@ -144,7 +151,9 @@ def toeplitz_diagonal(f: DiskFunction, nu: float, degree: int) -> np.ndarray:
 
     Entry m: sum_s alpha_s (nu-1)(nu)_m Gamma(nu+s-1)/Gamma(nu+s+m), where
     each term (nu-1)/(nu+s-1) (nu)_m/(nu+s)_m is a table over m, one cumprod
-    of the ratios (nu+m)/(nu+s+m).
+    of the ratios (nu+m)/(nu+s+m), carried from block to block of BLOCK
+    entries (:class:`~diskchannels.specfun.CarriedCumprod`), so the output is
+    the only array of the degree's length.
     """
     if not f.is_radial:
         raise ValueError("closed-form diagonal requires a radial polynomial")
@@ -154,8 +163,11 @@ def toeplitz_diagonal(f: DiskFunction, nu: float, degree: int) -> np.ndarray:
     for s, a in enumerate(f.coeffs):
         if a == 0.0:
             continue
-        out += a * pochhammer_ratios(
+        table = CarriedCumprod.pochhammer(
             degree + 1, (nu,), (nu + s,), (nu - 1.0) / (nu + s - 1.0))
+        for lo in range(0, degree + 1, BLOCK):
+            block = out[lo : lo + BLOCK]
+            block += a * from_scaled(*table.take(block.size))
     return out
 
 

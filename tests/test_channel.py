@@ -4,6 +4,7 @@ The quadrature oracles here integrate the defining integral formulas directly
 and never touch the coefficient algebra they are checking.
 """
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -21,26 +22,31 @@ from oracles import (
     random_psd,
 )
 
-from diskchannels.bergman import TruncatedOperator, log_monomial_norm_sq
+from diskchannels import channel
+from diskchannels.bergman import BandedOperator, TruncatedOperator, log_monomial_norm_sq
 from diskchannels.channel import (
     ChannelParams,
     SpectrumWindowError,
     _abs_sum_trace,
+    _Couplings,
     _derivative_sum,
     _weight_grid,
     apply_channel,
     banded_trace,
+    channel_trace,
     diagonal_output_spectrum,
     diagonal_response,
     functional_trace,
     isometry_weights,
     output_trace_interval,
     pk_star_vector,
+    power_sum,
     projection_coefficients,
     response_tail_bound,
     sqrt_series_coefficients,
 )
-from diskchannels.specfun import log_channel_constant_sq
+from diskchannels.experiments import _random_state, _row_channel_limit, parse_config
+from diskchannels.specfun import BLOCK, CarriedCumprod, log_channel_constant_sq
 from diskchannels.transforms import radial_poly, toeplitz_diagonal
 
 
@@ -247,6 +253,30 @@ class TestFunctionalTrace:
             functional_trace(B, [1.0, 1.0])
 
 
+class TestPowerSum:
+    @pytest.mark.parametrize("psi", [[0, 1.0], [0, 0, 1.0], [0, 0.3, 0, -0.2, 0.5],
+                                     [0, 0, 1.0, 0, 0], [0.0]])
+    def test_bits_of_the_full_power_loop(self, psi):
+        values = np.random.default_rng(4).random(1000)
+        total, power = 0.0, values.copy()
+        for a in psi[1:]:
+            if a != 0.0:
+                total += a * np.sum(power).item()
+            power = power * values
+        assert power_sum(psi, values) == total
+
+    def test_square_takes_one_array(self):
+        # no copy of the input and no cube: the square alone
+        values = np.random.default_rng(4).random(10**6)
+        tracemalloc.start()
+        try:
+            power_sum([0, 0, 1.0], values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + 2**16
+
+
 class TestSqrtSeries:
     def test_first_coefficients(self):
         assert sqrt_series_coefficients(2) == pytest.approx([0.5, 0.125], rel=1e-14)
@@ -438,7 +468,9 @@ class TestBandedOutput:
             assert banded_trace(B, psi) == pytest.approx(value, rel=1e-12)
 
     def test_band_storage_at_nu_800_auto_cut(self):
-        # cut 64 nu = 51200: the dense output would take 42 GB
+        # cut 64 nu = 51200: the dense output would take 42 GB.  The bands
+        # take 18.8 MiB and one block's weight rows and products about 17 MiB
+        # more (35.5 MiB measured); the bound leaves under 50% over that
         A = random_psd(2, 24, 3, seed=8)
         tracemalloc.start()
         try:
@@ -447,7 +479,153 @@ class TestBandedOutput:
         finally:
             tracemalloc.stop()
         assert sum(band.nbytes for band in B.bands.values()) <= 24 * 51201 * 16
-        assert peak <= 200 * 2**20
+        assert peak <= 52 * 2**20
+
+
+# three blocks of output indices and a short fourth
+CUT_3_BLOCKS = 3 * BLOCK + 5
+
+
+def digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def band_input(hermitian: bool):
+    """A degree-6 input at cut 3 BLOCK + 5: Hermitian with every offset, or
+    general with offsets -4..2 and different weights."""
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    if hermitian:
+        A = TruncatedOperator(2, g @ g.conj().T / 10, hermitian=True)
+        return A, ChannelParams(2, 40, 1, output_degree=CUT_3_BLOCKS)
+    return TruncatedOperator(3, np.triu(np.tril(g, 2), -4)), ChannelParams(
+        3, 12, 2, output_degree=CUT_3_BLOCKS)
+
+
+class TestStreamedRows:
+    """Rows evaluated a block of BLOCK output indices at a time keep the bits
+    of the whole-cut evaluation: the digests were taken from the code that
+    built every table over the whole cut at once."""
+
+    DIAG = [float.fromhex(x) for x in (
+        "0x1.400c8353e3ca9p-1", "0x1.cb5f9b795e4cdp-1", "0x1.8d26acbf2815fp-1",
+        "0x1.cd396d5eab510p-3", "0x1.335eca6438dd4p-2", "0x1.bf4265ae91f44p-1",
+        "0x1.591126e9a1a80p-8", "0x0.0p+0", "0x1.98197bf2434c3p-1")]
+
+    @pytest.mark.parametrize("k,expected", [
+        (0, "03f84fe5f440a742"), (1, "4256b488c97cf28f"), (3, "5a3f63157dc73c57")])
+    def test_output_spectrum_bits(self, k, expected):
+        out = diagonal_output_spectrum(ChannelParams(2.5, 40.0, k), self.DIAG, CUT_3_BLOCKS)
+        assert digest(out) == expected
+
+    def test_output_spectrum_bits_with_a_scaled_r0(self):
+        # r_0 of mu = 1000 falls below the double range: its table carries
+        # binary exponents across the blocks
+        params = ChannelParams(1000, 5, 1)
+        assert _Couplings(params).r0(CUT_3_BLOCKS).take(1)[1] is not None
+        unit = np.zeros(400)
+        unit[399] = 1.0
+        assert digest(diagonal_output_spectrum(params, unit, CUT_3_BLOCKS)) == "ba50083d3274c09e"
+
+    def test_output_spectrum_bits_across_a_rescale(self, monkeypatch):
+        # degree 0's weight is 2^-1012 of degree 300's: one rescale, whose
+        # power of two the largest entry over all blocks sets
+        calls = []
+        rescale = channel._rescale
+        monkeypatch.setattr(channel, "_rescale", lambda *a: calls.append(a[3]) or rescale(*a))
+        diag = np.zeros(301)
+        diag[[0, 300]] = 1.0
+        out = diagonal_output_spectrum(ChannelParams(1000, 5, 1), diag, CUT_3_BLOCKS)
+        assert len(calls) == 1
+        assert digest(out) == "1c87079a3523a218"
+
+    @pytest.mark.parametrize("coeffs,nu,scaled,expected", [
+        ([0, 0, 1], 2.0, False, "ea5d6910fcadfb27"),
+        ([0.5, 0.0, 0.25, 1.0], 800.0, False, "ff2d6cd118b6de85"),
+        # (3)_m/(123)_m leaves the double range: the scaled table
+        ([0.0] * 120 + [1.0], 3.0, True, "44e26074a5717cf9"),
+    ])
+    def test_toeplitz_diagonal_bits(self, coeffs, nu, scaled, expected):
+        s = len(coeffs) - 1
+        table = CarriedCumprod.pochhammer(CUT_3_BLOCKS + 1, (nu,), (nu + s,), 1.0)
+        assert (table.take(1)[1] is not None) == scaled
+        assert digest(toeplitz_diagonal(radial_poly(coeffs), nu, CUT_3_BLOCKS)) == expected
+
+    @pytest.mark.parametrize("hermitian,expected", [
+        # the Hermitian case's short last block joins the one before (b = 6);
+        # on its own, band 5 would end in a one-row product
+        (True, {0: "8e706709ca269bbb", 1: "687d848ed0b198dd", 2: "0d60c42a18c0afe3",
+                3: "1d599ae1a22d42eb", 4: "a1f778d71bb89c93", 5: "699a305fcd35a7b1",
+                6: "d1b01dff8dc81fc5"}),
+        (False, {-4: "a35b82aa2f1ae16b", -3: "356a1b66bac50f35", -2: "c6c2c19f0b1f58ec",
+                 -1: "7e3730ca7a177e53", 0: "d0e6e34fc9cf6b2e", 1: "9045893c89bb2457",
+                 2: "0e43f823e6fecd70"}),
+    ])
+    def test_band_bits_across_blocks(self, hermitian, expected):
+        A, params = band_input(hermitian)
+        B = apply_channel(A, params)
+        assert {off: digest(band) for off, band in B.bands.items()} == expected
+        # band by band against the formula on the weight grid of the whole
+        # cut (the dense reference would take 9.7 GB here)
+        L, d = params.default_output_degree(), A.degree
+        V = _weight_grid(params, L, d)
+        for off, band in B.bands.items():
+            m_lo, m_hi = max(0, off), min(d, d + off)
+            ms = np.arange(m_lo, m_hi + 1)
+            size, p0 = L + 1 - abs(off), max(off, 0)
+            ref = (V[p0 : p0 + size, m_lo : m_hi + 1]
+                   * V[p0 - off : p0 - off + size, m_lo - off : m_hi - off + 1]
+                   ) @ A.matrix[ms - off, ms]
+            assert band.tobytes() == ref.tobytes(), off
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("psi", [[0, 1.0], [0, 0.3, -1.0], [0, 0, 0.5, 1.0],
+                                     [0, 0.2, 0, 0, 0, -0.7]])
+    def test_streamed_trace_is_the_banded_trace(self, hermitian, psi):
+        A, params = band_input(hermitian)
+        assert channel_trace(A, params, psi) == banded_trace(apply_channel(A, params), psi)
+
+    @given(
+        hermitian=st.booleans(), n=st.integers(1, 40), b=st.integers(0, 6),
+        block=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
+        psi=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_trace_windows_with_small_blocks(self, hermitian, n, b, block, seed, psi):
+        # blocks far shorter than the halo of ceil(deg/2) b rows; the dense
+        # matrix powers are the reference
+        b = min(b, n - 1)
+        rng = np.random.default_rng(seed)
+        bands = {}
+        for off in range(0 if hermitian else -b, b + 1):
+            vals = rng.normal(size=n - abs(off)) + 1j * rng.normal(size=n - abs(off))
+            bands[off] = vals.real + 0j if hermitian and off == 0 else vals
+        B = BandedOperator(2.0, n - 1, bands, hermitian=hermitian)
+        psi = [0.0] + psi
+        value, scale = dense_psi_trace(B.matrix, psi, hermitian)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(channel, "BLOCK", block)
+            got = banded_trace(B, psi)
+        assert abs(got - value) <= 1e-12 * scale
+
+    def test_row_memory_does_not_grow_with_the_cut(self):
+        # the item-1 row's channel work (rank-3 degree-23 state, nu = 800,
+        # psi = x^2): past its two cut-length arrays, the output diagonal and
+        # the index vector of the rounding allowance, the peak is one block's
+        text = ("experiment = channel-limit\ninput_state = rank-r-random\nseed = 1\n"
+                "mu = 2\nk = 1\npsi = 0,0,1\nnu_list = 800\ntruncation_l = {}\n")
+        beyond = []
+        for cut in (4 * BLOCK, 64 * BLOCK):
+            cfg = parse_config(text.format(cut))
+            state = _random_state(cfg, cfg.mu)
+            tracemalloc.start()
+            try:
+                _row_channel_limit(cfg, 800, (state, (0.0, "")))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            beyond.append(peak - 16 * (cut + 1))
+        assert beyond[1] <= beyond[0] + 2**16
 
 
 def log_norm_sq(nu, j):
@@ -682,13 +860,9 @@ class TestCouplingKernel:
             diagonal_output_spectrum(ChannelParams(1000, 5, 1), diag, 10**4)
 
     def test_output_spectrum_memory_is_its_buffers_and_tables(self):
-        # arrays of cut + k + 2 or fewer entries, k = 1: the loop holds acc,
-        # r_0 (in range here, so without an exponent table), the step table,
-        # one falling-factorial table and the work buffer, 5 in all and
-        # nothing per degree; the most at any moment is while the falling
-        # table is built, after acc, r_0 and the step table: its arange and
-        # two products, 6 in all (building r_0 or the step table takes at
-        # most 5 with acc)
+        # the output is the one array of the cut's length; the rest is a
+        # block's: its tables of n, step and (n)_{k-j}, the work buffer and
+        # the block of r_0 with its factors (6.2 blocks measured at k = 1)
         cut = 400_000
         params = ChannelParams(2, 800.0, 1)
         diag = toeplitz_diagonal(radial_poly([0.0, 0.0, 1.0]), 2.0, 64)
@@ -698,7 +872,7 @@ class TestCouplingKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 8 * (cut + params.k + 2) + 2**16
+        assert peak <= 8 * (cut + 1) + 8 * 8 * (BLOCK + 64) + 2**16
 
     @pytest.mark.parametrize(
         "mu,nu,k,diag",

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskchannels.specfun import (
+    BLOCK,
+    CarriedCumprod,
     HypergeometricPoleError,
     _log_gamma_form,
     berezin_eigenvalue,
@@ -22,6 +24,8 @@ from diskchannels.specfun import (
     plancherel_density,
     pochhammer,
     pochhammer_ratios,
+    pochhammer_steps,
+    scaled_cumprod,
 )
 
 mp.mp.dps = 50
@@ -178,6 +182,59 @@ class TestPochhammerRatios:
         for j in (1, 10, 1000, 50000, 100000):
             exact = float(mp.log(mp.factorial(j)) - (mp.loggamma(nu + j) - mp.loggamma(nu)))
             assert abs(table[j] - exact) <= 32 * np.finfo(float).eps * (abs(exact) + 1.0)
+
+
+class TestCarriedCumprod:
+    @given(
+        count=st.integers(1, 3 * BLOCK + 40),
+        kind=st.sampled_from(["in range", "near one", "wide", "wide with zeros"]),
+        seed=st.integers(0, 2**32 - 1),
+        hint=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_are_the_whole_table(self, count, kind, seed, hint):
+        # read in random lengths, the table has scaled_cumprod's bits, in
+        # range or in exponent stretches that cross the reads
+        rng = np.random.default_rng(seed)
+        if kind == "in range":
+            f = 2.0 ** rng.uniform(-1.0, 1.0, count)
+        elif kind == "near one":
+            f = 2.0 ** rng.normal(-0.05, 0.3, count)
+        else:
+            f = 2.0 ** rng.uniform(-400.0, 400.0, count)
+            if kind == "wide with zeros":
+                f[rng.random(count) < 0.001] = 0.0
+        f = f[: count - 1]
+        first = float(2.0 ** rng.uniform(-50.0, 50.0))
+        mant, expo = scaled_cumprod(f, first)
+        # a correct hint skips the range pass; no hint makes the pass decide
+        table = CarriedCumprod(lambda i0, i1: f[i0:i1], count, first,
+                               in_range=(expo is None) if hint else None)
+        parts, done = [], 0
+        while done < count:
+            n = min(int(rng.integers(0, 2 * BLOCK)), count - done)
+            part = table.take(n)
+            assert (part[1] is None) == (expo is None) and part[0].size == n
+            parts.append(part)
+            done += n
+        assert np.concatenate([m for m, _ in parts]).tobytes() == mant.tobytes()
+        if expo is not None:
+            assert np.concatenate([e for _, e in parts]).tobytes() == expo.tobytes()
+        with pytest.raises(ValueError):
+            table.take(1)
+
+    @pytest.mark.parametrize("count, numer, denom, first", [
+        (100_000, (1.0, 801.0), (805.0, 2.0), 3.0),  # in range: no pass
+        (30_000, (3.0,), (123.0,), 2.0 / 122.0),      # leaves it at the end
+        (20_000, (1.0, 6.0), (1008.0, 2.0), 1e-3),    # early
+        (20_000, (2.0,), (1.5,), 1.0),                # rising: the pass decides
+    ])
+    def test_pochhammer_tables(self, count, numer, denom, first):
+        mant, expo = scaled_cumprod(pochhammer_steps(count - 1, numer, denom), first)
+        table = CarriedCumprod.pochhammer(count, numer, denom, first)
+        parts = [table.take(min(BLOCK, count - j)) for j in range(0, count, BLOCK)]
+        assert np.concatenate([m for m, _ in parts]).tobytes() == mant.tobytes()
+        assert all((e is None) == (expo is None) for _, e in parts)
 
 
 class TestBerezinEigenvalue:
