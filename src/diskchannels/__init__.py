@@ -18,7 +18,6 @@ from .channel import (
     ChannelParams,
     apply_channel,
     banded_trace,
-    channel_trace,
     functional_trace,
     pk_star_vector,
     projection_coefficients,
@@ -59,7 +58,6 @@ __all__ = [
     "ChannelParams",
     "apply_channel",
     "banded_trace",
-    "channel_trace",
     "functional_trace",
     "pk_star_vector",
     "projection_coefficients",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,6 @@ __all__ = [
     "pk_star_vector",
     "isometry_weights",
     "apply_channel",
-    "channel_trace",
     "diagonal_response",
     "diagonal_output_spectrum",
     "response_tail_bound",
@@ -115,7 +115,42 @@ def _falling(x, j: int):
     return out
 
 
-def _derivative_sum(params: ChannelParams, m, n):
+class _Buffers:
+    """Flat buffers by name: :meth:`get` returns a C-contiguous view of a
+    buffer's prefix, as a fresh array of its shape would be, and grows the
+    buffer when it is too small."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def get(self, name, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[name] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
+
+
+# one set of block buffers per thread, kept from row to row, so a warm row
+# allocates no array of a block's size but its bands; a pool's are freed
+# when its threads end
+_thread_state = threading.local()
+
+
+def _block_buffers() -> _Buffers:
+    """This thread's buffers for the blocks of :func:`_channel_blocks`."""
+    space = getattr(_thread_state, "blocks", None)
+    if space is None:
+        space = _thread_state.blocks = _Buffers()
+    return space
+
+
+def _drop_block_buffers():
+    """Free this thread's block buffers."""
+    _thread_state.blocks = None
+
+
+def _derivative_sum(params: ChannelParams, m, n, space=None, out=None):
     """S(m,n) = sum_j (-1)^{k-j} binom(k,j) (m)_j^fall (n)_{k-j}^fall / ((mu)_j (nu)_{k-j}).
 
     c_{m,n} = C * S(m,n), signed so that the adjoint sends the constant to
@@ -126,14 +161,30 @@ def _derivative_sum(params: ChannelParams, m, n):
     carries the factor 0.  k is small and the falling factorials are short
     products, but the terms alternate in sign: S has zeros in n (for k = 1,
     S = m/mu - n/nu), so its rounding is relative to the absolute term sum
-    T(m,n) (see :func:`_abs_sum_trace`), not to |S|.
+    T(m,n) (see :func:`_abs_sum_trace`), not to |S|.  S is written into
+    ``out`` (else the buffer "S") and its two work arrays are the buffers
+    "fall" and "shift" of ``space`` (a :class:`_Buffers`, fresh ones if
+    None).
     """
     k = params.k
     m = np.asarray(m, dtype=float)
     n = np.asarray(n, dtype=float)
-    total = np.zeros(np.broadcast(m, n).shape)
+    space = _Buffers() if space is None else space
+    shape = np.broadcast(m, n).shape
+    total = space.get("S", shape) if out is None else out
+    fall, shift = space.get("fall", shape), space.get("shift", shape)
+    total.fill(0.0)
     for j, coeff in _derivative_terms(params):
-        total = total + coeff * _falling(m, j) * _falling(n, k - j)
+        c = coeff * _falling(m, j)
+        if j == k:  # times (n)_0 = 1
+            total += c
+            continue
+        # c (n)_{k-j}, with the factors of _falling(n, k - j) in its order
+        fall.fill(1.0)
+        for i in range(k - j):
+            fall *= np.subtract(n, i, out=shift)
+        np.multiply(c, fall, out=fall)
+        total += fall
     return total
 
 
@@ -222,37 +273,58 @@ class _Couplings:
         m recurrence of a row starts from the mantissa wherever r_0[p] itself
         is below the double range."""
         nu, k = self.params.nu, self.params.k
-        return CarriedCumprod.pochhammer(
+        return CarriedCumprod(
             p_max + 1, (1.0, nu + k), (self.params.target_weight, k + 1.0), self.first)
 
-    def terms(self, ps, ms, r0) -> tuple[np.ndarray, np.ndarray]:
+    def terms(self, ps, ms, r0, space=None, out=None) -> tuple[np.ndarray, np.ndarray]:
         """(S, r) on the grid of output indices ``ps`` (rows) by input
         degrees ``ms`` (columns), given ``r0`` = r_0 at ``ps`` as (mantissa,
-        exponent): r = r_m[p], and S = 0 unless m, n >= 0."""
-        k = self.params.k
-        ps, ms = np.asarray(ps), np.asarray(ms)
-        n = ps[:, None] + k - ms
-        valid = (ms >= 0) & (n >= 0)
-        S = np.where(valid, _derivative_sum(self.params, ms, np.where(valid, n, 0)), 0.0)
+        exponent): r = r_m[p], and S = 0 unless m, n >= 0.  S is written
+        into ``out`` if given; the grid's other arrays are buffers of
+        ``space`` (a :class:`_Buffers`, fresh ones if None), so S and r hold
+        until its next use."""
+        space = _Buffers() if space is None else space
+        k, nu, mu = self.params.k, self.params.nu, self.params.mu
+        ps, ms = np.asarray(ps, dtype=float), np.asarray(ms)
+        n = space.get("n", (ps.size, ms.size))
+        np.subtract(ps[:, None] + k, ms, out=n)
+        invalid = np.less(n, 0.0, out=space.get("invalid", n.shape, bool))
+        invalid |= ms < 0
+        np.copyto(n, 0.0, where=invalid)
+        S = _derivative_sum(self.params, ms, n, space, out)
+        np.copyto(S, 0.0, where=invalid)
         # the recurrence runs down m, one row per m: row m multiplies
         # step[n + 1] (mu+m-1)/m; a step to n < 0 reads step[0] = 0, and the
-        # weight there is 0 anyway
+        # weight there is 0 anyway.  S's two work arrays are free again: they
+        # take the factors and their denominators, then the table
         j = np.arange(1, max(int(ms.max(initial=0)), 0) + 1)[:, None]
-        t = np.maximum((ps + (k + 1)) - j, 0).astype(float)  # n + 1
-        factors = t / (self.params.nu + t - 1.0)
-        factors *= (self.params.mu + j - 1.0) / j
+        factors = space.get("fall", (j.size, ps.size))
+        np.subtract(ps + (k + 1), j, out=factors)
+        t = np.maximum(factors, 0.0, out=factors)  # n + 1
+        den = np.add(t, nu, out=space.get("shift", t.shape))
+        den -= 1.0
+        factors /= den
+        factors *= (mu + j - 1.0) / j
         r0_mant, r0_exp = r0
-        mant, expo = scaled_cumprod(factors, r0_mant)
+        mant, expo = scaled_cumprod(factors, r0_mant, space.get("shift", (j.size + 1, ps.size)))
         if r0_exp is not None:
             expo = r0_exp if expo is None else expo + r0_exp
-        # back to one row per p, in row-major order for the callers' row reads
-        return S, np.ascontiguousarray(from_scaled(mant, expo)[np.maximum(ms, 0)].T)
+        if expo is not None:
+            np.ldexp(mant, expo, out=mant)
+        # back to one row per p, in row-major order for the callers' row
+        # reads, through the factors' buffer
+        rows = np.take(mant, np.maximum(ms, 0), axis=0, mode="clip",
+                       out=space.get("fall", (ms.size, ps.size)))
+        np.copyto(n, rows.T)
+        return S, n
 
-    def weights(self, ps, ms, r0) -> np.ndarray:
+    def weights(self, ps, ms, r0, out=None, space=None) -> np.ndarray:
         """Signed w^{(p)}_{m,n} = C S(m,n) ||zeta^p|| / (||z^m|| ||w^n||) on
-        the grid ``ps`` by ``ms``."""
-        S, r = self.terms(ps, ms, r0)
-        return S * np.sqrt(r)
+        the grid ``ps`` by ``ms``, written into ``out`` if given; ``space``
+        as for :meth:`terms`."""
+        S, r = self.terms(ps, ms, r0, space, out)
+        S *= np.sqrt(r, out=r)
+        return S
 
     def row_terms(self, p: int, ms) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`terms` on the single output index p."""
@@ -366,23 +438,40 @@ def _channel_blocks(A: TruncatedOperator, params: ChannelParams):
         couplings = _Couplings(params)
         r0 = couplings.r0(L)
         ms = np.arange(m_top + 1)
-        V, v_lo, v_hi = None, 0, 0  # V holds the weight rows [v_lo, v_hi)
-        for t0, t1 in _block_bounds(L + 1, b):
+        bounds = _block_bounds(L + 1, b)
+        # the weight rows [t0, t1 + b) of the longest block, and the products
+        # of two of their column ranges for each dtype of A's entries, of
+        # which only the real parts are written
+        space = _block_buffers()
+        M = m_top + 1
+        V = space.get("V", (max(min(t1 + b, L + 1) - t0 for t0, t1 in bounds), M))
+        flat = V.reshape(-1)
+        work = {}
+        for *_, diag in plan:
+            work[diag.dtype] = space.get(("prod", diag.dtype), (V.size,), diag.dtype)
+            work[diag.dtype].imag = 0.0
+        v_lo = v_hi = 0  # V[: v_hi - v_lo] holds the weight rows [v_lo, v_hi)
+        for t0, t1 in bounds:
             hi = min(t1 + b, L + 1)
+            keep = v_hi - t0  # the rows of the block before that this one reads
+            V[:keep] = V[t0 - v_lo : v_hi - v_lo]
             if hi > v_hi:
-                new = couplings.weights(np.arange(v_hi, hi), ms, r0.take(hi - v_hi))
-                V = new if V is None else np.concatenate((V[t0 - v_lo :], new))
-            else:
-                V = V[t0 - v_lo :]
+                couplings.weights(np.arange(v_hi, hi), ms, r0.take(hi - v_hi),
+                                  out=V[keep : hi - t0], space=space)
             v_lo, v_hi = t0, hi
             bands = {}
             for off, m_lo, m_hi, diag in plan:
                 size = min(t1, L + 1 - abs(off)) - t0
                 if size > 0:
-                    # rows p = t + off, q = t for off >= 0; p = t, q = t - off below
-                    p, q = max(off, 0), max(-off, 0)
-                    bands[off] = (V[p : p + size, m_lo : m_hi + 1]
-                                  * V[q : q + size, m_lo - off : m_hi - off + 1]) @ diag
+                    # V[p, m] V[q, m - off] at rows p = t + off, q = t for
+                    # off >= 0 and p = t, q = t - off below: V times itself
+                    # |off| rows and |off| columns on, on the flattened rows,
+                    # read back as rows of M with the first m_hi - m_lo + 1 used
+                    width, shift = m_hi - m_lo + 1, abs(off) * (M + 1)
+                    count = (size - 1) * M + width
+                    prod = work[diag.dtype]
+                    np.multiply(flat[:count], flat[shift : shift + count], out=prod.real[:count])
+                    bands[off] = prod[: size * M].reshape(size, M)[:, :width] @ diag
             yield t0, t1, bands
 
     return b, blocks() if plan else iter(())
@@ -396,7 +485,7 @@ def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator
     cost is O(L * bandwidth * support) and the result is returned in band
     storage of O(L * bandwidth) entries, assembled from the blocks of
     :func:`_channel_blocks`.  Hermiticity propagates exactly (the coupling
-    weights are real).  :func:`channel_trace` reads the same blocks without
+    weights are real).  :func:`_channel_trace` reads the same blocks without
     holding the bands.
     """
     L = params.default_output_degree()
@@ -410,7 +499,7 @@ def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator
     return BandedOperator(params.target_weight, L, bands, hermitian=A.hermitian)
 
 
-def channel_trace(A: TruncatedOperator, params: ChannelParams, psi) -> float | complex:
+def _channel_trace(A: TruncatedOperator, params: ChannelParams, psi) -> float | complex:
     """sum_j a_j Tr T(A)^j: :func:`banded_trace` of :func:`apply_channel`
     (bit for bit unless T(A) is diagonal), with T(A)'s bands read a block of
     output indices at a time, so its memory does not grow with the cut."""
@@ -806,16 +895,21 @@ def _blocks_trace(blocks, n: int, b: int, hermitian: bool, psi) -> float | compl
                 total += psi[2] * square
         return total.real if hermitian else complex(total)
     h = (top + 1) // 2
-    W, w0, done = np.zeros((2 * b + 1, 0), dtype=complex), 0, 0
+    # the rows [done - h b, t1) of the window, done >= t0 - (h - 1) b, for
+    # blocks of at most BLOCK + b + 1 rows (_block_bounds)
+    W = np.empty((2 * b + 1, min(n, BLOCK + 2 * h * b + 1)), dtype=complex)
+    w0 = done = 0  # W[:, : t0 - w0] holds the band rows [w0, t0)
     for t0, t1, bands in blocks:
-        new = np.zeros((2 * b + 1, t1 - t0), dtype=complex)
+        keep = max(0, done - h * b)  # the rows that the next blocks read
+        W[:, : t0 - keep] = W[:, keep - w0 : t0 - w0]
+        w0 = keep
+        new = W[:, t0 - w0 : t1 - w0]
+        new[:] = 0.0
         for off, band in bands.items():
             new[b + off, : band.size] = band
-        keep = max(0, done - h * b)  # the rows that the next blocks read
-        W, w0 = np.concatenate((W[:, keep - w0 :], new), axis=1), keep
         c1 = n if t1 == n else t1 - (h - 1) * b
         if c1 > done:
-            total += _window_trace(W, w0, done, c1, n, b, hermitian, psi)
+            total += _window_trace(W[:, : t1 - w0], w0, done, c1, n, b, hermitian, psi)
             done = c1
     return total.real if hermitian else complex(total)
 
@@ -826,7 +920,7 @@ def banded_trace(B: BandedOperator, psi) -> float | complex:
     Over the spectrum this is sum_j a_j sum_i lambda_i^j = Tr psi(B); unlike
     :func:`functional_trace` it applies no spectrum window.  A diagonal B is
     summed over its diagonal; otherwise the bands go a block of BLOCK rows
-    at a time through the routine that :func:`channel_trace` runs on
+    at a time through the routine that :func:`_channel_trace` runs on
     (:func:`_blocks_trace`).  Hermitian B gives a float, otherwise a complex.
     """
     psi = _check_psi(psi)

@@ -24,7 +24,8 @@ from .bergman import TruncatedOperator
 from .channel import (
     ChannelParams,
     _abs_sum_trace,
-    channel_trace,
+    _channel_trace,
+    _drop_block_buffers,
     diagonal_output_spectrum,
     isometry_weights,
     power_sum,
@@ -388,7 +389,7 @@ def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
     else:
         # sum_j a_j Tr T(A)^j from the bands, a block at a time: the sum of
         # psi over the spectrum
-        measured = channel_trace(state, params, cfg.psi) / nu
+        measured = _channel_trace(state, params, cfg.psi) / nu
     # Tr T(A) = trace_factor Tr A, so the cut drops trace_factor Tr A minus the
     # captured sum; |psi(x)| <= (sum_j |a_j|) x on [0, 1] bounds psi's share.
     # Rounding of the captured sum, whose entries diagonal_output_spectrum forms
@@ -576,11 +577,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     with (ThreadPoolExecutor(config.threads) if config.threads > 1
           else contextlib.nullcontext()) as pool:
         pool_map = pool.map if pool else map
-        if config.experiment == "kernel-chain":
-            rows = run(config.nu_list)
-        else:
-            rows = [row for nu_rows in pool_map(run, [(nu,) for nu in config.nu_list])
-                    for row in nu_rows]
+        try:
+            if config.experiment == "kernel-chain":
+                rows = run(config.nu_list)
+            else:
+                rows = [row for nu_rows in pool_map(run, [(nu,) for nu in config.nu_list])
+                        for row in nu_rows]
+        finally:
+            # the rows of one thread share its channel buffers; a pool's go
+            # with its threads
+            _drop_block_buffers()
     rows.sort(key=lambda r: r.nu)
     report = ExperimentReport(config=config, rows=rows)
     report.fitted_order, report.fitted_order_stderr = _fit_order(rows)

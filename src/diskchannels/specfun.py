@@ -114,7 +114,7 @@ def pochhammer_steps(count: int, numer, denom, start: int = 0) -> np.ndarray:
     return num
 
 
-def scaled_cumprod(factors, first=1.0) -> tuple[np.ndarray, np.ndarray | None]:
+def scaled_cumprod(factors, first=1.0, out=None) -> tuple[np.ndarray, np.ndarray | None]:
     """first * f_1 ... f_j along the first axis of ``factors``, j = 0..M, as
     (mantissa, exponent) with value = mantissa * 2**exponent.
 
@@ -125,11 +125,12 @@ def scaled_cumprod(factors, first=1.0) -> tuple[np.ndarray, np.ndarray | None]:
     renormalized by its exact power of two.  Either way a value keeps one
     rounding per factor and per stretch, and only the final ``np.ldexp`` or
     ``np.log`` meets the range.  ``first`` is a scalar or one per column;
-    it and the factors are >= 0, each factor 0 or within 2^+-400.
+    it and the factors are >= 0, each factor 0 or within 2^+-400.  The
+    mantissas are written into ``out`` if given.
     """
     f = np.asarray(factors, dtype=float)
     count, lead = f.shape[0], f.shape[1:]
-    mant = np.empty((count + 1,) + lead)
+    mant = np.empty((count + 1,) + lead) if out is None else out
     mant[0] = first
     mant[1:] = f
     with np.errstate(over="ignore", invalid="ignore"):
@@ -198,56 +199,57 @@ def _in_range(products: np.ndarray) -> bool:
 
 
 class CarriedCumprod:
-    """The 1-D table of :func:`scaled_cumprod`, read in order a block at a time.
+    """first * prod_a (a)_j / prod_b (b)_j, j = 0..count-1, the table of
+    :func:`pochhammer_ratios` before :func:`from_scaled`, read in order a
+    block at a time.
 
-    ``factors(i0, i1)`` returns the factors f_{i0} .. f_{i1-1}; entry j of the
-    table is first * f_0 ... f_{j-1}, j = 0..count-1.  :meth:`take` returns
-    the next n entries as (mantissa, exponent or None) with the bits that
-    ``scaled_cumprod(factors(0, count - 1), first)`` gives them, while only a
-    carry is kept between calls: the plain cumprod's last product, or, for a
-    table that leaves the double range, the state of the exponent stretches
-    (running bit count, mantissa, exponent, partial product).  Which of the
-    two a table is, is a property of the whole table: ``in_range`` tells it
-    when the caller knows; otherwise a pass of plain cumprods over the
-    factors, a block at a time, decides it.  A table of one block is one
+    :meth:`take` returns the next n entries as (mantissa, exponent or None)
+    with the bits that :func:`scaled_cumprod` gives the whole table, while
+    only a carry is kept between calls: the plain cumprod's last product, or,
+    for a table that leaves the double range, the state of the exponent
+    stretches (running bit count, mantissa, exponent, partial product).
+    Which of the two a table is, is a property of the whole table: a table
+    that falls from first stays in range when its last entry does
+    (:meth:`_falls_in_range`); otherwise a first pass of plain cumprods over
+    the factors, a block at a time, decides it.  A table of one block is one
     :func:`scaled_cumprod`.
     """
 
-    def __init__(self, factors, count: int, first: float = 1.0, in_range=None):
-        self._factors, self._count, self._first = factors, count, float(first)
+    def __init__(self, count: int, numer, denom, first: float = 1.0):
+        self._numer, self._denom = numer, denom
+        self._count, self._first = count, float(first)
         self._next = 0  # the next entry to return
         self._table = None
         if count <= BLOCK + 1:
-            self._table = scaled_cumprod(factors(0, count - 1), first)
+            self._table = scaled_cumprod(self._factors(0, count - 1), first)
             return
-        self._plain = self._plain_in_range() if in_range is None else in_range
+        self._plain = self._falls_in_range() or self._plain_in_range()
         self._last = self._first  # the plain cumprod's last product
         m, e = np.frexp(self._first)
         self._stretches = _Stretches(m, np.int64(e))
 
-    @classmethod
-    def pochhammer(cls, count: int, numer, denom, first: float = 1.0) -> "CarriedCumprod":
-        """first * prod_a (a)_j / prod_b (b)_j, j = 0..count-1, the table of
-        :func:`pochhammer_ratios` before :func:`from_scaled`.
+    def _factors(self, i0: int, i1: int) -> np.ndarray:
+        """The factors f_{i0} .. f_{i1-1}: entry j is first f_0 ... f_{j-1}."""
+        return pochhammer_steps(i1 - i0, self._numer, self._denom, start=i0)
 
-        When the parameters pair off as a_i <= b_i, all >= 1, no factor
-        exceeds 1 (up to rounding), so the table falls from first to its last
-        entry, which log-gammas place to far better than a factor 2: a table
-        that stays 16 times inside the double range skips the range pass.
-        """
-        def factors(i0, i1):
-            return pochhammer_steps(i1 - i0, numer, denom, start=i0)
-
-        in_range = None
-        a, b = sorted(numer), sorted(denom)
-        if (len(a) == len(b) and min(a + b) >= 1.0 and all(x <= y for x, y in zip(a, b))
-                and 2.0**-1018 <= first <= 2.0**996):
-            n = count - 1
-            log2_last = math.log2(first) + (
-                sum(math.lgamma(x + n) - math.lgamma(x) for x in a)
-                - sum(math.lgamma(y + n) - math.lgamma(y) for y in b)) / math.log(2.0)
-            in_range = True if log2_last >= -1018.0 else None
-        return cls(factors, count, first, in_range)
+    def _falls_in_range(self) -> bool:
+        """True when the parameters pair off as a_i <= b_i, all >= 1, and
+        log-gammas put the last entry above 2^-1018 with first in
+        [2^-1018, 2^996].  No factor then exceeds 1 but by a rounding, and
+        entry j is within (len(numer) + len(denom)) j + 1 eps relative of the
+        exact table (:func:`pochhammer_ratios`), which falls from first to
+        its last entry: every product stays 16 times inside the double
+        range, so the range pass, one more evaluation of every factor, is
+        not needed."""
+        a, b = sorted(self._numer), sorted(self._denom)
+        if not (len(a) == len(b) and min(a + b) >= 1.0 and all(x <= y for x, y in zip(a, b))
+                and 2.0**-1018 <= self._first <= 2.0**996):
+            return False
+        n = self._count - 1
+        log2_last = math.log2(self._first) + (
+            sum(math.lgamma(x + n) - math.lgamma(x) for x in a)
+            - sum(math.lgamma(y + n) - math.lgamma(y) for y in b)) / math.log(2.0)
+        return log2_last >= -1018.0
 
     def _plain_in_range(self) -> bool:
         last = self._first

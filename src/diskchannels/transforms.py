@@ -163,7 +163,7 @@ def toeplitz_diagonal(f: DiskFunction, nu: float, degree: int) -> np.ndarray:
     for s, a in enumerate(f.coeffs):
         if a == 0.0:
             continue
-        table = CarriedCumprod.pochhammer(
+        table = CarriedCumprod(
             degree + 1, (nu,), (nu + s,), (nu - 1.0) / (nu + s - 1.0))
         for lo in range(0, degree + 1, BLOCK):
             block = out[lo : lo + BLOCK]

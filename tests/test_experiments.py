@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import chain2_series_oracle, dropped_trace_oracle
 
-from diskchannels import experiments
+from diskchannels import channel, experiments
 from diskchannels.channel import (
     ChannelParams,
     diagonal_output_spectrum,
@@ -180,6 +180,13 @@ class TestDeterminism:
         back = report_from_json(data)
         assert emit_report(back, "json") == data
         assert emit_report(back, "csv") == emit_report(serial, "csv")
+
+    def test_a_run_frees_the_channel_block_buffers(self):
+        # the rows of a serial run share the calling thread's block buffers,
+        # which do not outlive the run
+        text = "experiment = channel-limit\ntiming = off\n" + self.SMALL["channel-limit"]
+        assert not run_experiment(parse_config(text)).failures
+        assert getattr(channel._thread_state, "blocks", None) is None
 
     @pytest.mark.parametrize("experiment", sorted(SMALL))
     @settings(max_examples=25, deadline=None)
