@@ -133,7 +133,8 @@ class _Buffers:
 
 # one set of block buffers per thread, kept from row to row, so a warm row
 # allocates no array of a block's size but its bands; a pool's are freed
-# when its threads end
+# when its threads end, and experiments.run_experiment frees the calling
+# thread's when its rows are done
 _thread_state = threading.local()
 
 
