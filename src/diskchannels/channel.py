@@ -826,9 +826,10 @@ def _window_rows(W, w0, r0, r1, b, hermitian, transpose=False) -> np.ndarray:
     return R
 
 
-def _window_trace(W, w0, c0, c1, n, b, hermitian, psi) -> complex:
-    """sum_j a_j sum_{c0 <= i < c1} (B^j)_{ii} for the n x n B whose bands W
-    holds from w0 (:func:`_window_rows`) over [c0 - h b, c1 + (h - 1) b),
+def _window_traces(W, w0, c0, c1, n, b, hermitian, psi) -> list:
+    """[sum_{c0 <= i < c1} (B^j)_{ii} for j = 0, 1, ..., deg psi] (0 where
+    a_j = 0) for the n x n B whose bands W holds from w0
+    (:func:`_window_rows`) over [c0 - h b, c1 + (h - 1) b),
     h = ceil(deg psi / 2).
 
     (B^j)_{ii} = sum_c (B^hx)[i, c] ((B^T)^hy)[i, c], hx + hy = j, hy = hx
@@ -850,18 +851,17 @@ def _window_trace(W, w0, c0, c1, n, b, hermitian, psi) -> complex:
         for _ in range(2, top // 2 + 1):
             Q.append(_band_product(Q[-1], Q[1]))
     lo, hi = c0 - r0, c1 - r0
-    total = 0j
+    traces = [0j] * (top + 1)
     for j, a in enumerate(psi):
         if j == 0 or a == 0.0:
             continue
         if j == 1:
-            tr = np.sum(R[b, lo:hi])
+            traces[j] = np.sum(R[b, lo:hi])
         else:
             (bx, X), (by, Y) = P[(j + 1) // 2], Q[j // 2]
             c = min(bx, by)
-            tr = np.sum(X[bx - c : bx + c + 1, lo:hi] * Y[by - c : by + c + 1, lo:hi])
-        total += a * tr
-    return total
+            traces[j] = np.sum(X[bx - c : bx + c + 1, lo:hi] * Y[by - c : by + c + 1, lo:hi])
+    return traces
 
 
 def _blocks_trace(blocks, n: int, b: int, hermitian: bool, psi) -> float | complex:
@@ -873,19 +873,21 @@ def _blocks_trace(blocks, n: int, b: int, hermitian: bool, psi) -> float | compl
     2 sum_{off>0} sum_t band_off[t] band_-off[t] (sum_t |band_0[t]|^2 +
     2 sum_{off>0} sum_t |band_off[t]|^2 for Hermitian B, the squared
     Frobenius norm): each block adds its own part.  Higher powers go through
-    :func:`_window_trace`, on a window that keeps the last h b band rows of
+    :func:`_window_traces`, on a window that keeps the last h b band rows of
     the blocks before, h = ceil(deg psi / 2), and waits (h - 1) b rows past
-    a block before it traces the block's rows.  Hermitian B gives a float,
+    a block before it traces the block's rows.  Each Tr B^j is summed over
+    all blocks before it is multiplied by a_j, once, so the blocks round
+    no product a_j (block sum) on their own.  Hermitian B gives a float,
     otherwise a complex.
     """
     top = max((j for j, a in enumerate(psi) if a != 0.0), default=0)
     psi = psi[: top + 1]
-    total = 0j
+    traces = [0j] * (top + 1)
     if top <= 2:
         for _, _, bands in blocks:
             diag = bands.get(0)
             if top >= 1 and psi[1] != 0.0 and diag is not None:
-                total += psi[1] * np.sum(diag)
+                traces[1] += np.sum(diag)
             if top == 2:
                 square = 0j
                 for off, band in bands.items():
@@ -893,25 +895,30 @@ def _blocks_trace(blocks, n: int, b: int, hermitian: bool, psi) -> float | compl
                         square += (1 + (off > 0)) * np.vdot(band, band).real
                     elif off >= 0 and -off in bands:
                         square += (1 + (off > 0)) * np.dot(band, bands[-off])
-                total += psi[2] * square
-        return total.real if hermitian else complex(total)
-    h = (top + 1) // 2
-    # the rows [done - h b, t1) of the window, done >= t0 - (h - 1) b, for
-    # blocks of at most BLOCK + b + 1 rows (_block_bounds)
-    W = np.empty((2 * b + 1, min(n, BLOCK + 2 * h * b + 1)), dtype=complex)
-    w0 = done = 0  # W[:, : t0 - w0] holds the band rows [w0, t0)
-    for t0, t1, bands in blocks:
-        keep = max(0, done - h * b)  # the rows that the next blocks read
-        W[:, : t0 - keep] = W[:, keep - w0 : t0 - w0]
-        w0 = keep
-        new = W[:, t0 - w0 : t1 - w0]
-        new[:] = 0.0
-        for off, band in bands.items():
-            new[b + off, : band.size] = band
-        c1 = n if t1 == n else t1 - (h - 1) * b
-        if c1 > done:
-            total += _window_trace(W[:, : t1 - w0], w0, done, c1, n, b, hermitian, psi)
-            done = c1
+                traces[2] += square
+    else:
+        h = (top + 1) // 2
+        # the rows [done - h b, t1) of the window, done >= t0 - (h - 1) b,
+        # for blocks of at most BLOCK + b + 1 rows (_block_bounds)
+        W = np.empty((2 * b + 1, min(n, BLOCK + 2 * h * b + 1)), dtype=complex)
+        w0 = done = 0  # W[:, : t0 - w0] holds the band rows [w0, t0)
+        for t0, t1, bands in blocks:
+            keep = max(0, done - h * b)  # the rows that the next blocks read
+            W[:, : t0 - keep] = W[:, keep - w0 : t0 - w0]
+            w0 = keep
+            new = W[:, t0 - w0 : t1 - w0]
+            new[:] = 0.0
+            for off, band in bands.items():
+                new[b + off, : band.size] = band
+            c1 = n if t1 == n else t1 - (h - 1) * b
+            if c1 > done:
+                window = _window_traces(W[:, : t1 - w0], w0, done, c1, n, b, hermitian, psi)
+                traces = [t + w for t, w in zip(traces, window)]
+                done = c1
+    total = 0j
+    for a, trace in zip(psi, traces):
+        if a != 0.0:
+            total += a * trace
     return total.real if hermitian else complex(total)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "log_channel_constant_sq",
     "berezin_eigenvalue",
     "log_berezin_eigenvalue",
-    "berezin_eigenvalue_loggamma",
     "plancherel_density",
     "validate_weight",
 ]
@@ -436,11 +435,6 @@ def _log_gamma_form(nu: float, lam: float) -> float:
 def berezin_eigenvalue(nu: float, lam: float) -> float:
     """Eigenvalue b_nu(lambda) of (nu-1)B_nu on e_{lambda,b}; in (0, 1]."""
     return math.exp(log_berezin_eigenvalue(nu, lam))
-
-
-def berezin_eigenvalue_loggamma(nu: float, lam: float) -> float:
-    """b_nu(lambda) via complex log-Gamma only (two-route cross check)."""
-    return math.exp(_log_gamma_form(validate_weight(nu), float(lam)))
 
 
 def plancherel_density(lam):

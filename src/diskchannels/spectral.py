@@ -39,9 +39,18 @@ def _validate_boundary(b: complex) -> complex:
     return b
 
 
-def _poisson_base(z, b: complex):
-    """(1-|z|^2)/|z-b|^2, the real positive base of e_{lambda,b}(z)."""
-    return (1.0 - np.abs(z) ** 2) / np.abs(z - b) ** 2
+def _poisson_base(z, b: complex, out=None, scratch=None):
+    """(1-|z|^2)/|z-b|^2, the real positive base of e_{lambda,b}(z).
+
+    ``out``, a real array of the result's shape, takes 1 - |z|^2 and then
+    the result; ``scratch``, a real and a complex array of that shape, takes
+    |z - b|^2 and z - b.  Either may be None, which allocates; the buffers
+    change no bit of the result.
+    """
+    far, gap = (None, None) if scratch is None else scratch
+    top = np.subtract(1.0, np.square(np.abs(z, out=out), out=out), out=out)
+    bottom = np.square(np.abs(np.subtract(z, b, out=gap), out=far), out=far)
+    return np.divide(top, bottom, out=out)
 
 
 def eigenfunction(lam, b: complex, z):
@@ -115,11 +124,16 @@ def eigen_relation_residual(
     times the graded angular rule on ``angular_count`` nodes, clustered at
     arg phi^{-1}(b).  The base P = (1-|phi(w)|^2)/|phi(w) - b|^2 of
     e_{lambda,b}(phi(w)) = P^{1/2} e^{-i (lambda/2) log P} is real and
-    positive, so log P and P^{1/2} are formed once per grid, and each lambda
-    integrates P^{1/2} cos and P^{1/2} sin of its phase in real arithmetic
-    (lambda = 0 needs neither); the reference eigenvalue comes from
-    :func:`berezin_eigenvalue`.  A sample off the open disk raises
-    ValueError, and a non-finite residual FloatingPointError.
+    positive, so log P and P^{1/2} are formed once per grid point, and each
+    lambda integrates P^{1/2} cos and P^{1/2} sin of its phase in real
+    arithmetic (lambda = 0 needs neither); the reference eigenvalue comes
+    from :func:`berezin_eigenvalue`.  The grid is evaluated a block of whole
+    angular columns at a time, as many as fill 2^13 points (at least 4), in
+    buffers that every block reuses: each block adds its columns' radial
+    sums to one row per lambda and part, and the row's angular sum follows.
+    The column count is a multiple of 4, so a block's radial sums round as
+    the whole grid's do.  A sample off the open disk raises ValueError, and
+    a non-finite residual FloatingPointError.
     """
     nu = validate_weight(nu)
     _require_counts(radial_count=radial_count, angular_count=angular_count)
@@ -136,30 +150,53 @@ def eigen_relation_residual(
     radial = (nu - 1.0) * np.exp(log_weight)
     radius = np.sqrt(u)[:, None]
     targets = [berezin_eigenvalue(nu, lam_j) for lam_j in lams]
+    columns = min(angular_count, max(4, _BLOCK // radial_count // 4 * 4))
+    size = radial_count * columns
+    image, gap = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    base, log_base, root, phase, part = (np.empty(size) for _ in range(5))
+    # rows[j] holds the radial sums of lambda j's cos and sin parts
+    rows = np.empty((len(lams), 2, angular_count))
     residual = 0.0
     for z0 in points:
         theta, angular = _graded_angles(
             angular_count, float(np.angle((b - z0) / (1.0 - np.conj(z0) * b))))
-        w = radius * np.exp(1j * theta)
-        base = _poisson_base((w + z0) / (1.0 + np.conj(z0) * w), b)
-        log_base = np.log(base)
-        root = np.sqrt(base)
+        circle = np.exp(1j * theta)
+        for c0 in range(0, angular_count, columns):
+            c1 = min(c0 + columns, angular_count)
+            grid = partial(_prefix, shape=(radial_count, c1 - c0))
+            w = np.multiply(radius, circle[c0:c1], out=grid(image))
+            top = np.add(w, z0, out=grid(gap))
+            # phi(w) = (w + z0)/(1 + conj(z0) w), into w's buffer
+            w = np.add(1.0, np.multiply(np.conj(z0), w, out=w), out=w)
+            phi = np.divide(top, w, out=w)
+            poisson = _poisson_base(phi, b, out=grid(base),
+                                    scratch=(grid(log_base), grid(gap)))
+            logs = np.log(poisson, out=grid(log_base))
+            roots = np.sqrt(poisson, out=grid(root))
+            for j, lam_j in enumerate(lams):
+                if lam_j == 0.0:
+                    np.matmul(radial, roots, out=rows[j, 0, c0:c1])
+                    continue
+                angle = np.multiply(-0.5 * lam_j, logs, out=grid(phase))
+                for k, fn in enumerate((np.cos, np.sin)):
+                    values = np.multiply(roots, fn(angle, out=grid(part)), out=grid(part))
+                    np.matmul(radial, values, out=rows[j, k, c0:c1])
         at_z0 = eigenfunction(lam_values, b, z0)
-        for lam_j, e0, target in zip(lams, at_z0, targets):
-            if lam_j == 0.0:
-                integral = complex(radial @ root @ angular)
-            else:
-                phase = (-0.5 * lam_j) * log_base
-                integral = complex(radial @ (root * np.cos(phase)) @ angular,
-                                   radial @ (root * np.sin(phase)) @ angular)
-            gap = abs(integral / e0 - target)
-            if not math.isfinite(gap):
+        for lam_j, row, e0, target in zip(lams, rows, at_z0, targets):
+            integral = complex(row[0] @ angular, 0.0 if lam_j == 0.0 else row[1] @ angular)
+            gap_j = abs(integral / e0 - target)
+            if not math.isfinite(gap_j):
                 raise FloatingPointError(
                     f"eigen-relation residual is not finite at nu = {nu:g}, "
                     f"z0 = {z0}"
                 )
-            residual = max(residual, gap)
+            residual = max(residual, gap_j)
     return residual
+
+
+def _prefix(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous view of ``shape`` on the start of a flat buffer."""
+    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def inverse_multiplier(nu: float, nu0: float, lam: float) -> float:
@@ -194,16 +231,16 @@ def inverse_multiplier_bound(nu: int, nu0: int) -> float:
     )
 
 
-def _link_modulus_sq(x, y, half_sq, out=None, scratch=None):
-    """|1 - z conj(w)|^2 for 1 - |z|^2 = x, 1 - |w|^2 = y and
-    half_sq = sin^2((arg z - arg w)/2).
+def _link_modulus_sq(x, y, chord_sq, out=None, scratch=None):
+    """|1 - z conj(w)|^2 for 1 - |z|^2 = x, 1 - |w|^2 = y and the squared
+    chord chord_sq = |e^{i arg z} - e^{i arg w}|^2 = 4 sin^2((arg z - arg w)/2).
 
-    Real form (1 - |z||w|)^2 + 4 |z||w| sin^2(dtheta/2): both terms are >= 0,
-    so nothing cancels near the boundary singularity, as 1 - z conj(w) does in
+    Real form (1 - |z||w|)^2 + |z||w| chord_sq: both terms are >= 0, so
+    nothing cancels near the boundary singularity, as 1 - z conj(w) does in
     complex arithmetic.  With |z||w| = sqrt((1 - x)(1 - y)), the gap
     1 - |z||w| is formed as (1 - |z|^2 |w|^2)/(1 + |z||w|) =
     (x + y (1 - x))/(1 + |z||w|), which subtracts no nearly equal numbers.
-    With x, y broadcasting to (P, 1) and half_sq of shape (M,), only the
+    With x, y broadcasting to (P, 1) and chord_sq of shape (M,), only the
     angular term and the last sum run on (P, M).  ``out``, of the result's
     shape, takes the angular term and then the result; ``scratch``, a pair
     of arrays of the shape of x and y broadcast together, takes 1 - x, then
@@ -214,8 +251,7 @@ def _link_modulus_sq(x, y, half_sq, out=None, scratch=None):
     rest = np.subtract(1.0, x, out=s)
     rs = np.multiply(np.subtract(1.0, y, out=t), rest, out=t)
     rs = np.sqrt(rs, out=t)
-    term = np.multiply(half_sq, 4.0, out=out)
-    term = np.multiply(term, rs, out=out)
+    term = np.multiply(chord_sq, rs, out=out)
     gap = np.multiply(y, rest, out=s)
     gap += x
     gap /= np.add(rs, 1.0, out=t)
@@ -230,30 +266,44 @@ def _require_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {count}")
 
 
-# draws per chunk of a sampler's stream, and per block of the all-weights pass
+# draws per chunk of a sampler's stream, and per block of a pass: no working
+# buffer of the chain, the residual or the chain-2 quadrature exceeds a block
 _CHUNK = 1 << 16
 _BLOCK = 1 << 13
 
 
 class _ChainWorkspace:
-    """The buffers of one thread's chunks of chains of ``n`` points at
-    ``count`` weights.
+    """The buffers and generators of one thread's chunks of chains of ``n``
+    points at ``count`` weights.
 
-    ``radial`` and ``angular`` take a chunk's draws, which its pass
-    overwrites with log(1 - U) and the sin^2 factors; ``x``, ``w``, ``link``
-    and ``scratch`` take a block's 1 - |z|^2, chain weights, links and link
-    intermediates.  A draw array or a link is a view of a flat buffer's
-    prefix, so it is C-contiguous whatever its width, as a fresh array is.
+    ``radial`` and ``angular`` take a block's draws, which its pass
+    overwrites with log(1 - U) and the squared chords; ``x``, ``w``,
+    ``link`` (n >= 3 only) and ``scratch`` take the block's 1 - |z|^2,
+    chain weights, links and link intermediates.  A draw array or a link is
+    a view of a flat buffer's prefix, so it is C-contiguous whatever its
+    width, as a fresh array is.  ``generators`` draw a chunk's 2n rows of
+    uniforms, each from its own offset in the stream; ``origin`` holds the
+    seed whose initial state they are positioned from, and that state.
     """
 
     def __init__(self, n: int, count: int):
         self.key = (n, count)
-        self.radial = np.empty(n * _CHUNK)
-        self.angular = np.empty(n * _CHUNK)
+        self.radial = np.empty(n * _BLOCK)
+        self.angular = np.empty(n * _BLOCK)
         self.x = np.empty((n, count, _BLOCK))
         self.w = np.empty((count, _BLOCK))
-        self.link = np.empty(count * _BLOCK)
+        self.link = np.empty(count * _BLOCK) if n >= 3 else None
         self.scratch = (np.empty((count, _BLOCK)), np.empty((count, _BLOCK)))
+        self.generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(2 * n)]
+        self.origin = (None, None)
+
+    def position(self, seed: int, offsets) -> None:
+        """Stand generator j at draw offsets[j] of the stream of ``seed``."""
+        if self.origin[0] != seed:
+            self.origin = (seed, np.random.PCG64(seed).state)
+        for rng, offset in zip(self.generators, offsets):
+            rng.bit_generator.state = self.origin[1]
+            rng.bit_generator.advance(offset)
 
 
 # one chain workspace per thread: a pool's are freed when its threads end
@@ -276,21 +326,26 @@ def _chain_chunk_sums(
 
     The stream of ``sampler_seed`` is cut into chunks of 2^16 samples (the
     last one holds the rest of ``sample_count``); a chunk of m samples reads
-    n m uniforms for the radii, then n m for the angles.  Each double takes
-    one 64-bit output of PCG64, so a fresh generator advanced by
-    2 n 2^16 chunk outputs starts at this chunk and reads exactly the draws a
-    sequential pass gives it.  The draws and every array of the pass live in
-    the calling thread's workspace, sized by (n, number of weights) and
-    built on its first chunk: a warm chunk allocates no array larger than
-    one per weight.
+    n rows of m uniforms for the radii, then n rows for the angles.  Each
+    double takes one 64-bit output of PCG64, so row j of the chunk starts
+    2 n 2^16 chunk + j m outputs into the stream.  The thread's workspace
+    holds one generator per row, positioned there from the seed's initial
+    state, and each block of 2^13 samples reads the next draws of every
+    row: the pass reads exactly the draws a sequential pass gives it.  The
+    draws and every array of the pass live in the workspace, sized by (n,
+    number of weights) and built on the thread's first chunk: a warm chunk
+    allocates no array larger than one per weight.
     """
     m = min(_CHUNK, sample_count - chunk * _CHUNK)
-    rng = np.random.default_rng(sampler_seed)
-    rng.bit_generator.advance(2 * n * _CHUNK * chunk)
     space = _workspace(n, len(nus))
-    radial = rng.random(out=space.radial[:n * m].reshape(n, m))
-    angular = rng.random(out=space.angular[:n * m].reshape(n, m))
-    return _chain_sums_in_place(nus, radial, angular, space)
+    start = 2 * n * _CHUNK * chunk
+    space.position(sampler_seed, range(start, start + 2 * n * m, m))
+
+    def draw(lo, radial, angular):
+        for rng, row in zip(space.generators, (*radial, *angular)):
+            rng.random(out=row)
+
+    return _chain_sums(nus, m, draw, space)
 
 
 def _chain_weight_sums(
@@ -299,32 +354,34 @@ def _chain_weight_sums(
     """(sum of w, sum of w^2) per weight over the chains of n points drawn
     from the uniforms ``radial`` and ``angular``, both of shape (n, m).
 
-    A uniform U gives 1 - |z|^2 = (1 - U)^{1/(nu-1)} = exp(log(1 - U)/(nu - 1))
-    and the angle 2 pi U.  log(1 - U) and the sin^2 factors are formed once;
-    every weight is then evaluated together on (weights x 2^13) blocks.  A
-    non-finite sum raises FloatingPointError naming its nu.  The uniforms
-    are copied, never written.
+    The uniforms are copied a block at a time into the pass of
+    :func:`_chain_sums`, never written.
     """
-    radial = np.array(radial, dtype=float)
-    return _chain_sums_in_place(nus, radial, np.array(angular, dtype=float),
-                                _workspace(len(radial), len(nus)))
+    radial = np.asarray(radial, dtype=float)
+    angular = np.asarray(angular, dtype=float)
+
+    def copy(lo, radial_block, angular_block):
+        hi = lo + radial_block.shape[1]
+        radial_block[...] = radial[:, lo:hi]
+        angular_block[...] = angular[:, lo:hi]
+
+    return _chain_sums(nus, radial.shape[1], copy, _workspace(len(radial), len(nus)))
 
 
-def _chain_sums_in_place(
-    nus: Sequence[float], radial: np.ndarray, angular: np.ndarray,
-    space: _ChainWorkspace,
+def _chain_sums(
+    nus: Sequence[float], m: int, fill, space: _ChainWorkspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_chain_weight_sums` on C-contiguous uniforms, which it
-    overwrites: ``radial`` with log(1 - U), the first n - 1 rows of
-    ``angular`` with the sin^2 factors; blocks run in ``space``."""
-    n, m = radial.shape
-    log_tail = np.log(np.subtract(1.0, radial, out=radial), out=radial)
-    for i in range(n - 1):
-        np.subtract(angular[i], angular[i + 1], out=angular[i])
-    half_sq = angular[:-1]
-    half_sq *= np.pi
-    np.sin(half_sq, out=half_sq)
-    half_sq *= half_sq
+    """(sum of w, sum of w^2) per weight over m chains, in blocks of 2^13.
+
+    ``fill(lo, radial, angular)`` writes the uniforms of chains [lo, lo +
+    width) into the two (n, width) arrays it is handed.  A uniform U gives
+    1 - |z|^2 = (1 - U)^{1/(nu-1)} = exp(log(1 - U)/(nu - 1)) and the angle
+    2 pi U.  Per block, log(1 - U) and the squared chords (2 sin(pi (U_i -
+    U_{i+1})))^2 are formed once in place, and every weight is then
+    evaluated together on (weights x width) arrays, all in ``space``.  A
+    non-finite sum raises FloatingPointError naming its nu.
+    """
+    n = space.key[0]
     weights = np.asarray(nus)[:, None]
     inv = 1.0 / (weights - 1.0)
     sums = np.zeros(len(nus))
@@ -332,18 +389,27 @@ def _chain_sums_in_place(
     # reported below, with its nu
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for lo in range(0, m, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
             width = min(_BLOCK, m - lo)
+            radial = _prefix(space.radial, (n, width))
+            angular = _prefix(space.angular, (n, width))
+            fill(lo, radial, angular)
+            log_tail = np.log(np.subtract(1.0, radial, out=radial), out=radial)
+            for i in range(n - 1):
+                np.subtract(angular[i], angular[i + 1], out=angular[i])
+            chord = angular[:-1]
+            chord *= np.pi
+            np.sin(chord, out=chord)
+            chord *= 2.0
+            chord *= chord
             scratch = [buffer[:, :width] for buffer in space.scratch]
-            x = np.multiply(log_tail[:, None, block], inv, out=space.x[..., :width])
+            x = np.multiply(log_tail[:, None], inv, out=space.x[..., :width])
             np.exp(x, out=x)  # (n, weights, width)
-            w = _link_modulus_sq(x[0], x[1], half_sq[0, block],
+            w = _link_modulus_sq(x[0], x[1], chord[0],
                                  out=space.w[:, :width], scratch=scratch)
             np.log(w, out=w)
-            link = space.link[:w.size].reshape(w.shape)
             for i in range(1, n - 1):
-                _link_modulus_sq(x[i], x[i + 1], half_sq[i, block],
-                                 out=link, scratch=scratch)
+                link = _link_modulus_sq(x[i], x[i + 1], chord[i],
+                                        out=_prefix(space.link, w.shape), scratch=scratch)
                 w += np.log(link, out=link)
             w *= -0.5 * weights
             np.exp(w, out=w)
@@ -381,10 +447,11 @@ def chained_kernel_integral(
     or an executor's ``map``) runs them, and their sums are added in chunk
     order, so the result does not depend on who ran which chunk.  Each
     thread that runs chunks keeps one workspace for them, sized by (n,
-    number of weights) and filled in place by every chunk, so a warm chunk
-    allocates no draw-sized array; a pool's workspaces are freed when its
-    threads end, and the calling thread's when this call returns.  A
-    non-finite chain weight raises FloatingPointError naming its nu.
+    number of weights) and filled in place by every chunk, with one
+    generator per row of a chunk's draws, so a warm chunk allocates no
+    draw-sized array; a pool's workspaces are freed when its threads end,
+    and the calling thread's when this call returns.  A non-finite chain
+    weight raises FloatingPointError naming its nu.
     """
     scalar = np.ndim(nu) == 0
     nus = [validate_weight(v) for v in ([nu] if scalar else nu)]
@@ -436,15 +503,15 @@ def chain2_tensor_quadrature(
     """
     nu = validate_weight(nu)
     _require_counts(radial_count=radial_count, angular_count=angular_count)
-    half = np.sin(np.pi * (np.arange((angular_count + 1) // 2) + 0.5) / angular_count)
-    half_sq = half * half
-    angular_weight = np.full(half.size, 2.0 / angular_count)
+    chord = 2.0 * np.sin(np.pi * (np.arange((angular_count + 1) // 2) + 0.5) / angular_count)
+    chord_sq = chord * chord
+    angular_weight = np.full(chord.size, 2.0 / angular_count)
     if angular_count % 2:
         angular_weight[-1] = 1.0 / angular_count
     # whole rows of the kernel per block, at most the 8 x 2^13 floats of an
     # eight-weight Monte Carlo block (one row when a row alone is larger)
-    rows = max(1, min(radial_count, 8 * _BLOCK // (radial_count * half.size)))
-    block = np.empty((rows, radial_count, half.size))
+    rows = max(1, min(radial_count, 8 * _BLOCK // (radial_count * chord.size)))
+    block = np.empty((rows, radial_count, chord.size))
     scratch = (np.empty((rows, radial_count, 1)), np.empty((rows, radial_count, 1)))
     _, rest, log_weight = gauss_jacobi(radial_count, nu - 2.0)
     radial = (nu - 1.0) * np.exp(log_weight)
@@ -455,7 +522,7 @@ def chain2_tensor_quadrature(
         for lo in range(0, radial_count, rows):
             hi = min(lo + rows, radial_count)
             kernel = _link_modulus_sq(
-                rest[lo:hi, None, None], rest[None, :, None], half_sq,
+                rest[lo:hi, None, None], rest[None, :, None], chord_sq,
                 out=block[:hi - lo], scratch=[s[:hi - lo] for s in scratch])
             np.log(kernel, out=kernel)
             kernel *= -0.5 * nu

@@ -9,7 +9,7 @@ from decimal import Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, roots_jacobi, roots_legendre
+from scipy.special import gammaln, loggamma, roots_jacobi, roots_legendre
 
 from diskchannels.bergman import (
     TruncatedOperator,
@@ -19,6 +19,14 @@ from diskchannels.bergman import (
 from diskchannels.disk import gauss_jacobi, transporter_coefficients
 from diskchannels.specfun import berezin_eigenvalue, channel_constant_sq
 from diskchannels.spectral import _graded_angles, eigenfunction
+
+
+def berezin_eigenvalue_loggamma(nu, lam):
+    """b_nu(lambda) = |Gamma(nu - 1/2 + i lambda/2)|^2 / (Gamma(nu) Gamma(nu - 1))
+    through scipy's complex log-Gamma only: the second route of the
+    two-route check on :func:`diskchannels.specfun.berezin_eigenvalue`."""
+    log_gamma = float(np.real(loggamma(complex(nu - 0.5, 0.5 * lam))))
+    return math.exp(2.0 * log_gamma - math.lgamma(nu) - math.lgamma(nu - 1))
 
 
 def lpoch(a, n):

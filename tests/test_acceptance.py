@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 from oracles import (
+    berezin_eigenvalue_loggamma,
     chain2_series_oracle,
     gammaform_eigenvalue_oracle,
     lowest_state,
@@ -32,7 +33,6 @@ from diskchannels.disk import GroupElement, build_quadrature, transporter
 from diskchannels.experiments import parse_config, run_experiment
 from diskchannels.specfun import (
     berezin_eigenvalue,
-    berezin_eigenvalue_loggamma,
     channel_constant_sq,
     pochhammer,
 )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import berezin_eigenvalue_loggamma
 
 from diskchannels.specfun import (
     BLOCK,
@@ -15,7 +16,6 @@ from diskchannels.specfun import (
     HypergeometricPoleError,
     _log_gamma_form,
     berezin_eigenvalue,
-    berezin_eigenvalue_loggamma,
     channel_constant_sq,
     gauss_2f1_unit,
     log_berezin_eigenvalue,

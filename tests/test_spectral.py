@@ -132,6 +132,37 @@ class TestEigenRelation:
         assert eigen_relation_residual(nu, (0.0, 1.0, 2.0), samples, 40, 128) == max(each)
         assert all(worst <= 1e-6 for worst in each)
 
+    @pytest.mark.parametrize("args", [
+        (2, 400, 128), (4, 134, 128), (8, 58, 128), (16, 40, 128), (3, 57, 131)])
+    def test_residual_bits_are_pinned(self, args):
+        # float.hex of the residual at lambda = 0, 1 and 2 on the four
+        # samples of a berezin-eigen row, recorded from the whole-grid
+        # evaluation that preceded the column blocks; the first four are
+        # the runner's grids at nu = 2, 4, 8 and 16
+        nu, radial_count, angular_count = args
+        samples = [0.0, 0.3, 0.45j, -0.2 + 0.3j]
+        got = tuple(eigen_relation_residual(nu, lam, samples, radial_count,
+                                            angular_count).hex()
+                    for lam in (0.0, 1.0, 2.0))
+        assert got == _pinned_bits(PINNED_RESIDUAL_BITS)[args]
+
+    def test_residual_memory_is_its_rule_and_a_block(self):
+        # the grid is evaluated a block of whole angular columns at a time,
+        # so past its Gauss-Jacobi rule the nu = 2 row holds about 0.4 MiB
+        # (4.7 MiB in all with the whole 400 x 128 grid)
+        samples = [0.0, 0.3, 0.45j, -0.2 + 0.3j]
+        eigen_relation_residual(2.0, (0.0, 1.0, 2.0), samples, 400, 128)
+        peaks = []
+        for fn, args in [(gauss_jacobi, (400, 0.0)),
+                         (eigen_relation_residual, (2.0, (0.0, 1.0, 2.0), samples, 400, 128))]:
+            tracemalloc.start()
+            try:
+                fn(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**19
+
     def test_non_finite_residual_raises(self):
         # at lambda = 1e308 the phase (lambda/2) log(base) of e_{lambda,b}
         # overflows where |log(base)| > 3.6, which the grid reaches, so the
@@ -264,23 +295,25 @@ class TestChainIntegral:
                 r = mpmath.sqrt(1 - mpmath.mpf(x))
                 z = r * mpmath.expj(mpmath.mpf(dtheta))
                 exact = abs(1 - z * r) ** 2
-                assert abs(_link_modulus_sq(x, x, half * half) / exact - 1) <= 1e-14
+                assert abs(_link_modulus_sq(x, x, (2.0 * half) ** 2) / exact - 1) <= 1e-14
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_chunks_start_anywhere_in_the_stream(self, n):
-        # two full chunks of 2^16 samples and a partial one, run last to
-        # first, each from a generator advanced to its start
-        nus, seed, count = [4.0, 6.0, 16.0], 23, 2 * 2**16 + 1001
-        rng = np.random.default_rng(seed)
-        sequential = []
-        for start in range(0, count, 2**16):
-            m = min(2**16, count - start)
-            radial = rng.random((n, m))
-            sequential.append(_chain_weight_sums(nus, radial, rng.random((n, m))))
-        for chunk in reversed(range(3)):
-            sums, sums_sq = _chain_chunk_sums(n, nus, seed, count, chunk)
-            assert sums.tolist() == sequential[chunk][0].tolist()
-            assert sums_sq.tolist() == sequential[chunk][1].tolist()
+        # two full chunks of 2^16 samples and a partial one, which ends in
+        # its first block or in its fourth, run last to first, each with its
+        # generators positioned at its rows' starts
+        nus, seed = [4.0, 6.0, 16.0], 23
+        for count in (2 * 2**16 + 1001, 2 * 2**16 + 3 * 2**13 + 1001):
+            rng = np.random.default_rng(seed)
+            sequential = []
+            for start in range(0, count, 2**16):
+                m = min(2**16, count - start)
+                radial = rng.random((n, m))
+                sequential.append(_chain_weight_sums(nus, radial, rng.random((n, m))))
+            for chunk in reversed(range(3)):
+                sums, sums_sq = _chain_chunk_sums(n, nus, seed, count, chunk)
+                assert sums.tolist() == sequential[chunk][0].tolist()
+                assert sums_sq.tolist() == sequential[chunk][1].tolist()
 
     def test_estimate_does_not_depend_on_who_maps_the_chunks(self):
         with ThreadPoolExecutor(3) as pool:
@@ -316,9 +349,41 @@ class TestChainIntegral:
         with ThreadPoolExecutor(3) as pool:
             assert list(pool.map(run, steps)) == expected
 
+    def test_one_thread_runs_chunks_of_two_seeds_in_turn(self):
+        # a thread's generators are positioned from the seed of each chunk:
+        # alternating seeds on one thread gives the bits of fresh threads
+        nus, count = [4.0, 16.0], 2 * 2**16 + 1001
+        steps = [(31, 1), (37, 0), (31, 2), (37, 1), (31, 0), (37, 0)]
+
+        def run(seed, chunk):
+            sums, sums_sq = _chain_chunk_sums(2, nus, seed, count, chunk)
+            return sums.tolist(), sums_sq.tolist()
+
+        expected = [_on_new_thread(run, *step) for step in steps]
+        assert _on_new_thread(lambda: [run(*step) for step in steps]) == expected
+
+    @pytest.mark.parametrize("n, limit", [(2, 4 * 2**20), (3, 4.5 * 2**20)])
+    def test_cold_chunk_memory_is_a_few_blocks(self, n, limit):
+        # the workspace holds one block of 2^13 draws per row, not the
+        # chunk's 2 n 2^16 (5.7 MiB at n = 2 and 6.5 MiB at n = 3 with
+        # them); at eight weights its block arrays take 2.75 MiB at n = 2
+        # and 3.4 MiB at n = 3
+        nus = [8.0, 10.0, 12.0, 16.0, 20.0, 24.0, 32.0, 48.0]
+        _on_new_thread(_chain_chunk_sums, n, nus, 3, 10**6, 0)  # imports
+
+        def cold_peak():
+            tracemalloc.start()
+            try:
+                _chain_chunk_sums(n, nus, 3, 10**6, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert _on_new_thread(cold_peak) <= limit
+
     def test_warm_chunk_allocates_no_draw_sized_array(self):
-        # a cold chunk allocates about 7 MiB of temporaries; a warm one
-        # writes every array of its pass into the thread's workspace
+        # a cold chunk allocates its workspace, about 2.8 MiB at n = 2 and
+        # eight weights; a warm one writes every array of its pass into it
         nus = [8.0, 10.0, 12.0, 16.0, 20.0, 24.0, 32.0, 48.0]
 
         def warm_peak():
@@ -462,6 +527,28 @@ PINNED_QUADRATURE_BITS = {
     "X86_V4": _X86_V4_QUADRATURE_BITS,
     "X86_V3": _X86_V3_QUADRATURE_BITS,
     "baseline(X86_V2)": _X86_V3_QUADRATURE_BITS,
+}
+
+
+# eigen_relation_residual(nu, lam, samples, radial_count, angular_count) at
+# lam = 0, 1, 2, keyed like PINNED_CHAIN_BITS; AVX-512 differs from the
+# other targets at (4, 134, 128) and (3, 57, 131)
+_X86_V4_RESIDUAL_BITS = {
+    (2, 400, 128): ('0x1.11bb1cc000000p-27', '0x1.6e531e0029ef5p-29', '0x1.2c34440000ddap-28'),
+    (4, 134, 128): ('0x1.d400000000000p-45', '0x1.3b268cad1409ep-45', '0x1.4b76bd123c26fp-46'),
+    (8, 58, 128): ('0x1.e600000000000p-46', '0x1.ce48d38a9e42dp-46', '0x1.95539ccd30e09p-46'),
+    (16, 40, 128): ('0x1.9400000000000p-46', '0x1.8644b752155f4p-46', '0x1.6e7cc2848a6c0p-46'),
+    (3, 57, 131): ('0x1.b6826a0000000p-30', '0x1.7f025c0114299p-31', '0x1.1f331c005e17ap-30'),
+}
+_X86_V3_RESIDUAL_BITS = {
+    **_X86_V4_RESIDUAL_BITS,
+    (4, 134, 128): ('0x1.d400000000000p-45', '0x1.3b268cad1409ep-45', '0x1.4b6a8549fef71p-46'),
+    (3, 57, 131): ('0x1.b682680000000p-30', '0x1.7f025c0113c98p-31', '0x1.1f331c005e17ap-30'),
+}
+PINNED_RESIDUAL_BITS = {
+    "X86_V4": _X86_V4_RESIDUAL_BITS,
+    "X86_V3": _X86_V3_RESIDUAL_BITS,
+    "baseline(X86_V2)": _X86_V3_RESIDUAL_BITS,
 }
 
 
