@@ -18,7 +18,6 @@ from .channel import (
     ChannelParams,
     apply_channel,
     banded_trace,
-    functional_trace,
     pk_star_vector,
     projection_coefficients,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "ChannelParams",
     "apply_channel",
     "banded_trace",
-    "functional_trace",
     "pk_star_vector",
     "projection_coefficients",
     "DiskQuadrature",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,9 @@ from .bergman import BandedOperator, TruncatedOperator, log_monomial_norm_sq
 from .specfun import (
     BLOCK,
     CarriedCumprod,
+    _Buffers,
+    _frees_thread_buffers,
+    _thread_buffers,
     channel_constant_sq,
     from_scaled,
     log_channel_constant_sq,
@@ -36,7 +38,6 @@ from .specfun import (
 
 __all__ = [
     "ChannelParams",
-    "SpectrumWindowError",
     "projection_coefficients",
     "pk_star_vector",
     "isometry_weights",
@@ -46,17 +47,9 @@ __all__ = [
     "response_tail_bound",
     "output_trace_interval",
     "power_sum",
-    "functional_trace",
     "banded_trace",
     "sqrt_series_coefficients",
 ]
-
-SPECTRUM_SLACK = 1e-9
-
-
-class SpectrumWindowError(ValueError):
-    """A Hermitian spectrum left the window [-slack, 1 + slack]."""
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -113,42 +106,6 @@ def _falling(x, j: int):
     for i in range(j):
         out = out * (x - i)
     return out
-
-
-class _Buffers:
-    """Flat buffers by name: :meth:`get` returns a C-contiguous view of a
-    buffer's prefix, as a fresh array of its shape would be, and grows the
-    buffer when it is too small."""
-
-    def __init__(self):
-        self._flat = {}
-
-    def get(self, name, shape, dtype=float) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size or flat.dtype != dtype:
-            flat = self._flat[name] = np.empty(size, dtype=dtype)
-        return flat[:size].reshape(shape)
-
-
-# one set of block buffers per thread, kept from row to row, so a warm row
-# allocates no array of a block's size but its bands; a pool's are freed
-# when its threads end, and experiments.run_experiment frees the calling
-# thread's when its rows are done
-_thread_state = threading.local()
-
-
-def _block_buffers() -> _Buffers:
-    """This thread's buffers for the blocks of :func:`_channel_blocks`."""
-    space = getattr(_thread_state, "blocks", None)
-    if space is None:
-        space = _thread_state.blocks = _Buffers()
-    return space
-
-
-def _drop_block_buffers():
-    """Free this thread's block buffers."""
-    _thread_state.blocks = None
 
 
 def _derivative_sum(params: ChannelParams, m, n, space=None, out=None):
@@ -443,7 +400,7 @@ def _channel_blocks(A: TruncatedOperator, params: ChannelParams):
         # the weight rows [t0, t1 + b) of the longest block, and the products
         # of two of their column ranges for each dtype of A's entries, of
         # which only the real parts are written
-        space = _block_buffers()
+        space = _thread_buffers()
         M = m_top + 1
         V = space.get("V", (max(min(t1 + b, L + 1) - t0 for t0, t1 in bounds), M))
         flat = V.reshape(-1)
@@ -478,6 +435,7 @@ def _channel_blocks(A: TruncatedOperator, params: ChannelParams):
     return b, blocks() if plan else iter(())
 
 
+@_frees_thread_buffers
 def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator:
     """T(A) = P_k (A x I) P_k* on H_{mu+nu+2k}, by exact finite sums.
 
@@ -487,7 +445,7 @@ def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator
     storage of O(L * bandwidth) entries, assembled from the blocks of
     :func:`_channel_blocks`.  Hermiticity propagates exactly (the coupling
     weights are real).  :func:`_channel_trace` reads the same blocks without
-    holding the bands.
+    holding the bands.  The blocks' buffers are freed when this returns.
     """
     L = params.default_output_degree()
     _, blocks = _channel_blocks(A, params)
@@ -767,33 +725,6 @@ def power_sum(psi, values: np.ndarray) -> float | complex:
     return total
 
 
-def functional_trace(B: TruncatedOperator | BandedOperator, psi) -> float:
-    """Tr psi(B) for a polynomial psi with psi(0) = 0.
-
-    ``psi`` is the ascending coefficient list [0, a1, a2, ...].  B must be
-    Hermitian with spectrum in [-1e-9, 1 + 1e-9] (clamped to [0, 1] before
-    evaluation); a spectrum outside the window raises
-    :class:`SpectrumWindowError` since the channel is a complete contraction.
-    Exactly diagonal matrices use their diagonal as the spectrum; everything
-    else goes through a Hermitian eigendecomposition of ``B.matrix``, so
-    banded operators pay a dense conversion here (see :func:`banded_trace`).
-    """
-    psi = _check_psi(psi)
-    if not B.hermitian:
-        raise ValueError("functional calculus requires a Hermitian operator")
-    M = B.matrix
-    if B.is_diagonal:
-        eigs = np.real(np.diag(M))
-    else:
-        eigs = np.linalg.eigvalsh(M)
-    if eigs.min() < -SPECTRUM_SLACK or eigs.max() > 1.0 + SPECTRUM_SLACK:
-        raise SpectrumWindowError(
-            f"spectrum [{eigs.min():.3e}, {eigs.max():.3e}] outside "
-            f"[-{SPECTRUM_SLACK}, 1+{SPECTRUM_SLACK}]"
-        )
-    return power_sum(psi, np.clip(eigs, 0.0, 1.0))
-
-
 def _band_product(X: tuple[int, np.ndarray], Y: tuple[int, np.ndarray]):
     """Row-indexed bands of X @ Y: C[i, i+c] = sum_a X[i, i+a] Y[i+a, i+c].
 
@@ -925,9 +856,11 @@ def _blocks_trace(blocks, n: int, b: int, hermitian: bool, psi) -> float | compl
 def banded_trace(B: BandedOperator, psi) -> float | complex:
     """sum_j a_j Tr B^j from the bands of B: exact, with no eigensolve.
 
-    Over the spectrum this is sum_j a_j sum_i lambda_i^j = Tr psi(B); unlike
-    :func:`functional_trace` it applies no spectrum window.  A diagonal B is
-    summed over its diagonal; otherwise the bands go a block of BLOCK rows
+    Over the spectrum this is sum_j a_j sum_i lambda_i^j = Tr psi(B), with
+    no window on the spectrum: for PSD A with Tr A <= 1 the spectrum of
+    T(A) lies in [0, 1] anyway, as T(A) >= 0 and ||T(A)|| <= ||A||
+    (P_k P_k* = I).
+    A diagonal B is summed over its diagonal; otherwise the bands go a block of BLOCK rows
     at a time through the routine that :func:`_channel_trace` runs on
     (:func:`_blocks_trace`).  Hermitian B gives a float, otherwise a complex.
     """

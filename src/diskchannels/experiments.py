@@ -25,7 +25,6 @@ from .channel import (
     ChannelParams,
     _abs_sum_trace,
     _channel_trace,
-    _drop_block_buffers,
     diagonal_output_spectrum,
     isometry_weights,
     power_sum,
@@ -38,7 +37,7 @@ from .spectral import (
     chained_kernel_integral,
     eigen_relation_residual,
 )
-from .specfun import channel_constant_sq, pochhammer, validate_weight
+from .specfun import _frees_thread_buffers, channel_constant_sq, pochhammer, validate_weight
 from .transforms import (
     e_transform,
     husimi_grid,
@@ -534,6 +533,7 @@ _ROW_RUNNERS = {
 }
 
 
+@_frees_thread_buffers
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every nu row (worker pool), assemble the deterministic report.
 
@@ -547,6 +547,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     Per-row failures are recorded in the row and the run continues: a batch
     that raises is run again one nu at a time, so the error lands in the row
     that caused it.  Rows are emitted in nu order regardless of scheduling.
+    The rows of one thread share its block buffers; a pool's are freed when
+    its threads end, and the calling thread's when the run returns.
     """
     config.validate()
     context = None
@@ -577,16 +579,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     with (ThreadPoolExecutor(config.threads) if config.threads > 1
           else contextlib.nullcontext()) as pool:
         pool_map = pool.map if pool else map
-        try:
-            if config.experiment == "kernel-chain":
-                rows = run(config.nu_list)
-            else:
-                rows = [row for nu_rows in pool_map(run, [(nu,) for nu in config.nu_list])
-                        for row in nu_rows]
-        finally:
-            # the rows of one thread share its channel buffers; a pool's go
-            # with its threads
-            _drop_block_buffers()
+        if config.experiment == "kernel-chain":
+            rows = run(config.nu_list)
+        else:
+            rows = [row for nu_rows in pool_map(run, [(nu,) for nu in config.nu_list])
+                    for row in nu_rows]
     rows.sort(key=lambda r: r.nu)
     report = ExperimentReport(config=config, rows=rows)
     report.fitted_order, report.fitted_order_stderr = _fit_order(rows)

@@ -11,11 +11,17 @@ scalar Gamma quotients are assembled in log domain (``math.lgamma``) with
 explicit sign tracking and exponentiated once, and tables over consecutive
 integers are cumulative products of consecutive ratios, which round once per
 factor instead of carrying the error of a log-gamma of size (a+j) log(a+j).
+
+The blocked kernels of the other modules keep their working memory in one
+per-thread pool of buffers here (:func:`_thread_buffers`); a public call
+that fills the calling thread's pool empties it when it returns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 
@@ -41,8 +47,67 @@ __all__ = [
 # the smallest normal double: below it a product keeps fewer digits
 _NORMAL = np.finfo(float).tiny
 # Tables over consecutive integers that grow with a truncation cut are built
-# and read this many entries at a time (:class:`CarriedCumprod`).
+# and read this many entries at a time (:class:`CarriedCumprod`), and the
+# blocked kernels work on blocks of this many points.
 BLOCK = 1 << 13
+
+
+class _Buffers:
+    """Flat buffers by name: :meth:`get` returns a C-contiguous view of a
+    buffer's prefix, as a fresh array of its shape would be, and grows the
+    buffer when it is too small; :meth:`keep` holds any other object that a
+    kernel reuses from call to call."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def get(self, name, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[name] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
+
+    def keep(self, name, build):
+        """The object kept under ``name``, built by ``build()`` on first use."""
+        kept = self._flat.get(name)
+        if kept is None:
+            kept = self._flat[name] = build()
+        return kept
+
+
+# one pool of buffers per thread, kept from call to call so that a warm
+# block allocates no array of a block's size; a pool's are freed when its
+# threads end, and the calling thread's when a public call that fills it
+# returns (:func:`_frees_thread_buffers`)
+_thread_state = threading.local()
+
+
+def _thread_buffers() -> _Buffers:
+    """This thread's buffers, built on first use."""
+    space = getattr(_thread_state, "buffers", None)
+    if space is None:
+        space = _thread_state.buffers = _Buffers()
+    return space
+
+
+def _drop_thread_buffers():
+    """Free this thread's buffers."""
+    _thread_state.buffers = None
+
+
+def _frees_thread_buffers(fn):
+    """``fn``, freeing the calling thread's buffers when it returns or
+    raises: the policy of every public call whose kernels fill them."""
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _drop_thread_buffers()
+
+    return call
 
 
 class HypergeometricPoleError(ZeroDivisionError):
@@ -210,18 +275,13 @@ class CarriedCumprod:
     Which of the two a table is, is a property of the whole table: a table
     that falls from first stays in range when its last entry does
     (:meth:`_falls_in_range`); otherwise a first pass of plain cumprods over
-    the factors, a block at a time, decides it.  A table of one block is one
-    :func:`scaled_cumprod`.
+    the factors, a block at a time, decides it.
     """
 
     def __init__(self, count: int, numer, denom, first: float = 1.0):
         self._numer, self._denom = numer, denom
         self._count, self._first = count, float(first)
         self._next = 0  # the next entry to return
-        self._table = None
-        if count <= BLOCK + 1:
-            self._table = scaled_cumprod(self._factors(0, count - 1), first)
-            return
         self._plain = self._falls_in_range() or self._plain_in_range()
         self._last = self._first  # the plain cumprod's last product
         m, e = np.frexp(self._first)
@@ -252,7 +312,8 @@ class CarriedCumprod:
 
     def _plain_in_range(self) -> bool:
         last = self._first
-        for lo in range(0, self._count - 1, BLOCK):
+        # one pass at least, so that first itself is checked
+        for lo in range(0, max(self._count - 1, 1), BLOCK):
             run = np.concatenate(([last], self._factors(lo, min(lo + BLOCK, self._count - 1))))
             with np.errstate(over="ignore", invalid="ignore"):
                 np.cumprod(run, out=run)
@@ -274,9 +335,6 @@ class CarriedCumprod:
         if n < 0 or j1 > self._count:
             raise ValueError("read outside the table")
         self._next = j1
-        if self._table is not None:
-            mant, expo = self._table
-            return mant[j0:j1], None if expo is None else expo[j0:j1]
         # entry j >= 1 takes factor j - 1; entry 0 is first itself
         lead = int(j0 == 0 and n > 0)
         f = self._factors(max(j0, 1) - 1, max(j1, 1) - 1)

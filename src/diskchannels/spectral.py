@@ -8,7 +8,6 @@ multipliers, and Monte Carlo estimation of the chained-kernel integrals.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Sequence
 from functools import partial
 
@@ -16,6 +15,9 @@ import numpy as np
 
 from .disk import gauss_jacobi
 from .specfun import (
+    BLOCK,
+    _frees_thread_buffers,
+    _thread_buffers,
     berezin_eigenvalue,
     log_berezin_eigenvalue,
     validate_weight,
@@ -105,6 +107,7 @@ def _graded_angles(count: int, cluster: float, power: int = 6):
     return theta, dv / count
 
 
+@_frees_thread_buffers
 def eigen_relation_residual(
     nu: float,
     lam: float | Sequence[float],
@@ -129,11 +132,12 @@ def eigen_relation_residual(
     arithmetic (lambda = 0 needs neither); the reference eigenvalue comes
     from :func:`berezin_eigenvalue`.  The grid is evaluated a block of whole
     angular columns at a time, as many as fill 2^13 points (at least 4), in
-    buffers that every block reuses: each block adds its columns' radial
-    sums to one row per lambda and part, and the row's angular sum follows.
-    The column count is a multiple of 4, so a block's radial sums round as
-    the whole grid's do.  A sample off the open disk raises ValueError, and
-    a non-finite residual FloatingPointError.
+    the calling thread's buffers, which every block reuses and which are
+    freed when this returns: each block adds its columns' radial sums to one
+    row per lambda and part, and the row's angular sum follows.  The column
+    count is a multiple of 4, so a block's radial sums round as the whole
+    grid's do.  A sample off the open disk raises ValueError, and a
+    non-finite residual FloatingPointError.
     """
     nu = validate_weight(nu)
     _require_counts(radial_count=radial_count, angular_count=angular_count)
@@ -150,12 +154,10 @@ def eigen_relation_residual(
     radial = (nu - 1.0) * np.exp(log_weight)
     radius = np.sqrt(u)[:, None]
     targets = [berezin_eigenvalue(nu, lam_j) for lam_j in lams]
-    columns = min(angular_count, max(4, _BLOCK // radial_count // 4 * 4))
-    size = radial_count * columns
-    image, gap = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-    base, log_base, root, phase, part = (np.empty(size) for _ in range(5))
+    columns = min(angular_count, max(4, BLOCK // radial_count // 4 * 4))
     # rows[j] holds the radial sums of lambda j's cos and sin parts
     rows = np.empty((len(lams), 2, angular_count))
+    space = _thread_buffers()
     residual = 0.0
     for z0 in points:
         theta, angular = _graded_angles(
@@ -163,23 +165,24 @@ def eigen_relation_residual(
         circle = np.exp(1j * theta)
         for c0 in range(0, angular_count, columns):
             c1 = min(c0 + columns, angular_count)
-            grid = partial(_prefix, shape=(radial_count, c1 - c0))
-            w = np.multiply(radius, circle[c0:c1], out=grid(image))
-            top = np.add(w, z0, out=grid(gap))
+            grid = partial(space.get, shape=(radial_count, c1 - c0))
+            w = np.multiply(radius, circle[c0:c1], out=grid("image", dtype=complex))
+            top = np.add(w, z0, out=grid("gap", dtype=complex))
             # phi(w) = (w + z0)/(1 + conj(z0) w), into w's buffer
             w = np.add(1.0, np.multiply(np.conj(z0), w, out=w), out=w)
             phi = np.divide(top, w, out=w)
-            poisson = _poisson_base(phi, b, out=grid(base),
-                                    scratch=(grid(log_base), grid(gap)))
-            logs = np.log(poisson, out=grid(log_base))
-            roots = np.sqrt(poisson, out=grid(root))
+            poisson = _poisson_base(phi, b, out=grid("base"),
+                                    scratch=(grid("log_base"), grid("gap", dtype=complex)))
+            logs = np.log(poisson, out=grid("log_base"))
+            roots = np.sqrt(poisson, out=grid("root"))
             for j, lam_j in enumerate(lams):
                 if lam_j == 0.0:
                     np.matmul(radial, roots, out=rows[j, 0, c0:c1])
                     continue
-                angle = np.multiply(-0.5 * lam_j, logs, out=grid(phase))
+                angle = np.multiply(-0.5 * lam_j, logs, out=grid("phase"))
                 for k, fn in enumerate((np.cos, np.sin)):
-                    values = np.multiply(roots, fn(angle, out=grid(part)), out=grid(part))
+                    part = grid("part")
+                    values = np.multiply(roots, fn(angle, out=part), out=part)
                     np.matmul(radial, values, out=rows[j, k, c0:c1])
         at_z0 = eigenfunction(lam_values, b, z0)
         for lam_j, row, e0, target in zip(lams, rows, at_z0, targets):
@@ -192,11 +195,6 @@ def eigen_relation_residual(
                 )
             residual = max(residual, gap_j)
     return residual
-
-
-def _prefix(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous view of ``shape`` on the start of a flat buffer."""
-    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def inverse_multiplier(nu: float, nu0: float, lam: float) -> float:
@@ -266,34 +264,17 @@ def _require_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {count}")
 
 
-# draws per chunk of a sampler's stream, and per block of a pass: no working
-# buffer of the chain, the residual or the chain-2 quadrature exceeds a block
+# draws per chunk of a sampler's stream; a pass runs on blocks of BLOCK
 _CHUNK = 1 << 16
-_BLOCK = 1 << 13
 
 
-class _ChainWorkspace:
-    """The buffers and generators of one thread's chunks of chains of ``n``
-    points at ``count`` weights.
+class _ChainGenerators:
+    """The 2n generators of one thread's chunks of chains of n points: each
+    draws one row of a chunk's uniforms from its own offset in the stream;
+    ``origin`` holds the seed whose initial state they are positioned from,
+    and that state."""
 
-    ``radial`` and ``angular`` take a block's draws, which its pass
-    overwrites with log(1 - U) and the squared chords; ``x``, ``w``,
-    ``link`` (n >= 3 only) and ``scratch`` take the block's 1 - |z|^2,
-    chain weights, links and link intermediates.  A draw array or a link is
-    a view of a flat buffer's prefix, so it is C-contiguous whatever its
-    width, as a fresh array is.  ``generators`` draw a chunk's 2n rows of
-    uniforms, each from its own offset in the stream; ``origin`` holds the
-    seed whose initial state they are positioned from, and that state.
-    """
-
-    def __init__(self, n: int, count: int):
-        self.key = (n, count)
-        self.radial = np.empty(n * _BLOCK)
-        self.angular = np.empty(n * _BLOCK)
-        self.x = np.empty((n, count, _BLOCK))
-        self.w = np.empty((count, _BLOCK))
-        self.link = np.empty(count * _BLOCK) if n >= 3 else None
-        self.scratch = (np.empty((count, _BLOCK)), np.empty((count, _BLOCK)))
+    def __init__(self, n: int):
         self.generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(2 * n)]
         self.origin = (None, None)
 
@@ -306,19 +287,6 @@ class _ChainWorkspace:
             rng.bit_generator.advance(offset)
 
 
-# one chain workspace per thread: a pool's are freed when its threads end
-_thread_state = threading.local()
-
-
-def _workspace(n: int, count: int) -> _ChainWorkspace:
-    """This thread's workspace for chains of n points at ``count`` weights,
-    built on first use and rebuilt when (n, count) changes."""
-    space = getattr(_thread_state, "chain", None)
-    if space is None or space.key != (n, count):
-        space = _thread_state.chain = _ChainWorkspace(n, count)
-    return space
-
-
 def _chain_chunk_sums(
     n: int, nus: Sequence[float], sampler_seed: int, sample_count: int, chunk: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -328,24 +296,21 @@ def _chain_chunk_sums(
     last one holds the rest of ``sample_count``); a chunk of m samples reads
     n rows of m uniforms for the radii, then n rows for the angles.  Each
     double takes one 64-bit output of PCG64, so row j of the chunk starts
-    2 n 2^16 chunk + j m outputs into the stream.  The thread's workspace
-    holds one generator per row, positioned there from the seed's initial
+    2 n 2^16 chunk + j m outputs into the stream.  The thread's buffers
+    hold one generator per row, positioned there from the seed's initial
     state, and each block of 2^13 samples reads the next draws of every
-    row: the pass reads exactly the draws a sequential pass gives it.  The
-    draws and every array of the pass live in the workspace, sized by (n,
-    number of weights) and built on the thread's first chunk: a warm chunk
-    allocates no array larger than one per weight.
+    row: the pass reads exactly the draws a sequential pass gives it.
     """
     m = min(_CHUNK, sample_count - chunk * _CHUNK)
-    space = _workspace(n, len(nus))
+    rngs = _thread_buffers().keep(("chain generators", n), partial(_ChainGenerators, n))
     start = 2 * n * _CHUNK * chunk
-    space.position(sampler_seed, range(start, start + 2 * n * m, m))
+    rngs.position(sampler_seed, range(start, start + 2 * n * m, m))
 
     def draw(lo, radial, angular):
-        for rng, row in zip(space.generators, (*radial, *angular)):
+        for rng, row in zip(rngs.generators, (*radial, *angular)):
             rng.random(out=row)
 
-    return _chain_sums(nus, m, draw, space)
+    return _chain_sums(nus, n, m, draw)
 
 
 def _chain_weight_sums(
@@ -365,33 +330,37 @@ def _chain_weight_sums(
         radial_block[...] = radial[:, lo:hi]
         angular_block[...] = angular[:, lo:hi]
 
-    return _chain_sums(nus, radial.shape[1], copy, _workspace(len(radial), len(nus)))
+    return _chain_sums(nus, len(radial), radial.shape[1], copy)
 
 
 def _chain_sums(
-    nus: Sequence[float], m: int, fill, space: _ChainWorkspace,
+    nus: Sequence[float], n: int, m: int, fill,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(sum of w, sum of w^2) per weight over m chains, in blocks of 2^13.
+    """(sum of w, sum of w^2) per weight over m chains of n points, in
+    blocks of 2^13.
 
     ``fill(lo, radial, angular)`` writes the uniforms of chains [lo, lo +
     width) into the two (n, width) arrays it is handed.  A uniform U gives
     1 - |z|^2 = (1 - U)^{1/(nu-1)} = exp(log(1 - U)/(nu - 1)) and the angle
     2 pi U.  Per block, log(1 - U) and the squared chords (2 sin(pi (U_i -
     U_{i+1})))^2 are formed once in place, and every weight is then
-    evaluated together on (weights x width) arrays, all in ``space``.  A
-    non-finite sum raises FloatingPointError naming its nu.
+    evaluated together on (weights x width) arrays.  Every array of a block
+    is a buffer of the thread's (:func:`specfun._thread_buffers`), so a warm
+    pass allocates no array larger than one per weight.  A non-finite sum
+    raises FloatingPointError naming its nu.
     """
-    n = space.key[0]
+    space = _thread_buffers()
     weights = np.asarray(nus)[:, None]
     inv = 1.0 / (weights - 1.0)
     sums = np.zeros(len(nus))
     sums_sq = np.zeros(len(nus))
     # reported below, with its nu
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for lo in range(0, m, _BLOCK):
-            width = min(_BLOCK, m - lo)
-            radial = _prefix(space.radial, (n, width))
-            angular = _prefix(space.angular, (n, width))
+        for lo in range(0, m, BLOCK):
+            width = min(BLOCK, m - lo)
+            block = (len(nus), width)
+            radial = space.get("radial", (n, width))
+            angular = space.get("angular", (n, width))
             fill(lo, radial, angular)
             log_tail = np.log(np.subtract(1.0, radial, out=radial), out=radial)
             for i in range(n - 1):
@@ -401,15 +370,15 @@ def _chain_sums(
             np.sin(chord, out=chord)
             chord *= 2.0
             chord *= chord
-            scratch = [buffer[:, :width] for buffer in space.scratch]
-            x = np.multiply(log_tail[:, None], inv, out=space.x[..., :width])
+            scratch = (space.get("link rest", block), space.get("link root", block))
+            x = np.multiply(log_tail[:, None], inv, out=space.get("x", (n, *block)))
             np.exp(x, out=x)  # (n, weights, width)
-            w = _link_modulus_sq(x[0], x[1], chord[0],
-                                 out=space.w[:, :width], scratch=scratch)
+            w = _link_modulus_sq(x[0], x[1], chord[0], out=space.get("w", block),
+                                 scratch=scratch)
             np.log(w, out=w)
             for i in range(1, n - 1):
                 link = _link_modulus_sq(x[i], x[i + 1], chord[i],
-                                        out=_prefix(space.link, w.shape), scratch=scratch)
+                                        out=space.get("link", block), scratch=scratch)
                 w += np.log(link, out=link)
             w *= -0.5 * weights
             np.exp(w, out=w)
@@ -422,6 +391,7 @@ def _chain_sums(
     return sums, sums_sq
 
 
+@_frees_thread_buffers
 def chained_kernel_integral(
     n: int, nu: float | Sequence[float], sampler_seed: int, sample_count: int,
     map=map,
@@ -446,12 +416,11 @@ def chained_kernel_integral(
     :func:`_chain_chunk_sums` evaluates independently; ``map`` (the builtin,
     or an executor's ``map``) runs them, and their sums are added in chunk
     order, so the result does not depend on who ran which chunk.  Each
-    thread that runs chunks keeps one workspace for them, sized by (n,
-    number of weights) and filled in place by every chunk, with one
-    generator per row of a chunk's draws, so a warm chunk allocates no
-    draw-sized array; a pool's workspaces are freed when its threads end,
-    and the calling thread's when this call returns.  A non-finite chain
-    weight raises FloatingPointError naming its nu.
+    thread that runs chunks keeps its block buffers and one generator per
+    row of a chunk's draws from chunk to chunk, so a warm chunk allocates no
+    draw-sized array; a pool's are freed when its threads end, and the
+    calling thread's when this call returns.  A non-finite chain weight
+    raises FloatingPointError naming its nu.
     """
     scalar = np.ndim(nu) == 0
     nus = [validate_weight(v) for v in ([nu] if scalar else nu)]
@@ -467,12 +436,9 @@ def chained_kernel_integral(
                      range(-(-sample_count // _CHUNK)))
     totals = np.zeros(len(nus))
     totals_sq = np.zeros(len(nus))
-    try:
-        for sums, sums_sq in chunk_sums:
-            totals += sums
-            totals_sq += sums_sq
-    finally:
-        _thread_state.chain = None
+    for sums, sums_sq in chunk_sums:
+        totals += sums
+        totals_sq += sums_sq
     out = []
     for total, total_sq in zip(totals.tolist(), totals_sq.tolist()):
         mean = total / sample_count
@@ -510,7 +476,7 @@ def chain2_tensor_quadrature(
         angular_weight[-1] = 1.0 / angular_count
     # whole rows of the kernel per block, at most the 8 x 2^13 floats of an
     # eight-weight Monte Carlo block (one row when a row alone is larger)
-    rows = max(1, min(radial_count, 8 * _BLOCK // (radial_count * chord.size)))
+    rows = max(1, min(radial_count, 8 * BLOCK // (radial_count * chord.size)))
     block = np.empty((rows, radial_count, chord.size))
     scratch = (np.empty((rows, radial_count, 1)), np.empty((rows, radial_count, 1)))
     _, rest, log_weight = gauss_jacobi(radial_count, nu - 2.0)

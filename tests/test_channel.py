@@ -22,22 +22,19 @@ from oracles import (
     random_psd,
 )
 
-from diskchannels import channel
+from diskchannels import channel, specfun
 from diskchannels.bergman import BandedOperator, TruncatedOperator, log_monomial_norm_sq
 from diskchannels.channel import (
     ChannelParams,
-    SpectrumWindowError,
     _abs_sum_trace,
     _channel_trace,
     _Couplings,
-    _drop_block_buffers,
     _derivative_sum,
     _weight_grid,
     apply_channel,
     banded_trace,
     diagonal_output_spectrum,
     diagonal_response,
-    functional_trace,
     isometry_weights,
     output_trace_interval,
     pk_star_vector,
@@ -47,7 +44,12 @@ from diskchannels.channel import (
     sqrt_series_coefficients,
 )
 from diskchannels.experiments import _random_state, _row_channel_limit, parse_config
-from diskchannels.specfun import BLOCK, CarriedCumprod, log_channel_constant_sq
+from diskchannels.specfun import (
+    BLOCK,
+    CarriedCumprod,
+    _drop_thread_buffers,
+    log_channel_constant_sq,
+)
 from diskchannels.transforms import radial_poly, toeplitz_diagonal
 
 
@@ -225,33 +227,48 @@ class TestTailBound:
 
 
 class TestFunctionalTrace:
+    """Tr psi(B) by banded_trace, the one route to it."""
+
     def test_linear(self):
-        B = TruncatedOperator(5, np.diag([0.2, 0.3, 0.1]), hermitian=True)
-        assert functional_trace(B, [0, 1]) == pytest.approx(0.6, rel=1e-14)
+        B = BandedOperator(5, 2, {0: np.array([0.2, 0.3, 0.1]) + 0j}, hermitian=True)
+        assert banded_trace(B, [0, 1]) == pytest.approx(0.6, rel=1e-14)
 
     def test_square_is_frobenius(self):
         rng = np.random.default_rng(2)
         g = rng.normal(size=(6, 6))
         q, _ = np.linalg.qr(g)
         m = (q * rng.uniform(0.05, 0.95, size=6)) @ q.T  # spectrum inside [0, 1]
-        B = TruncatedOperator(4, m, hermitian=True)
-        assert functional_trace(B, [0, 0, 1]) == pytest.approx(
-            np.linalg.norm(m) ** 2, rel=1e-12
-        )
+        B = BandedOperator(4, 5, {off: np.diagonal(m, off) + 0j for off in range(6)},
+                           hermitian=True)
+        assert banded_trace(B, [0, 0, 1]) == pytest.approx(np.linalg.norm(m) ** 2, rel=1e-12)
 
     def test_cube_example(self):
-        B = TruncatedOperator(2, np.diag([0.5, 0.25]), hermitian=True)
-        assert functional_trace(B, [0, 0, 0, 1]) == pytest.approx(0.140625, abs=1e-15)
+        B = BandedOperator(2, 1, {0: np.array([0.5, 0.25]) + 0j}, hermitian=True)
+        assert banded_trace(B, [0, 0, 0, 1]) == pytest.approx(0.140625, abs=1e-15)
 
-    def test_window_enforced(self):
-        B = TruncatedOperator(2, np.diag([1.5, 0.0]), hermitian=True)
-        with pytest.raises(SpectrumWindowError):
-            functional_trace(B, [0, 1])
+    @given(
+        mu=st.integers(2, 5), nu=st.floats(1.5, 60.0), k=st.integers(0, 3),
+        dim=st.integers(1, 8), rank=st.integers(1, 3), scale=st.floats(0.0, 1.0),
+        cut=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_channel_spectrum_lies_in_the_window(self, mu, nu, k, dim, rank, scale, cut,
+                                                 seed):
+        # T is completely positive and ||T(A)|| <= ||A|| (P_k P_k* = I), so
+        # PSD A with Tr A <= 1 gives a spectrum in [0, 1]: the window that no
+        # trace route needs to check
+        A = random_psd(mu, dim, min(rank, dim), seed)
+        A = TruncatedOperator(mu, scale * A.matrix, hermitian=True)
+        B = apply_channel(A, ChannelParams(mu, nu, k, output_degree=cut))
+        lam = np.linalg.eigvalsh(B.matrix)
+        assert -1e-12 <= lam.min() and lam.max() <= 1.0 + 1e-12
 
     def test_psi_zero_at_origin_required(self):
-        B = TruncatedOperator(2, np.diag([0.5]), hermitian=True)
+        B = BandedOperator(2, 0, {0: np.array([0.5 + 0j])}, hermitian=True)
         with pytest.raises(ValueError):
-            functional_trace(B, [1.0, 1.0])
+            banded_trace(B, [1.0, 1.0])
+        with pytest.raises(ValueError):
+            _channel_trace(lowest_state(2), ChannelParams(2, 3, 1), [1.0, 1.0])
 
 
 class TestPowerSum:
@@ -474,7 +491,7 @@ class TestBandedOutput:
         # arrays, the band product) and bands 15.2 MiB more (34.0 MiB
         # measured); the bound leaves 50% over that
         A = random_psd(2, 24, 3, seed=8)
-        _drop_block_buffers()  # counted, whatever ran before on this thread
+        _drop_thread_buffers()  # counted, whatever ran before on this thread
         tracemalloc.start()
         try:
             B = apply_channel(A, ChannelParams(2, 800, 1, output_degree=51200))
@@ -483,6 +500,21 @@ class TestBandedOutput:
             tracemalloc.stop()
         assert sum(band.nbytes for band in B.bands.values()) <= 24 * 51201 * 16
         assert peak <= 51 * 2**20
+
+    def test_a_call_leaves_no_buffers_on_the_thread(self):
+        # the blocks' weight rows, work arrays and band products (about
+        # 10 MiB at this cut) go when the call returns, not with the thread
+        A = random_psd(2, 24, 3, seed=8)
+        _drop_thread_buffers()
+        tracemalloc.start()
+        try:
+            B = apply_channel(A, ChannelParams(2, 800, 1, output_degree=51200))
+            del B
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert getattr(specfun._thread_state, "buffers", None) is None
+        assert left <= 2**16
 
 
 # three blocks of output indices and a short fourth
@@ -625,7 +657,7 @@ class TestStreamedRows:
         for cut in (4 * BLOCK, 64 * BLOCK):
             cfg = parse_config(text.format(cut))
             state = _random_state(cfg, cfg.mu)
-            _drop_block_buffers()
+            _drop_thread_buffers()
             tracemalloc.start()
             try:
                 _row_channel_limit(cfg, 800, (state, (0.0, "")))
@@ -641,7 +673,7 @@ class TestStreamedRows:
         # while the trace still holds the block before) and its r_0 entries,
         # and reads the same bits
         A, params = band_input(True)
-        _drop_block_buffers()
+        _drop_thread_buffers()
         first = _channel_trace(A, params, [0, 0, 1])
         tracemalloc.start()
         try:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import chain2_series_oracle, dropped_trace_oracle
 
-from diskchannels import channel, experiments
+from diskchannels import experiments, specfun
 from diskchannels.channel import (
     ChannelParams,
     diagonal_output_spectrum,
@@ -183,10 +183,12 @@ class TestDeterminism:
 
     def test_a_run_frees_the_channel_block_buffers(self):
         # the rows of a serial run share the calling thread's block buffers,
-        # which do not outlive the run
-        text = "experiment = channel-limit\ntiming = off\n" + self.SMALL["channel-limit"]
-        assert not run_experiment(parse_config(text)).failures
-        assert getattr(channel._thread_state, "blocks", None) is None
+        # and a serial kernel-chain run draws its chunks into them; neither
+        # outlives the run
+        for experiment in ("channel-limit", "kernel-chain"):
+            text = f"experiment = {experiment}\ntiming = off\n" + self.SMALL[experiment]
+            assert not run_experiment(parse_config(text)).failures
+            assert getattr(specfun._thread_state, "buffers", None) is None
 
     @pytest.mark.parametrize("experiment", sorted(SMALL))
     @settings(max_examples=25, deadline=None)

@@ -227,6 +227,7 @@ class TestCarriedCumprod:
         (30_000, (3.0,), (123.0,), 2.0 / 122.0),      # leaves it at the end
         (20_000, (1.0, 6.0), (1008.0, 2.0), 1e-3),    # early
         (20_000, (2.0,), (1.5,), 1.0),                # rising: the pass decides
+        (1, (1.0,), (2.0,), 1e-310),                  # first alone, subnormal
     ])
     def test_pochhammer_tables(self, count, numer, denom, first):
         mant, expo = scaled_cumprod(pochhammer_steps(count - 1, numer, denom), first)

@@ -14,6 +14,7 @@ from oracles import (
     eigen_residual_oracle,
 )
 
+from diskchannels import specfun
 from diskchannels.disk import gauss_jacobi
 from diskchannels.specfun import berezin_eigenvalue
 from diskchannels.spectral import (
@@ -319,6 +320,14 @@ class TestChainIntegral:
         with ThreadPoolExecutor(3) as pool:
             pooled = chained_kernel_integral(2, [4.0, 16.0], 5, 200000, map=pool.map)
         assert pooled == chained_kernel_integral(2, [4.0, 16.0], 5, 200000)
+
+    def test_a_call_frees_the_calling_threads_buffers(self):
+        # the chunks run on this thread fill its buffers; the residual's
+        # grid columns too, and neither outlives its call
+        chained_kernel_integral(3, [4.0, 16.0], 5, 20000)
+        assert getattr(specfun._thread_state, "buffers", None) is None
+        eigen_relation_residual(4.0, [0.0, 1.0], [0.1j], 40, 32)
+        assert getattr(specfun._thread_state, "buffers", None) is None
 
     def test_non_finite_weight_names_its_nu(self):
         # at nu = 1.0001, 1 - |z|^2 = 0.5^10000 underflows to 0: the points
