@@ -398,16 +398,14 @@ def _channel_blocks(A: TruncatedOperator, params: ChannelParams):
         ms = np.arange(m_top + 1)
         bounds = _block_bounds(L + 1, b)
         # the weight rows [t0, t1 + b) of the longest block, and the products
-        # of two of their column ranges for each dtype of A's entries, of
-        # which only the real parts are written
+        # of two of their column ranges, complex as A's entries are, of which
+        # only the real parts are written
         space = _thread_buffers()
         M = m_top + 1
         V = space.get("V", (max(min(t1 + b, L + 1) - t0 for t0, t1 in bounds), M))
         flat = V.reshape(-1)
-        work = {}
-        for *_, diag in plan:
-            work[diag.dtype] = space.get(("prod", diag.dtype), (V.size,), diag.dtype)
-            work[diag.dtype].imag = 0.0
+        prod = space.get("prod", (V.size,), complex)
+        prod.imag = 0.0
         v_lo = v_hi = 0  # V[: v_hi - v_lo] holds the weight rows [v_lo, v_hi)
         for t0, t1 in bounds:
             hi = min(t1 + b, L + 1)
@@ -427,7 +425,6 @@ def _channel_blocks(A: TruncatedOperator, params: ChannelParams):
                     # read back as rows of M with the first m_hi - m_lo + 1 used
                     width, shift = m_hi - m_lo + 1, abs(off) * (M + 1)
                     count = (size - 1) * M + width
-                    prod = work[diag.dtype]
                     np.multiply(flat[:count], flat[shift : shift + count], out=prod.real[:count])
                     bands[off] = prod[: size * M].reshape(size, M)[:, :width] @ diag
             yield t0, t1, bands
@@ -499,26 +496,29 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
         acc_m = acc_{m+1} step[p+k-m] + diag[m] ((mu)_m/m!) S(m,n)^2,
         out = r_0 acc_0,
 
-    in place in the output, on the entries p >= m - k where lambda_p(m) can
-    be nonzero: one multiply per entry per degree, and for a nonzero diag[m]
-    the k + 1 term sum of S (:func:`_derivative_sum`, from falling factorials
-    (n)_{k-j}) with its terms scaled by the root of the coefficient, its
-    square and the add or subtract, in one work buffer: five passes at
-    k = 1.  The loop runs on blocks of BLOCK output indices, each with its
-    own tables of step and (n)_{k-j} over the n of every degree and the next
-    block of the carried r_0, so the output is the only array that grows
-    with the cut; every entry goes through the operations it would in one
-    block.  (mu)_m/m! is never formed: acc is kept in units of the top
-    degree's weight (mu)_{m_top}/m_top!, so a degree's coefficient is the
-    running product w of the ratios (m+1)/(mu+m) < 1, carried as a mantissa
-    and a binary exponent.  Where w falls 2^900 below the stored acc, acc is
-    rescaled by an exact power of two, set by its largest entry: the blocks
-    stop before that degree's term, so that the largest entry over all of
-    them sets it.  The final multiply by r_0 (itself a mantissa and
-    exponent) and 1/w_0 adds the binary exponents, so no intermediate
-    product overflows to inf or NaN.  Input degrees whose weights (mu)_m/m!
-    span more than the double range, so that a lower degree's term is not
-    representable beside the acc of the upper ones, are a ValueError.
+    on the entries p >= m - k where lambda_p(m) can be nonzero: one multiply
+    per entry per degree, and for a nonzero diag[m] the k + 1 term sum of S
+    (:func:`_derivative_sum`, from falling factorials (n)_{k-j}) with its
+    terms scaled by the root of the coefficient, its square and the add or
+    subtract, in one work buffer: five passes at k = 1.  The loop runs on
+    blocks of BLOCK output indices, each with its own tables of step and
+    (n)_{k-j} over the n of every degree and the next block of the carried
+    r_0, so the output is the only array that grows with the cut; every
+    entry goes through the operations it would in one block.
+
+    (mu)_m/m! is never formed: a degree's coefficient is its weight over the
+    top degree's, w = prod (m+1)/(mu+m) < 1, carried as a mantissa and a
+    binary exponent.  Taken from the top down, a degree whose w falls more
+    than 2**_TERM_BITS below its group's starts a new group; each group runs
+    the loop from its top degree to degree 0 in an acc of its own, in units
+    of its top's binary exponent, and adds only its own terms.  The first
+    group's acc is the output block, and the later groups share one more
+    block buffer (none is made for one group, as for every input whose
+    weights span less than 2**_TERM_BITS).  Each acc is finished by the
+    multiply by r_0 (itself a mantissa and exponent) and 1/w_0, which adds
+    the binary exponents, so no intermediate product overflows to inf or
+    NaN, and each group's output, which is representable, is added into the
+    block.
     """
     diag = np.asarray(diag, dtype=float)
     k, mu, nu = params.k, params.mu, params.nu
@@ -533,27 +533,37 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
     for m in range(m_top - 1, -1, -1):
         w_mant[m], e = math.frexp(w_mant[m + 1] * ((m + 1.0) / (mu + m)))
         w_exp[m] = w_exp[m + 1] + e
+    # the groups' top degrees and binary exponents e, from the top down: a
+    # group's true acc, in units of (mu)_{m_top}/m_top!, is the stored one
+    # times 2**e, e = 0 for the first group and the exponent of its top's w
+    # for the others
+    tops, exps = [m_top], [0]
+    for m in support[support <= m_top][::-1].tolist():
+        if w_exp[m] - exps[-1] < -_TERM_BITS:
+            tops.append(m)
+            exps.append(w_exp[m])
+    bottoms = [top + 1 for top in tops[1:]] + [0]
     r0 = _Couplings(params).r0(cut)
     work = np.empty(min(cut + 1, BLOCK))
     part = np.empty_like(work) if k > 1 else None  # the terms j = 1..k-1 of S
+    later = np.empty_like(work) if len(tops) > 1 else None  # a later group's acc
 
-    def horner(acc, p0, m_hi, m_lo, acc_exp, resumed, add_last):
-        """Degrees m_hi down to m_lo on the block acc = out[p0:p1]; the
-        multiply of m_hi is done already when ``resumed``, and the term of
-        m_lo is left out unless ``add_last``."""
+    def horner(acc, p0, top, bottom, acc_exp):
+        """Degrees ``top`` down to 0 on the block acc of out[p0:], adding
+        the terms of the degrees ``top`` down to ``bottom``."""
         p1 = p0 + acc.size
-        n_lo = max(0, p0 + k - m_top)  # the n = p + k - m of the block
+        n_lo = max(0, p0 + k - top)  # the n = p + k - m of the block
         n_all = np.arange(n_lo, p1 + k, dtype=float)
         step = n_all / (nu + n_all - 1.0)
         fall_n = [_falling(n_all, k - j) for j in range(k)]
-        for m in range(m_hi, m_lo - 1, -1):
+        for m in range(top, -1, -1):
             lo = max(0, m - k - p0)  # lambda_p(m) = 0 for p < m - k
             if lo >= acc.size:
                 continue
             n = slice(p0 + lo + k - m - n_lo, p1 + k - m - n_lo)
-            if m < m_top and not (resumed and m == m_hi):
+            if m < top:
                 acc[lo:] *= step[n]
-            if diag[m] == 0.0 or (m == m_lo and not add_last):
+            if m < bottom or diag[m] == 0.0:
                 continue
             # S scaled by the root of the coefficient, so that its square is
             # the term up to the coefficient's sign
@@ -574,62 +584,45 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
             else:
                 acc[lo:] -= S
 
-    # the true acc, in units of (mu)_{m_top}/m_top!, is the stored one times
-    # 2**acc_exp
-    acc_exp, m_hi, resumed = 0, m_top, False
-    while True:
-        # the next rescale: binary exponents alone place it
-        m_r = next((m for m in range(m_hi - resumed, -1, -1)
-                    if diag[m] != 0.0 and w_exp[m] - acc_exp < -_TERM_BITS), None)
-        top = 0.0
-        for p0 in range(0, cut + 1, BLOCK):
-            acc = out[p0 : p0 + BLOCK]
-            horner(acc, p0, m_hi, m_r or 0, acc_exp, resumed, m_r is None)
-            if m_r is not None:
-                top = max(top, float(acc.max()), -float(acc.min()))
-                continue
-            # out = r_0 acc 2**acc_exp / w_0
-            shift = acc_exp - w_exp[0]
-            r0_mant, r0_exp = r0.take(acc.size)
-            if r0_exp is None and abs(shift) <= 64:
-                # an entry whose product r_0 acc is subnormal is below 2**-957
-                acc *= r0_mant
-                acc *= math.ldexp(1.0 / w_mant[0], shift)
-                continue
-            # the mantissas are multiplied and the binary exponents of acc,
-            # r_0 and w_0 added exactly
-            mant, expo = np.frexp(acc)
-            mant *= r0_mant
-            mant *= 1.0 / w_mant[0]
-            expo = expo + shift if r0_exp is None else expo + (r0_exp + shift)
-            np.ldexp(mant, expo, out=acc)
-        if m_r is None:
-            return out
-        acc_exp = _rescale(out, acc_exp, w_exp[m_r], top)
-        m_hi, resumed = m_r, True
+    def finish(acc, acc_exp, r0_mant, r0_exp):
+        """acc = r_0 acc 2**acc_exp / w_0, in place."""
+        shift = acc_exp - w_exp[0]
+        if r0_exp is None and abs(shift) <= 64:
+            # an entry whose product r_0 acc is subnormal is below 2**-957
+            acc *= r0_mant
+            acc *= math.ldexp(1.0 / w_mant[0], shift)
+            return
+        # the mantissas are multiplied and the binary exponents of acc, r_0
+        # and w_0 added exactly
+        mant, expo = np.frexp(acc)
+        mant *= r0_mant
+        mant *= 1.0 / w_mant[0]
+        if r0_exp is not None:
+            expo += r0_exp
+        expo += shift
+        np.ldexp(mant, expo, out=acc)
+
+    for p0 in range(0, cut + 1, BLOCK):
+        block = out[p0 : p0 + BLOCK]
+        for g, (top, bottom, acc_exp) in enumerate(zip(tops, bottoms, exps)):
+            acc = block if g == 0 else later[: block.size]
+            if g:
+                acc.fill(0.0)
+            horner(acc, p0, top, bottom, acc_exp)
+            if g == 0:  # once the first group's tables are freed
+                r0_block = r0.take(block.size)
+            finish(acc, acc_exp, *r0_block)
+            if g:
+                block += acc
+        del r0_block  # before the next block's tables and r_0
+    return out
 
 
-# A degree's coefficient may fall this many binary places below the stored
-# acc before the acc is rescaled up to it.
+# A degree whose weight falls more than this many binary places below its
+# group's acc unit 2**e starts the next group, so that a group's
+# coefficients lie within [2**-901, 1] times diag[m]: every term it adds is
+# representable beside its acc.
 _TERM_BITS = 900
-
-
-def _rescale(acc: np.ndarray, acc_exp: int, w_exp: int, top: float) -> int:
-    """Multiply ``acc``, whose largest magnitude is ``top``, in place by the
-    exact power of two that brings a term of weight 2**w_exp closest to it
-    while its largest entry stays below 2**1000; return acc's new binary
-    exponent."""
-    shift = acc_exp - w_exp
-    if top > 0.0:
-        shift = min(shift, 1000 - math.frexp(top)[1])
-        if w_exp - (acc_exp - shift) < -960:
-            raise ValueError(
-                "the input degrees' weights (mu)_m/m! span more than the "
-                "double range; pass far-apart degrees in separate calls and "
-                "add the outputs"
-            )
-        np.ldexp(acc, shift, out=acc)
-    return acc_exp - shift
 
 
 def response_tail_bound(params: ChannelParams, m: int, cut: int) -> float:

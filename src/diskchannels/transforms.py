@@ -135,7 +135,9 @@ def covariant_symbol(A: TruncatedOperator, z):
     """R_nu(A)(z) = A(z,z)(1-|z|^2)^nu, the bounded diagonal symbol.
 
     Evaluates (1-|z|^2)^nu sum_{m,n} A_{mn} e_m(z) conj(e_n(z)) through the
-    boundedly-scaled basis so huge weights stay finite.  |result| <= ||A|| up
+    boundedly-scaled basis so huge weights stay finite: <A k_z, k_z> for the
+    normalized coherent state k_z = K_z/||K_z|| at the point z itself
+    (:func:`husimi_grid` at index 0 reads it at -w).  |result| <= ||A|| up
     to the truncation tail of A itself.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -259,9 +261,13 @@ def husimi_grid(A: TruncatedOperator, index: int, ws) -> np.ndarray:
     """Generalized Husimi function H^index(A) at the points ``ws``.
 
     H^i(A)(g . 0) = ((nu)_i/i!) <A g.z^i, g.z^i> with g the canonical
-    transporter of w.  For a truncated operator the transported-vector
-    sandwich is exact (the expansion recursion is lower triangular), so the
-    values carry no series-truncation error and any |w| < 1 is accepted.
+    transporter of w.  Its vector at index 0, g . 1 = (-bz + conj a)^{-nu},
+    is the normalized coherent state at -w, not at w, so the value at w is
+    :func:`covariant_symbol` at -w; the two agree at w only where A is
+    symmetric under w -> -w, as every radial A is.  For a truncated
+    operator the transported-vector sandwich is exact (the expansion
+    recursion is lower triangular), so the values carry no
+    series-truncation error and any |w| < 1 is accepted.
 
     Each point w is carried by the coefficient arrays of its canonical
     transporter (vectorized transport recursion).  Points are processed in

@@ -268,6 +268,18 @@ class TestHusimi:
         vals = husimi_grid(A, 1, ws)
         assert np.all(vals >= -1e-14) and np.all(vals <= norm + 1e-12)
 
+    def test_index_zero_is_the_covariant_symbol_at_minus_w(self):
+        # g . 1 = (-bz + conj a)^{-nu} is the coherent state at -w: a
+        # non-radial A tells w from -w, and the values differ from the
+        # covariant symbol at w itself (10.6886 against 7.3711 at w = 0.3+0.2j)
+        A = random_psd(3, 6, 6, seed=0, unit_trace=False)
+        ws = np.concatenate([[0.3 + 0.2j], disk_points(200, seed=16)])
+        expect, scale = covariant_symbol_oracle(A, -ws)
+        vals = husimi_grid(A, 0, ws)
+        assert np.all(np.abs(vals - expect) <= column_form_bound(A.degree + 1) * scale)
+        assert vals[0] == pytest.approx(10.6886, abs=1e-4)
+        assert np.real(covariant_symbol(A, ws[0])) == pytest.approx(7.3711, abs=1e-4)
+
     @pytest.mark.parametrize("index", [0, 1, 3])
     def test_non_diagonal_grid_matches_three_operand_form(self, index):
         # a rank-3 state of degree 23, as the dense sweep's, on 1200 points
