@@ -210,10 +210,12 @@ class _Couplings:
     the last a cumprod along m whose every partial product is an r value.
     r_0 is a :class:`specfun.CarriedCumprod`, read in order a block at a
     time, and step[t] is formed where it is read, so no table grows with the
-    cut.  The cumprods carry a binary exponent (:func:`specfun.scaled_cumprod`),
-    so a row whose ends lie below the double range still reaches its middle;
-    the stretches of the cumprod along m are set per block, so only such a
-    grid can round differently from one built whole.
+    cut.  The cumprods carry a binary exponent from their first product out
+    of the double range on (:func:`specfun.scaled_cumprod`), so a row whose
+    ends lie below it still reaches its middle.  r_0 has the bits of the
+    table built whole; the cumprod along m leaves the range at the first m
+    where a product of its block of p does, so only such a grid can round
+    differently from one built whole.
     :func:`diagonal_output_spectrum` reads the same r_0 and step and runs the
     recurrence as Horner's rule in m.  r_m[p] is within (4p + 3.5m + 7k)
     eps relative of exact, one eps more there (derived at the trace-tail
@@ -645,10 +647,7 @@ def response_tail_bound(params: ChannelParams, m: int, cut: int) -> float:
     # the leftover n^{-j} factors evaluated at the smallest tail n)
     D = 0.0
     for j, coeff in _derivative_terms(params):
-        fall_m = 1.0
-        for i in range(j):
-            fall_m *= max(m - i, 0)
-        D += abs(coeff) * fall_m / n0**j
+        D += abs(coeff) * _falling(m, j) / n0**j
     if D == 0.0:
         return 0.0
     # (nu)_n/n! <= (n + nu - 1)^{nu-1}/(nu-1)! and n <= p + k:

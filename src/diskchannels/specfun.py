@@ -182,42 +182,82 @@ def scaled_cumprod(factors, first=1.0, out=None) -> tuple[np.ndarray, np.ndarray
     """first * f_1 ... f_j along the first axis of ``factors``, j = 0..M, as
     (mantissa, exponent) with value = mantissa * 2**exponent.
 
-    One cumprod, with exponent None (0 everywhere), while no product leaves
-    the normal double range.  Otherwise the cumprod runs in stretches over
-    which the factors span at most about 2^400 (the widest column sets them
-    for a 2-D array), each started from the last product of the one before,
-    renormalized by its exact power of two.  Either way a value keeps one
-    rounding per factor and per stretch, and only the final ``np.ldexp`` or
-    ``np.log`` meets the range.  ``first`` is a scalar or one per column;
-    it and the factors are >= 0, each factor 0 or within 2^+-400.  The
-    mantissas are written into ``out`` if given.
+    A plain cumprod, exponent 0, up to the first row in which a product
+    leaves the normal double range by magnitude; from the product before it
+    (``first`` itself if it is out of range) the cumprod runs in exponent
+    stretches (:class:`_Stretches`).  The exponent is None when every
+    product is plain.  A value keeps one rounding per factor and per
+    stretch, and only the final ``np.ldexp`` or ``np.log`` meets the range.
+    ``first`` is a scalar or one per column, each factor 0 or within
+    2^+-400 in magnitude.  The mantissas are written into ``out`` if given.
     """
     f = np.asarray(factors, dtype=float)
-    count, lead = f.shape[0], f.shape[1:]
-    mant = np.empty((count + 1,) + lead) if out is None else out
-    mant[0] = first
-    mant[1:] = f
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(mant, axis=0, out=mant)
-    if _in_range(mant):
-        return mant, None
-    m, e = np.frexp(np.broadcast_to(np.asarray(first, dtype=float), lead))
-    expo = np.empty(mant.shape, dtype=np.int64)
-    mant[0], expo[0] = m, e
-    _Stretches(m, e.astype(np.int64)).extend(f, mant[1:], expo[1:])
-    return mant, expo
+    mant = np.empty((f.shape[0] + 1,) + f.shape[1:]) if out is None else out
+    return mant, _Carry(first).extend(f, mant)
+
+
+class _Carry:
+    """The cumprod of :func:`scaled_cumprod`, extended by the factors of one
+    run after another: entry 0 (``first``) is written at the start of the
+    first run, and only a carry is kept between runs, the last plain
+    product or, once a product has left the range, the stretches."""
+
+    def __init__(self, first):
+        self.last = np.asarray(first, dtype=float)
+        self.lead = 1  # 0 once entry 0 is written
+        self.stretches = None if _first_exit(self.last[None]) is None else _Stretches(self.last)
+
+    def extend(self, f: np.ndarray, mant: np.ndarray) -> np.ndarray | None:
+        """Write the next entries, one per factor of ``f`` (first axis) after
+        entry 0 if it is still to write, into ``mant``, and return their
+        exponents, or None when every one is plain."""
+        lead = min(self.lead, len(mant))
+        self.lead -= lead
+        if self.stretches is None:
+            mant[lead:] = f
+            if lead:
+                mant[0] = self.last
+            elif len(f):
+                mant[0] *= self.last
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.cumprod(mant, axis=0, out=mant)
+            i = _first_exit(mant)
+            if i is None:
+                self.last = mant[-1].copy() if len(mant) else self.last
+                return None
+            self.stretches = _Stretches(mant[i - 1] if i else self.last)
+            expo = np.zeros(mant.shape, dtype=np.int64)  # the rows before i stay plain
+            self.stretches.extend(f[i - lead :], mant[i:], expo[i:])
+            return expo
+        expo = np.empty(mant.shape, dtype=np.int64)
+        if lead:
+            mant[0], expo[0] = self.stretches.m, self.stretches.e
+        self.stretches.extend(f, mant[lead:], expo[lead:])
+        return expo
+
+
+def _first_exit(products: np.ndarray) -> int | None:
+    """The first row (first axis) with a product of magnitude >= 2^1000, or
+    nonzero and below the normal range, or NaN; None if there is none."""
+    if products.size == 0 or (products.min() >= _NORMAL and products.max() < 2.0**1000):
+        return None  # every product positive and in range, the common case
+    size = np.abs(products)
+    out = ~((size < 2.0**1000) & ((size >= _NORMAL) | (size == 0.0)))
+    rows = out.reshape(len(out), -1).any(axis=1)
+    return int(rows.argmax()) if rows.any() else None
 
 
 class _Stretches:
-    """The exponent stretches of :func:`scaled_cumprod`, extended by the
-    factors of one call after another: the running bit count of the
-    factors (the widest column's) and the next multiple of 400 it waits
-    for, the mantissa m and exponent e of the stretch's start, and the
-    partial product of the stretch's factors and its last scaled entry
-    (None at the start of a stretch)."""
+    """The exponent stretches of a cumprod from ``start``, extended by the
+    factors of one run after another: the running bit count of the factors
+    (the widest column's) and the next multiple of 400 it waits for, the
+    mantissa m and exponent e of the stretch's start, and the partial
+    product of the stretch's factors and its last scaled entry (None at the
+    start of a stretch)."""
 
-    def __init__(self, m, e):
-        self.m, self.e = m, e
+    def __init__(self, start):
+        self.m, e = np.frexp(start)
+        self.e = e.astype(np.int64)
         self.span, self.edge = 0.0, 1
         self.run = self.end = None
 
@@ -225,14 +265,20 @@ class _Stretches:
         """Write the products that the factors ``f`` (first axis) add into
         ``mant`` and ``expo``: a stretch ends at the factor where the bit
         count passes a multiple of 400, and the next one starts from its
-        last product, renormalized by its exact power of two."""
-        count = f.shape[0]
+        last product, renormalized by its exact power of two.  The bit
+        counts are formed in ``mant`` before the runs."""
+        count = len(f)
         if count == 0:
             return
+        bits = mant.reshape(count, -1)
+        np.abs(f.reshape(count, -1), out=bits)
         with np.errstate(divide="ignore"):
-            bits = np.abs(np.log2(np.abs(f)))
+            np.log2(bits, out=bits)
+        np.abs(bits, out=bits)
         bits[~np.isfinite(bits)] = 0.0  # a zero factor zeroes the rest of its column
-        span = np.cumsum(np.concatenate(([self.span], bits.reshape(count, -1).max(axis=1))))[1:]
+        span = bits[:, 0] if bits.shape[1] == 1 else bits.max(axis=1)
+        span[0] += self.span
+        np.cumsum(span, out=span)
         self.span = span[-1]
         edges = []
         while span[-1] >= 400.0 * self.edge:
@@ -246,81 +292,31 @@ class _Stretches:
                 self.e = self.e + step
                 self.run = self.end = None
             if hi > lo:
-                head = () if self.run is None else (self.run[None],)
-                run = np.cumprod(np.concatenate((*head, f[lo:hi])), axis=0)[len(head):]
+                run = mant[lo:hi]
+                run[...] = f[lo:hi]
+                if self.run is not None:
+                    run[0] *= self.run
+                np.cumprod(run, axis=0, out=run)
                 self.run = run[-1].copy()
                 run *= self.m
                 self.end = run[-1].copy()
-                mant[lo:hi] = run
                 expo[lo:hi] = self.e
                 lo = hi
-
-
-def _in_range(products: np.ndarray) -> bool:
-    """Every product below 2^1000 and every nonzero one normal."""
-    return bool(products.max() < 2.0**1000
-                and np.min(products, where=products > 0.0, initial=1.0) >= _NORMAL)
 
 
 class CarriedCumprod:
     """first * prod_a (a)_j / prod_b (b)_j, j = 0..count-1, the table of
     :func:`pochhammer_ratios` before :func:`from_scaled`, read in order a
-    block at a time.
-
-    :meth:`take` returns the next n entries as (mantissa, exponent or None)
-    with the bits that :func:`scaled_cumprod` gives the whole table, while
-    only a carry is kept between calls: the plain cumprod's last product, or,
-    for a table that leaves the double range, the state of the exponent
-    stretches (running bit count, mantissa, exponent, partial product).
-    Which of the two a table is, is a property of the whole table: a table
-    that falls from first stays in range when its last entry does
-    (:meth:`_falls_in_range`); otherwise a first pass of plain cumprods over
-    the factors, a block at a time, decides it.
+    block at a time: :meth:`take` returns the next n entries with the bits
+    that :func:`scaled_cumprod` gives the whole table, keeping only its
+    carry (:class:`_Carry`) between calls.
     """
 
     def __init__(self, count: int, numer, denom, first: float = 1.0):
         self._numer, self._denom = numer, denom
-        self._count, self._first = count, float(first)
+        self._count = count
         self._next = 0  # the next entry to return
-        self._plain = self._falls_in_range() or self._plain_in_range()
-        self._last = self._first  # the plain cumprod's last product
-        m, e = np.frexp(self._first)
-        self._stretches = _Stretches(m, np.int64(e))
-
-    def _factors(self, i0: int, i1: int) -> np.ndarray:
-        """The factors f_{i0} .. f_{i1-1}: entry j is first f_0 ... f_{j-1}."""
-        return pochhammer_steps(i1 - i0, self._numer, self._denom, start=i0)
-
-    def _falls_in_range(self) -> bool:
-        """True when the parameters pair off as a_i <= b_i, all >= 1, and
-        log-gammas put the last entry above 2^-1018 with first in
-        [2^-1018, 2^996].  No factor then exceeds 1 but by a rounding, and
-        entry j is within (len(numer) + len(denom)) j + 1 eps relative of the
-        exact table (:func:`pochhammer_ratios`), which falls from first to
-        its last entry: every product stays 16 times inside the double
-        range, so the range pass, one more evaluation of every factor, is
-        not needed."""
-        a, b = sorted(self._numer), sorted(self._denom)
-        if not (len(a) == len(b) and min(a + b) >= 1.0 and all(x <= y for x, y in zip(a, b))
-                and 2.0**-1018 <= self._first <= 2.0**996):
-            return False
-        n = self._count - 1
-        log2_last = math.log2(self._first) + (
-            sum(math.lgamma(x + n) - math.lgamma(x) for x in a)
-            - sum(math.lgamma(y + n) - math.lgamma(y) for y in b)) / math.log(2.0)
-        return log2_last >= -1018.0
-
-    def _plain_in_range(self) -> bool:
-        last = self._first
-        # one pass at least, so that first itself is checked
-        for lo in range(0, max(self._count - 1, 1), BLOCK):
-            run = np.concatenate(([last], self._factors(lo, min(lo + BLOCK, self._count - 1))))
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.cumprod(run, out=run)
-            if not _in_range(run):
-                return False
-            last = run[-1]
-        return True
+        self._carry = _Carry(first)
 
     def skip(self, n: int):
         """Pass over the next n entries, a block at a time."""
@@ -330,25 +326,15 @@ class CarriedCumprod:
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray | None]:
         """The next n entries as (mantissa, exponent); the exponent is None
-        when the whole table is in range."""
+        when every one of them is plain, and 0 at the plain ones."""
         j0, j1 = self._next, self._next + n
         if n < 0 or j1 > self._count:
             raise ValueError("read outside the table")
         self._next = j1
         # entry j >= 1 takes factor j - 1; entry 0 is first itself
-        lead = int(j0 == 0 and n > 0)
-        f = self._factors(max(j0, 1) - 1, max(j1, 1) - 1)
-        if self._plain:
-            mant = np.concatenate(([self._last], f))
-            np.cumprod(mant, out=mant)
-            self._last = mant[-1]
-            return mant[1 - lead :], None
-        mant = np.empty(f.size + lead)
-        expo = np.empty(f.size + lead, dtype=np.int64)
-        if lead:
-            mant[0], expo[0] = self._stretches.m, self._stretches.e
-        self._stretches.extend(f, mant[lead:], expo[lead:])
-        return mant, expo
+        f = pochhammer_steps(max(j1, 1) - max(j0, 1), self._numer, self._denom, max(j0, 1) - 1)
+        mant = np.empty(n)
+        return mant, self._carry.extend(f, mant)
 
 
 def from_scaled(mant: np.ndarray, expo: np.ndarray | None) -> np.ndarray:

@@ -539,8 +539,10 @@ def band_input(hermitian: bool):
 
 class TestStreamedRows:
     """Rows evaluated a block of BLOCK output indices at a time keep the bits
-    of the whole-cut evaluation: the digests were taken from the code that
-    built every table over the whole cut at once."""
+    of the whole-cut evaluation: the digests were taken from code that built
+    every table over the whole cut at once (for the tables that leave the
+    double range, :func:`scaled_cumprod` of the whole table and the output
+    diagonal in one block)."""
 
     DIAG = [float.fromhex(x) for x in (
         "0x1.400c8353e3ca9p-1", "0x1.cb5f9b795e4cdp-1", "0x1.8d26acbf2815fp-1",
@@ -554,13 +556,14 @@ class TestStreamedRows:
         assert digest(out) == expected
 
     def test_output_spectrum_bits_with_a_scaled_r0(self):
-        # r_0 of mu = 1000 falls below the double range: its table carries
-        # binary exponents across the blocks
+        # r_0 of mu = 1000 falls below the double range in the first block:
+        # its table carries binary exponents across the blocks
         params = ChannelParams(1000, 5, 1)
-        assert _Couplings(params).r0(CUT_3_BLOCKS).take(1)[1] is not None
+        r0 = _Couplings(params).r0(CUT_3_BLOCKS)
+        assert r0.take(1)[1] is None and r0.take(BLOCK)[1] is not None
         unit = np.zeros(400)
         unit[399] = 1.0
-        assert digest(diagonal_output_spectrum(params, unit, CUT_3_BLOCKS)) == "ba50083d3274c09e"
+        assert digest(diagonal_output_spectrum(params, unit, CUT_3_BLOCKS)) == "f75e518336283e0c"
 
     def test_output_spectrum_bits_across_a_rescale(self):
         # degree 0's weight is 2^-1012 of degree 300's: two groups of
@@ -568,17 +571,18 @@ class TestStreamedRows:
         diag = np.zeros(301)
         diag[[0, 300]] = 1.0
         out = diagonal_output_spectrum(ChannelParams(1000, 5, 1), diag, CUT_3_BLOCKS)
-        assert digest(out) == "1c87079a3523a218"
+        assert digest(out) == "ce716c39dce31917"
 
     @pytest.mark.parametrize("coeffs,nu,scaled,expected", [
         ([0, 0, 1], 2.0, False, "ea5d6910fcadfb27"),
         ([0.5, 0.0, 0.25, 1.0], 800.0, False, "ff2d6cd118b6de85"),
         # (3)_m/(123)_m leaves the double range: the scaled table
-        ([0.0] * 120 + [1.0], 3.0, True, "44e26074a5717cf9"),
+        ([0.0] * 120 + [1.0], 3.0, True, "11e764ab9729d305"),
     ])
     def test_toeplitz_diagonal_bits(self, coeffs, nu, scaled, expected):
         s = len(coeffs) - 1
         table = CarriedCumprod(CUT_3_BLOCKS + 1, (nu,), (nu + s,), 1.0)
+        table.skip(CUT_3_BLOCKS)
         assert (table.take(1)[1] is not None) == scaled
         assert digest(toeplitz_diagonal(radial_poly(coeffs), nu, CUT_3_BLOCKS)) == expected
 
@@ -929,13 +933,15 @@ class TestCouplingKernel:
         # the block of r_0 with its factors (5.2 blocks measured at k = 1),
         # and for two groups of degrees one more block buffer and the
         # finish of an acc far from the scale of w_0 (7.4 blocks measured;
-        # at nu = 10^6 r_0 stays in range up to the cut)
+        # at nu = 10^6 r_0 stays in range up to the cut, at nu = 5 it leaves
+        # in the first block and its blocks carry exponent stretches)
         cut = 400_000
         two_groups = np.zeros(301)
         two_groups[[0, 300]] = 1.0
         for params, diag in [
             (ChannelParams(2, 800.0, 1), toeplitz_diagonal(radial_poly([0.0, 0.0, 1.0]), 2.0, 64)),
             (ChannelParams(1000, 1e6, 1), two_groups),
+            (ChannelParams(1000, 5, 1), two_groups),
         ]:
             tracemalloc.start()
             try:

@@ -184,16 +184,32 @@ class TestPochhammerRatios:
             assert abs(table[j] - exact) <= 32 * np.finfo(float).eps * (abs(exact) + 1.0)
 
 
+def exponents(expo, count):
+    """An exponent array, or zeros for None (every entry plain)."""
+    return np.zeros(count, dtype=np.int64) if expo is None else expo
+
+
+def first_exit(values):
+    """The first entry out of the normal double range by magnitude (or NaN),
+    len(values) if none is."""
+    size = np.abs(values)
+    out = ~((size < 2.0**1000) & ((size >= np.finfo(float).tiny) | (size == 0.0)))
+    return int(np.argmax(out)) if out.any() else len(values)
+
+
 class TestCarriedCumprod:
     @given(
         count=st.integers(1, 3 * BLOCK + 40),
-        kind=st.sampled_from(["in range", "near one", "falling", "rising", "with a zero"]),
+        kind=st.sampled_from(["in range", "near one", "falling", "rising", "with a zero",
+                              "mid-block", "at a block boundary", "at entry 0", "signed"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_blocks_are_the_whole_table(self, count, kind, seed):
-        # read in random lengths, the table has scaled_cumprod's bits, in
-        # range or in exponent stretches that cross the reads
+        # read in random lengths, the table has scaled_cumprod's bits, plain
+        # or in exponent stretches that cross the reads; a read's exponent
+        # is None exactly when all its entries come before the first one
+        # out of the double range
         rng = np.random.default_rng(seed)
         a = float(rng.uniform(1.0, 3000.0))
         numer, denom = {
@@ -203,38 +219,100 @@ class TestCarriedCumprod:
             "rising": ((a, 1.0), (rng.uniform(0.5, 4.0),)),
             # the factor at j = z is 0, and so is every entry past it
             "with a zero": ((-float(rng.integers(0, count)), 1.0), (a, 2.0)),
+            "mid-block": ((a,), (a + rng.uniform(0.1, 0.5),)),
+            "at a block boundary": ((a,), (a + rng.uniform(0.1, 0.5),)),
+            "at entry 0": ((a,), (a + rng.uniform(-0.5, 0.5),)),
+            # every factor negative, the magnitude rising
+            "signed": ((-float(2.0 ** rng.uniform(100.0, 380.0)),), (rng.uniform(0.5, 4.0),)),
         }[kind]
         first = float(2.0 ** rng.uniform(-50.0, 50.0))
-        mant, expo = scaled_cumprod(pochhammer_steps(count - 1, numer, denom), first)
+        if kind in ("mid-block", "at a block boundary"):
+            # falling from first, the entry near a random x is the smallest
+            # normal double: the table leaves the range there, after a
+            # plain run
+            x = int(rng.integers(0, count))
+            first = 2.0**-1022 / float(np.prod(pochhammer_steps(x, numer, denom)))
+        elif kind == "at entry 0":
+            first = float(2.0 ** rng.choice([rng.uniform(1000.0, 1020.0),
+                                             rng.uniform(-1070.0, -1023.0)]))
+        factors = pochhammer_steps(count - 1, numer, denom)
+        mant, expo = scaled_cumprod(factors, first)
+        with np.errstate(over="ignore", invalid="ignore"):
+            exit_at = first_exit(np.cumprod(np.concatenate(([first], factors))))
+        assert (expo is None) == (exit_at == count)
         table = CarriedCumprod(count, numer, denom, first)
-        # a table that log-gammas put in range is in range
-        assert not table._falls_in_range() or table._plain_in_range()
         parts, done = [], 0
         while done < count:
             n = min(int(rng.integers(0, 2 * BLOCK)), count - done)
+            if kind == "at a block boundary" and done < exit_at < done + n:
+                n = exit_at - done  # the next read starts at the exit
             part = table.take(n)
-            assert (part[1] is None) == (expo is None) and part[0].size == n
+            assert part[0].size == n and (part[1] is None) == (done + n <= exit_at)
             parts.append(part)
             done += n
         assert np.concatenate([m for m, _ in parts]).tobytes() == mant.tobytes()
-        if expo is not None:
-            assert np.concatenate([e for _, e in parts]).tobytes() == expo.tobytes()
+        got = np.concatenate([exponents(e, m.size) for m, e in parts])
+        assert got.tobytes() == exponents(expo, count).tobytes()
         with pytest.raises(ValueError):
             table.take(1)
 
     @pytest.mark.parametrize("count, numer, denom, first", [
-        (100_000, (1.0, 801.0), (805.0, 2.0), 3.0),  # in range: no pass
-        (30_000, (3.0,), (123.0,), 2.0 / 122.0),      # leaves it at the end
+        (100_000, (1.0, 801.0), (805.0, 2.0), 3.0),  # in range
+        (30_000, (3.0,), (123.0,), 2.0 / 122.0),      # leaves it at 17236, in block 2
         (20_000, (1.0, 6.0), (1008.0, 2.0), 1e-3),    # early
-        (20_000, (2.0,), (1.5,), 1.0),                # rising: the pass decides
+        (20_000, (2.0,), (1.5,), 1.0),                # rising, in range
         (1, (1.0,), (2.0,), 1e-310),                  # first alone, subnormal
+        (4, (-2.0**380,), (1.0,), 1.0),               # signed, leaves it upwards
     ])
     def test_pochhammer_tables(self, count, numer, denom, first):
-        mant, expo = scaled_cumprod(pochhammer_steps(count - 1, numer, denom), first)
+        # a block's exponent is None exactly when it ends before the first
+        # entry out of the double range
+        factors = pochhammer_steps(count - 1, numer, denom)
+        mant, expo = scaled_cumprod(factors, first)
+        with np.errstate(over="ignore"):
+            exit_at = first_exit(np.cumprod(np.concatenate(([first], factors))))
         table = CarriedCumprod(count, numer, denom, first)
         parts = [table.take(min(BLOCK, count - j)) for j in range(0, count, BLOCK)]
         assert np.concatenate([m for m, _ in parts]).tobytes() == mant.tobytes()
-        assert all((e is None) == (expo is None) for _, e in parts)
+        got = np.concatenate([exponents(e, m.size) for m, e in parts])
+        assert got.tobytes() == exponents(expo, count).tobytes()
+        assert [e is None for _, e in parts] == [
+            min(j + BLOCK, count) <= exit_at for j in range(0, count, BLOCK)]
+
+    def test_signed_table_is_carried(self):
+        # (-2^380)_3 / 3! is above the double range: its mantissa and
+        # exponent hold the value, sign included
+        mant, expo = scaled_cumprod(pochhammer_steps(3, (-2.0**380,), (1.0,)))
+        assert expo is not None and np.all(np.isfinite(mant))
+        a = -mp.mpf(2) ** 380
+        exact = a * (a + 1) * (a + 2) / 6
+        got = mp.ldexp(mp.mpf(mant[3]), int(expo[3]))
+        assert abs(got - exact) <= 2 * 3 * np.finfo(float).eps * abs(exact)
+
+    def test_columns_that_leave_at_different_rows(self):
+        # one 2-D cumprod whose columns leave the range at rows 1044 (down),
+        # 528 (down) and 649 (up), and one stays in it: every column is in
+        # stretches from row 527 on
+        columns = [((1.0,), (300.0,), 1.0), ((1.0,), (500.0,), 0.5),
+                   ((400.0,), (1.0,), 2.0), ((2.0,), (1.5,), 3.0)]
+        count = 3000
+        factors = np.stack([pochhammer_steps(count - 1, n, d) for n, d, _ in columns], axis=1)
+        firsts = np.array([first for _, _, first in columns])
+        mant, expo = scaled_cumprod(factors, firsts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = np.cumprod(np.concatenate((firsts[None], factors)), axis=0)
+        assert [first_exit(col) for col in plain.T] == [1044, 528, 649, count]
+        assert not expo[:528].any() and expo[528:].all()
+        for c, (numer, denom, first) in enumerate(columns):
+            for j in (0, 1, 10, 527, 528, 648, 649, 1043, 1044, 2000, count - 1):
+                exact = mp.mpf(first)
+                for a in numer:
+                    exact *= mp.rf(a, j)
+                for b in denom:
+                    exact /= mp.rf(b, j)
+                got = mp.ldexp(mp.mpf(mant[j, c]), int(expo[j, c]))
+                bound = (len(numer) + len(denom)) * j * np.finfo(float).eps
+                assert abs(got - exact) <= bound * abs(exact), (c, j)
 
 
 class TestBerezinEigenvalue:
