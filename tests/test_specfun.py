@@ -292,7 +292,7 @@ class TestCarriedCumprod:
     def test_columns_that_leave_at_different_rows(self):
         # one 2-D cumprod whose columns leave the range at rows 1044 (down),
         # 528 (down) and 649 (up), and one stays in it: every column is in
-        # stretches from row 527 on
+        # stretches from row 528 on, started from row 527
         columns = [((1.0,), (300.0,), 1.0), ((1.0,), (500.0,), 0.5),
                    ((400.0,), (1.0,), 2.0), ((2.0,), (1.5,), 3.0)]
         count = 3000
