@@ -1,8 +1,8 @@
 """Truncated weighted Bergman spaces.
 
-Monomial norms, reproducing kernels, coherent vectors, operators as matrices
-in the orthonormal basis e_j = ((nu)_j/j!)^{1/2} z^j, and matrices of the
-SU(1,1) action.
+Monomial norms, the normalized coherent-state coefficients, operators as
+matrices in the orthonormal basis e_j = ((nu)_j/j!)^{1/2} z^j, and matrices
+of the SU(1,1) action.
 
 Transported basis vectors g . z^j are built by a stable recursion (column 0 is
 a phase times the scaled basis values at b/conj(a), then multiply by
@@ -25,10 +25,7 @@ from .specfun import log_pochhammer_ratios, validate_weight
 __all__ = [
     "TruncatedOperator",
     "BandedOperator",
-    "TruncationTailError",
     "log_monomial_norm_sq",
-    "kernel_eval",
-    "coherent_vector",
     "transported_basis_vectors",
     "group_action_matrix",
     "scaled_basis_values",
@@ -36,10 +33,6 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-12
 _MAX_BASE_POINT = 0.99
-
-
-class TruncationTailError(ValueError):
-    """A truncated series carries more mass above the cut than tolerated."""
 
 
 def log_monomial_norm_sq(nu: float, j):
@@ -137,33 +130,6 @@ class BandedOperator:
         return out
 
 
-def kernel_eval(nu: float, x: complex, y: complex):
-    """Reproducing kernel K^nu(x, y) = (1 - x conj(y))^{-nu}.
-
-    Integer weights use an exact integer power of the reciprocal; real weights
-    take the principal branch.
-    """
-    nu = validate_weight(nu)
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    base = 1.0 - x * np.conj(y)
-    if float(nu) == math.floor(nu):
-        out = (1.0 / base) ** int(nu)
-    else:
-        out = np.exp(-nu * np.log(base))
-    return complex(out) if out.ndim == 0 else out
-
-
-def coherent_vector(nu: float, w: complex, degree: int) -> tuple[np.ndarray, float]:
-    """Coefficients of K_w/||K_w|| in the orthonormal basis, plus tail mass.
-
-    The full vector is ((nu)_i/i!)^{1/2} conj(w)^i (1-|w|^2)^{nu/2}; the
-    returned tail is the exact mass 1 - ||truncation||^2 above ``degree``.
-    """
-    coeffs = np.conj(scaled_basis_values(nu, complex(w), degree)[:, 0])
-    return coeffs, max(0.0, 1.0 - float(np.sum(np.abs(coeffs) ** 2)))
-
-
 def _lowest_transported(a, b, nu: float, degree: int) -> np.ndarray:
     """Orthonormal coefficients of g . 1, one column per (a, b) pair.
 
@@ -229,15 +195,12 @@ def transported_basis_vectors(
     return v, tails
 
 
-def group_action_matrix(
-    g, nu: float, degree: int, tail_tol: float | None = None
-) -> tuple[TruncatedOperator, float]:
+def group_action_matrix(g, nu: float, degree: int) -> tuple[TruncatedOperator, float]:
     """Matrix of the weight-nu action of g on degrees <= degree.
 
     Column j holds the orthonormal coefficients of g . e_j.  Returns the
-    operator and the largest per-column tail mass above the cut; if
-    ``tail_tol`` is given and exceeded, raises :class:`TruncationTailError`.
-    Integer weights only (the action is projective otherwise, and this library
+    operator and the largest per-column tail mass above the cut.  Integer
+    weights only (the action is projective otherwise, and this library
     refuses to pick a branch).
     """
     nu = validate_weight(nu)
@@ -254,10 +217,6 @@ def group_action_matrix(
         v = _raise_transported(v, av, bv, nu, j)
         M[:, j + 1] = v[:, 0]
     tail = float(np.maximum(0.0, 1.0 - np.sum(np.abs(M) ** 2, axis=0)).max())
-    if tail_tol is not None and tail > tail_tol:
-        raise TruncationTailError(
-            f"column tail {tail:.3e} exceeds tolerance {tail_tol:.3e}"
-        )
     return TruncatedOperator(nu, M), tail
 
 

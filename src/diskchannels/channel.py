@@ -38,8 +38,6 @@ from .specfun import (
 
 __all__ = [
     "ChannelParams",
-    "projection_coefficients",
-    "pk_star_vector",
     "isometry_weights",
     "apply_channel",
     "diagonal_response",
@@ -293,20 +291,6 @@ class _Couplings:
         return self.terms([p], ms, table.take(1))
 
 
-def projection_coefficients(params: ChannelParams, max_grade: int) -> np.ndarray:
-    """The graded action P_k(z^m w^n) = c_{m,n} zeta^{m+n-k}: the array of
-    c_{m,n} for m, n <= max_grade + k, zero where m + n < k or
-    m + n > max_grade + k."""
-    if max_grade < params.k:
-        raise ValueError("max_grade must be >= k")
-    top = max_grade + params.k
-    m = np.arange(top + 1)[:, None]
-    n = np.arange(top + 1)[None, :]
-    const = math.sqrt(channel_constant_sq(params.mu, params.nu, params.k))
-    vals = const * _derivative_sum(params, m, n)
-    return np.where((m + n < params.k) | (m + n > top), 0.0, vals)
-
-
 def isometry_weights(params: ChannelParams, p: int, n=None) -> np.ndarray:
     """Orthonormal coupling weights w^{(p)}_{m,n} over m + n = p + k.
 
@@ -319,26 +303,6 @@ def isometry_weights(params: ChannelParams, p: int, n=None) -> np.ndarray:
         n = np.arange(p + params.k + 1)
     S, r = _Couplings(params).row_terms(p, p + params.k - np.asarray(n))
     return (S * np.sqrt(r))[0]
-
-
-def pk_star_vector(params: ChannelParams, p: int) -> list[tuple[int, int, float]]:
-    """Monomial expansion of P_k* zeta^p: complete list over m + n = p + k.
-
-    Coefficients are c_{m,n} ||zeta^p||^2 / (||z^m||^2 ||w^n||^2); the list is
-    finite and untruncated.
-    """
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    couplings = _Couplings(params)
-    ms = p + params.k - np.arange(p + params.k + 1)
-    S, r = couplings.row_terms(p, ms)
-    # c_{m,n} ||zeta^p||^2 / (||z^m||^2 ||w^n||^2) = S r_m[p] / C
-    coeffs = S[0] * r[0] / math.sqrt(couplings.c2)
-    return [
-        (m, p + params.k - m, c)
-        for m, s, c in zip(ms.tolist(), S[0].tolist(), coeffs.tolist())
-        if s != 0.0
-    ]
 
 
 def _weight_grid(params: ChannelParams, p_max: int, m_max: int) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "DiskQuadrature",
     "build_quadrature",
     "gauss_jacobi",
-    "invariant_measure_check",
 ]
 
 _DET_TOL = 1e-12
@@ -269,13 +268,3 @@ def build_quadrature(
         exactness_degree=2 * radial_count - 1,
     )
 
-
-def invariant_measure_check(g: GroupElement, h, quadrature: DiskQuadrature) -> float:
-    """|int h(g.z) d iota - int h d iota|, reporting measure invariance.
-
-    ``h`` is any pointwise-evaluable function on the disk (the caller
-    guarantees its decay stays >= 2 after composition with g).
-    """
-    moved = h(mobius(g, quadrature.nodes))
-    direct = h(quadrature.nodes)
-    return abs(quadrature.integrate(moved) - quadrature.integrate(direct))

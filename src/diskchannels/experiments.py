@@ -128,7 +128,9 @@ class ExperimentConfig:
         if not self.psi or self.psi[0] != 0.0:
             raise ConfigError("psi: constant term must be 0")
         if self.tol_abs < 0.0:
-            raise ConfigError("tol_abs: must be > 0 when set")
+            raise ConfigError("tol_abs: must be >= 0 (0 disables the gate)")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output_format: must be csv or json")
         for name in ("state_rank", "state_dim", "quadrature_radial",

@@ -1,16 +1,15 @@
 """Numerically stable special-function primitives.
 
-Pochhammer symbols and their log-domain companions, the terminating Gauss
-hypergeometric sum at unit argument, the squared intertwiner constant of the
-disk channels, eigenvalues of the weighted Berezin transform, and the
-Plancherel density of the hyperbolic disk, and the one builder of tables of
-Pochhammer ratios over consecutive integers.
+Pochhammer symbols and their log-domain companions, the squared
+intertwiner constant of the disk channels, eigenvalues of the weighted
+Berezin transform, and the one builder of tables of Pochhammer ratios over
+consecutive integers.
 
 Everything here is pure and reentrant; weight sweeps reach nu ~ 10^3, so
-scalar Gamma quotients are assembled in log domain (``math.lgamma``) with
-explicit sign tracking and exponentiated once, and tables over consecutive
-integers are cumulative products of consecutive ratios, which round once per
-factor instead of carrying the error of a log-gamma of size (a+j) log(a+j).
+scalar Gamma quotients are assembled in log domain (``math.lgamma``) and
+exponentiated once, and tables over consecutive integers are cumulative
+products of consecutive ratios, which round once per factor instead of
+carrying the error of a log-gamma of size (a+j) log(a+j).
 
 The blocked kernels of the other modules keep their working memory in one
 per-thread pool of buffers here (:func:`_thread_buffers`); a public call
@@ -26,7 +25,6 @@ import threading
 import numpy as np
 
 __all__ = [
-    "HypergeometricPoleError",
     "pochhammer",
     "log_pochhammer",
     "pochhammer_steps",
@@ -35,12 +33,10 @@ __all__ = [
     "from_scaled",
     "pochhammer_ratios",
     "log_pochhammer_ratios",
-    "gauss_2f1_unit",
     "channel_constant_sq",
     "log_channel_constant_sq",
     "berezin_eigenvalue",
     "log_berezin_eigenvalue",
-    "plancherel_density",
     "validate_weight",
 ]
 
@@ -110,10 +106,6 @@ def _frees_thread_buffers(fn):
     return call
 
 
-class HypergeometricPoleError(ZeroDivisionError):
-    """A Pochhammer factor in a hypergeometric denominator vanished."""
-
-
 def validate_weight(nu) -> float:
     """Check a Bergman weight (must be real > 1) and return it as float."""
     nu = float(nu)
@@ -136,33 +128,12 @@ def pochhammer(a, n: int):
     return result
 
 
-def log_pochhammer(a: float, n: int) -> tuple[float, float]:
-    """Return ``(log|(a)_n|, sign)`` with sign in {-1, 0, 1}.
-
-    Safe for a <= 1e6, n <= 1e6 (never overflows: the value lives in log
-    domain).  A nonpositive-integer ``a`` hit by the product gives
-    ``(-inf, 0)``.
-    """
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    if n == 0:
-        return 0.0, 1.0
-    a = float(a)
-    if a > 0.0:
-        return math.lgamma(a + n) - math.lgamma(a), 1.0
-    # a <= 0: factors a, a+1, ..., a+n-1 may cross zero
-    if a == math.floor(a) and a + n > 0:
-        return -math.inf, 0.0  # some factor is exactly zero
-    neg_count = min(n, max(0, math.ceil(-a)))  # factors with a+i < 0
-    sign = -1.0 if neg_count % 2 else 1.0
-    log_abs = 0.0
-    if neg_count:
-        # |a (a+1) ... (a+neg_count-1)| = (-a-neg_count+1)_neg_count
-        log_abs += math.lgamma(-a + 1) - math.lgamma(-a - neg_count + 1)
-    if neg_count < n:
-        head = a + neg_count  # > 0 here (zero case handled above)
-        log_abs += math.lgamma(head + (n - neg_count)) - math.lgamma(head)
-    return log_abs, sign
+def log_pochhammer(a: float, n: int) -> float:
+    """log (a)_n for a > 0, safe for a <= 1e6, n <= 1e6 (never overflows:
+    the value lives in log domain)."""
+    if n < 0 or not a > 0.0:
+        raise ValueError(f"need a > 0 and a natural number n, got a = {a}, n = {n}")
+    return math.lgamma(a + n) - math.lgamma(a)
 
 
 def pochhammer_steps(count: int, numer, denom, start: int = 0) -> np.ndarray:
@@ -364,25 +335,6 @@ def log_pochhammer_ratios(count: int, numer, denom) -> np.ndarray:
     return out
 
 
-def gauss_2f1_unit(n: int, b: float, c: float) -> float:
-    """Terminating 2F1(-n, b; c; 1) = (c-b)_n / (c)_n.
-
-    Raises :class:`HypergeometricPoleError` when (c)_j vanishes for some
-    j <= n, i.e. when c is a nonpositive integer > -n.
-    """
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    la_num, s_num = log_pochhammer(c - b, n)
-    la_den, s_den = log_pochhammer(c, n)
-    if s_den == 0.0:
-        raise HypergeometricPoleError(
-            f"(c)_n vanishes for c={c}, n={n}: hypergeometric pole"
-        )
-    if s_num == 0.0:
-        return 0.0
-    return s_num * s_den * math.exp(la_num - la_den)
-
-
 def log_channel_constant_sq(mu: float, nu: float, k: int) -> float:
     """log of C_{mu,nu,k}^2 = (mu)_k (nu)_k / (k! (mu+nu+k-1)_k).
 
@@ -394,10 +346,10 @@ def log_channel_constant_sq(mu: float, nu: float, k: int) -> float:
     if k < 0:
         raise ValueError("k must be a natural number")
     return (
-        log_pochhammer(mu, k)[0]
-        + log_pochhammer(nu, k)[0]
+        log_pochhammer(mu, k)
+        + log_pochhammer(nu, k)
         - math.lgamma(k + 1)
-        - log_pochhammer(mu + nu + k - 1, k)[0]
+        - log_pochhammer(mu + nu + k - 1, k)
     )
 
 
@@ -479,10 +431,3 @@ def _log_gamma_form(nu: float, lam: float) -> float:
 def berezin_eigenvalue(nu: float, lam: float) -> float:
     """Eigenvalue b_nu(lambda) of (nu-1)B_nu on e_{lambda,b}; in (0, 1]."""
     return math.exp(log_berezin_eigenvalue(nu, lam))
-
-
-def plancherel_density(lam):
-    """Plancherel density |c(lambda)|^{-2} = (pi lambda / 2) tanh(pi lambda / 2)."""
-    lam = np.asarray(lam, dtype=float)
-    out = (np.pi * lam / 2.0) * np.tanh(np.pi * lam / 2.0)
-    return float(out) if out.ndim == 0 else out

@@ -1,8 +1,8 @@
 """Eigenfunction-side verification tools.
 
-Boundary eigenfunctions e_{lambda,b}, spherical functions, quadrature
-residuals of the Berezin eigen-relation, the inverse-transform spectral
-multipliers, and Monte Carlo estimation of the chained-kernel integrals.
+Boundary eigenfunctions e_{lambda,b}, quadrature residuals of the Berezin
+eigen-relation, and the chained-kernel integrals: their Monte Carlo estimate
+and the chain-2 tensor quadrature.
 """
 
 from __future__ import annotations
@@ -19,16 +19,12 @@ from .specfun import (
     _frees_thread_buffers,
     _thread_buffers,
     berezin_eigenvalue,
-    log_berezin_eigenvalue,
     validate_weight,
 )
 
 __all__ = [
     "eigenfunction",
-    "spherical_function",
     "eigen_relation_residual",
-    "inverse_multiplier",
-    "inverse_multiplier_bound",
     "chained_kernel_integral",
     "chain2_tensor_quadrature",
 ]
@@ -65,30 +61,6 @@ def eigenfunction(lam, b: complex, z):
     z = np.asarray(z, dtype=complex)
     out = np.exp(0.5 * (1.0 - 1j * lam) * np.log(_poisson_base(z, b)))
     return complex(out) if out.ndim == 0 else out
-
-
-def spherical_function(
-    n: int, lam: float, z, tol: float = 1e-10, max_nodes: int = 1 << 16
-):
-    """phi_{n,lambda}(z) = int_{S^1} e_{lambda,b}(z) b^n db (db normalized).
-
-    The angular rule doubles until the result moves by less than ``tol``.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) > 0.99):
-        raise ValueError("|z| <= 0.99 required")
-    count = 64
-    prev = None
-    while count <= max_nodes:
-        theta = 2.0 * np.pi * (np.arange(count) + 0.5) / count
-        b = np.exp(1j * theta)
-        e = np.exp(0.5 * (1.0 - 1j * lam) * np.log(_poisson_base(z[..., None], b)))
-        cur = np.mean(e * b**n, axis=-1)
-        if prev is not None and np.all(np.abs(cur - prev) < tol):
-            return complex(cur) if cur.ndim == 0 else cur
-        prev = cur
-        count *= 2
-    raise RuntimeError("angular rule failed to settle; increase max_nodes")
 
 
 def _graded_angles(count: int, cluster: float, power: int = 6):
@@ -195,38 +167,6 @@ def eigen_relation_residual(
                 )
             residual = max(residual, gap_j)
     return residual
-
-
-def inverse_multiplier(nu: float, nu0: float, lam: float) -> float:
-    """b_nu(lambda)^{-1} b_{nu0}(lambda), the spectral multiplier of
-    ((nu-1)B_nu)^{-1} (nu0-1) B_{nu0} on the eigenline of lambda."""
-    if not nu >= nu0:
-        raise ValueError("need nu >= nu0")
-    return math.exp(log_berezin_eigenvalue(nu0, lam) - log_berezin_eigenvalue(nu, lam))
-
-
-def inverse_multiplier_bound(nu: int, nu0: int) -> float:
-    """Uniform-in-lambda bound on the inverse multiplier:
-    [prod_{j<nu0}(j-1/2)^2 / (Gamma(nu0)Gamma(nu0-1))] *
-    [pi Gamma(nu)Gamma(nu-1) / Gamma(nu-1/2)^2].
-
-    Dropping lambda from every tail factor gives
-    prod_{j=nu0}^{nu-1} (j-1/2)^{-2} = [prod_{j<nu0}(j-1/2)^2] * pi / Gamma(nu-1/2)^2
-    via prod_{j<nu}(j-1/2)^2 = Gamma(nu-1/2)^2/pi; at nu = nu0 the bound is
-    exactly 1, and it stays uniformly bounded as nu grows.
-    """
-    nu, nu0 = int(nu), int(nu0)
-    j = np.arange(1, nu0)
-    log_num = float(np.sum(2.0 * np.log(j - 0.5)))
-    return math.exp(
-        log_num
-        - math.lgamma(nu0)
-        - math.lgamma(nu0 - 1)
-        + math.lgamma(nu)
-        + math.lgamma(nu - 1)
-        + math.log(math.pi)
-        - 2.0 * math.lgamma(nu - 0.5)
-    )
 
 
 def _link_modulus_sq(x, y, chord_sq, out=None, scratch=None):

@@ -1,10 +1,10 @@
-"""Covariant symbols, Toeplitz operators, Berezin transforms, Husimi functions.
+"""Toeplitz operators, Berezin transforms, Husimi functions, and the
+alternating Berezin sums.
 
-Functions on the disk are :class:`DiskFunction` values in one of three forms:
-radial polynomials in (1-|z|^2) (every transform has an exact Beta/Gamma or
-terminating-hypergeometric closed form), boundary eigenfunctions e_{lambda,b},
-and sampled grids tied to a quadrature.  Closed forms anchor the acceptance
-tests; quadrature covers the general routes and cross-checks the closed ones.
+Functions on the disk are :class:`DiskFunction` radial polynomials in
+(1-|z|^2), the form that a config's ``f = radial:...`` describes; the
+Toeplitz diagonal and the Berezin transform of each have an exact
+Beta/Gamma or hypergeometric closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bergman
 from .bergman import TruncatedOperator
-from .disk import DiskQuadrature, transporter_coefficients
+from .disk import transporter_coefficients
 from .specfun import (
     BLOCK,
     CarriedCumprod,
@@ -30,9 +30,6 @@ __all__ = [
     "DiskFunction",
     "InsufficientDecayError",
     "radial_poly",
-    "eigen_function",
-    "grid_function",
-    "covariant_symbol",
     "toeplitz_diagonal",
     "toeplitz_operator",
     "berezin_transform",
@@ -47,72 +44,29 @@ class InsufficientDecayError(ValueError):
 
 @dataclass(frozen=True)
 class DiskFunction:
-    """A function on the open unit disk with a declared boundary decay.
+    """f(z) = sum_s coeffs[s] (1-|z|^2)^s on the open unit disk.
 
-    ``form`` is one of "radial_poly" (coefficients alpha_s over powers of
-    1-|z|^2), "eigen" (spectral parameter and boundary point of e_{lambda,b}),
-    or "grid" (node samples tied to a quadrature).  ``min_decay`` is the
-    smallest s with f = O((1-|z|^2)^s) at the boundary.
+    ``min_decay`` is the smallest s with f = O((1-|z|^2)^s) at the boundary.
     """
 
-    form: str
     min_decay: float
     coeffs: tuple = ()
-    lam: float = 0.0
-    boundary: complex = 1.0 + 0j
-    values: np.ndarray | None = None
-    quadrature: DiskQuadrature | None = None
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        if self.form == "radial_poly":
-            base = 1.0 - np.abs(z) ** 2
-            out = np.zeros(z.shape)
-            for s, a in enumerate(self.coeffs):
-                if a != 0.0:
-                    out = out + a * base**s
-            return out if out.ndim else float(out)
-        if self.form == "eigen":
-            from .spectral import eigenfunction
-
-            return eigenfunction(self.lam, self.boundary, z)
-        raise ValueError("grid functions have no pointwise evaluation")
-
-    @property
-    def is_radial(self) -> bool:
-        return self.form == "radial_poly"
+        base = 1.0 - np.abs(z) ** 2
+        out = np.zeros(z.shape)
+        for s, a in enumerate(self.coeffs):
+            if a != 0.0:
+                out = out + a * base**s
+        return out if out.ndim else float(out)
 
 
 def radial_poly(coeffs) -> DiskFunction:
     """f(z) = sum_s coeffs[s] (1-|z|^2)^s."""
     coeffs = tuple(float(c) for c in coeffs)
     decay = next((s for s, c in enumerate(coeffs) if c != 0.0), 0)
-    return DiskFunction(form="radial_poly", min_decay=float(decay), coeffs=coeffs)
-
-
-def eigen_function(lam: float, boundary: complex = 1.0 + 0j) -> DiskFunction:
-    """The eigenfunction e_{lambda,boundary}; |e| ~ (1-|z|^2)^{1/2} at the edge."""
-    b = complex(boundary)
-    if abs(abs(b) - 1.0) > 1e-14:
-        raise ValueError("boundary point must lie on the unit circle")
-    return DiskFunction(form="eigen", min_decay=0.5, lam=float(lam), boundary=b)
-
-
-def grid_function(values, quadrature: DiskQuadrature, min_decay: float) -> DiskFunction:
-    values = np.asarray(values)
-    if values.shape != quadrature.nodes.shape:
-        raise ValueError("values must be sampled on the quadrature nodes")
-    return DiskFunction(
-        form="grid", min_decay=float(min_decay), values=values, quadrature=quadrature
-    )
-
-
-def _node_values(f: DiskFunction, quadrature: DiskQuadrature) -> np.ndarray:
-    if f.form == "grid":
-        if f.quadrature is not quadrature:
-            raise ValueError("grid function is tied to a different quadrature")
-        return f.values
-    return np.asarray(f(quadrature.nodes))
+    return DiskFunction(min_decay=float(decay), coeffs=coeffs)
 
 
 def _check_decay(f: DiskFunction, nu: float):
@@ -131,23 +85,6 @@ def _column_form(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.
     return np.einsum("mz,mz->z", left, matrix @ right)
 
 
-def covariant_symbol(A: TruncatedOperator, z):
-    """R_nu(A)(z) = A(z,z)(1-|z|^2)^nu, the bounded diagonal symbol.
-
-    Evaluates (1-|z|^2)^nu sum_{m,n} A_{mn} e_m(z) conj(e_n(z)) through the
-    boundedly-scaled basis so huge weights stay finite: <A k_z, k_z> for the
-    normalized coherent state k_z = K_z/||K_z|| at the point z itself
-    (:func:`husimi_grid` at index 0 reads it at -w).  |result| <= ||A|| up
-    to the truncation tail of A itself.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    e = bergman.scaled_basis_values(A.weight, z, A.degree)  # includes (1-u)^{nu/2}
-    out = _column_form(e, A.matrix, np.conj(e))
-    if A.hermitian:
-        out = np.real(out)
-    return complex(out[0]) if out.size == 1 else out
-
-
 def toeplitz_diagonal(f: DiskFunction, nu: float, degree: int) -> np.ndarray:
     """Diagonal of T_f for radial-polynomial f, by exact Beta integrals.
 
@@ -157,8 +94,6 @@ def toeplitz_diagonal(f: DiskFunction, nu: float, degree: int) -> np.ndarray:
     entries (:class:`~diskchannels.specfun.CarriedCumprod`), so the output is
     the only array of the degree's length.
     """
-    if not f.is_radial:
-        raise ValueError("closed-form diagonal requires a radial polynomial")
     nu = validate_weight(nu)
     _check_decay(f, nu)
     out = np.zeros(degree + 1)
@@ -173,33 +108,11 @@ def toeplitz_diagonal(f: DiskFunction, nu: float, degree: int) -> np.ndarray:
     return out
 
 
-def toeplitz_operator(
-    f: DiskFunction, nu: float, degree: int, quadrature: DiskQuadrature | None = None
-) -> TruncatedOperator:
-    """The Toeplitz operator T_f = (nu-1) R_nu^*(f) on degrees <= degree.
-
-    Radial polynomials produce an exactly diagonal matrix via closed forms;
-    eigen and grid functions integrate entry-wise with a disk quadrature
-    (entries (nu-1) int f e_n conj(e_m) (1-|z|^2)^nu d iota).  Hermitian iff f
-    is real-valued on the nodes.
-    """
+def toeplitz_operator(f: DiskFunction, nu: float, degree: int) -> TruncatedOperator:
+    """The Toeplitz operator T_f = (nu-1) R_nu^*(f) on degrees <= degree:
+    exactly diagonal, with the closed-form diagonal of :func:`toeplitz_diagonal`."""
     nu = validate_weight(nu)
-    _check_decay(f, nu)
-    if f.is_radial and quadrature is None:
-        return TruncatedOperator(nu, np.diag(toeplitz_diagonal(f, nu, degree)), True)
-    if quadrature is None:
-        if f.form == "grid":
-            quadrature = f.quadrature
-        else:
-            raise ValueError("non-radial Toeplitz operators need a quadrature")
-    vals = _node_values(f, quadrature)
-    e = bergman.scaled_basis_values(nu, quadrature.nodes, degree)
-    weighted = quadrature.weights * vals  # (1-u)^nu already folded into e twice
-    mat = (nu - 1.0) * np.einsum("nz,z,mz->mn", e, weighted, np.conj(e))
-    hermitian = bool(np.all(np.abs(np.imag(vals)) < 1e-14))
-    if hermitian:
-        mat = 0.5 * (mat + mat.conj().T)
-    return TruncatedOperator(nu, mat, hermitian)
+    return TruncatedOperator(nu, np.diag(toeplitz_diagonal(f, nu, degree)), True)
 
 
 def _berezin_radial_closed(s: int, nu: float, t: float) -> float:
@@ -216,45 +129,21 @@ def _berezin_radial_closed(s: int, nu: float, t: float) -> float:
     return (1.0 - t) ** s * total / (nu + s - 1.0)
 
 
-def berezin_transform(
-    f: DiskFunction, nu: float, z, quadrature: DiskQuadrature | None = None
-):
-    """B_nu(f)(z) = int ((1-|z|^2)(1-|x|^2) / |1-z conj(x)|^2)^nu f(x) d iota(x).
-
-    Radial polynomials evaluate by the exact terminating-series closed form
-    unless a quadrature is forced; eigen and grid functions integrate against
-    the kernel (assembled in log domain so weight sweeps cannot underflow).
-    """
+def berezin_transform(f: DiskFunction, nu: float, z):
+    """B_nu(f)(z) = int ((1-|z|^2)(1-|x|^2) / |1-z conj(x)|^2)^nu f(x) d iota(x),
+    by the closed form of each term (:func:`_berezin_radial_closed`)."""
     nu = validate_weight(nu)
     _check_decay(f, nu)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(np.abs(z) >= 1.0):
         raise ValueError("evaluation points must lie in the open disk")
-    if f.is_radial and quadrature is None:
-        out = np.zeros(z.shape)
-        for s, a in enumerate(f.coeffs):
-            if a != 0.0:
-                out += a * np.array(
-                    [_berezin_radial_closed(s, nu, abs(zz) ** 2) for zz in z]
-                )
-        return float(out[0]) if out.size == 1 else out
-    if quadrature is None:
-        if f.form == "grid":
-            quadrature = f.quadrature
-        else:
-            raise ValueError("this function form needs an explicit quadrature")
-    vals = _node_values(f, quadrature)
-    x = quadrature.nodes
-    log_x = nu * np.log1p(-np.abs(x) ** 2)
-    out = np.empty(z.shape, dtype=complex)
-    for i, zz in enumerate(z):
-        log_ker = nu * (np.log1p(-abs(zz) ** 2)) + log_x - 2.0 * nu * np.log(
-            np.abs(1.0 - zz * np.conj(x))
-        )
-        out[i] = np.sum(quadrature.weights * np.exp(log_ker) * vals)
-    if np.all(np.abs(out.imag) < 1e-13 * (1.0 + np.abs(out.real))):
-        out = out.real
-    return out[0] if out.size == 1 else out
+    out = np.zeros(z.shape)
+    for s, a in enumerate(f.coeffs):
+        if a != 0.0:
+            out += a * np.array(
+                [_berezin_radial_closed(s, nu, abs(zz) ** 2) for zz in z]
+            )
+    return float(out[0]) if out.size == 1 else out
 
 
 def husimi_grid(A: TruncatedOperator, index: int, ws) -> np.ndarray:
@@ -262,9 +151,9 @@ def husimi_grid(A: TruncatedOperator, index: int, ws) -> np.ndarray:
 
     H^i(A)(g . 0) = ((nu)_i/i!) <A g.z^i, g.z^i> with g the canonical
     transporter of w.  Its vector at index 0, g . 1 = (-bz + conj a)^{-nu},
-    is the normalized coherent state at -w, not at w, so the value at w is
-    :func:`covariant_symbol` at -w; the two agree at w only where A is
-    symmetric under w -> -w, as every radial A is.  For a truncated
+    is the normalized coherent state k_{-w} at -w, not at w, so the value at
+    w is the covariant symbol <A k_{-w}, k_{-w}> at -w; the two agree at w
+    only where A is symmetric under w -> -w, as every radial A is.  For a truncated
     operator the transported-vector sandwich is exact (the expansion
     recursion is lower triangular), so the values carry no
     series-truncation error and any |w| < 1 is accepted.
@@ -300,7 +189,6 @@ def e_transform(
     k: int,
     z,
     nu: float | None = None,
-    quadrature: DiskQuadrature | None = None,
 ):
     """The alternating Berezin sums E_{mu,k}(f)(z) and their finite-nu versions.
 
@@ -312,7 +200,7 @@ def e_transform(
     mu = validate_weight(mu)
     terms = []
     for j in range(k + 1):
-        bval = berezin_transform(f, mu + j, z, quadrature=quadrature)
+        bval = berezin_transform(f, mu + j, z)
         if nu is None:
             coeff = (
                 (-1.0) ** j
@@ -329,13 +217,5 @@ def e_transform(
             )
         terms.append(coeff * np.atleast_1d(np.asarray(bval)))
     stacked = np.stack(terms, axis=0)
-    if np.iscomplexobj(stacked):
-        out = np.array(
-            [
-                math.fsum(col.real) + 1j * math.fsum(col.imag)
-                for col in stacked.T
-            ]
-        )
-        return complex(out[0]) if out.size == 1 else out
     out = np.array([math.fsum(col) for col in stacked.T])
     return float(out[0]) if out.size == 1 else out

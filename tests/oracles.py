@@ -1,7 +1,10 @@
 """Shared independent oracles for the test suite.
 
 Everything here evaluates defining integrals or brute-force sums directly and
-stays away from the library's coefficient algebra.
+stays away from the library's coefficient algebra, except the second
+readings of the channel's coupling terms (:func:`projection_coefficients`,
+:func:`pk_star_vector`), which the tests check against identities that the
+library's own routes do not use.
 """
 
 import math
@@ -16,6 +19,7 @@ from diskchannels.bergman import (
     scaled_basis_values,
     transported_basis_vectors,
 )
+from diskchannels.channel import _Couplings, _derivative_sum
 from diskchannels.disk import gauss_jacobi, transporter_coefficients
 from diskchannels.specfun import berezin_eigenvalue, channel_constant_sq
 from diskchannels.spectral import _graded_angles, eigenfunction
@@ -89,6 +93,40 @@ def gammaform_eigenvalue_oracle(mu, nu, ps, radius=0.5, modes=64):
     return np.real(co[ps]) / np.exp(lpoch(s, ps) - gammaln(ps + 1.0)) / radius ** (
         2 * ps
     )
+
+
+def projection_coefficients(params, max_grade):
+    """The graded action P_k(z^m w^n) = c_{m,n} zeta^{m+n-k}: the array of
+    c_{m,n} for m, n <= max_grade + k, zero where m + n < k or
+    m + n > max_grade + k."""
+    if max_grade < params.k:
+        raise ValueError("max_grade must be >= k")
+    top = max_grade + params.k
+    m = np.arange(top + 1)[:, None]
+    n = np.arange(top + 1)[None, :]
+    const = math.sqrt(channel_constant_sq(params.mu, params.nu, params.k))
+    vals = const * _derivative_sum(params, m, n)
+    return np.where((m + n < params.k) | (m + n > top), 0.0, vals)
+
+
+def pk_star_vector(params, p):
+    """Monomial expansion of P_k* zeta^p: complete list over m + n = p + k.
+
+    Coefficients are c_{m,n} ||zeta^p||^2 / (||z^m||^2 ||w^n||^2); the list is
+    finite and untruncated.
+    """
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    couplings = _Couplings(params)
+    ms = p + params.k - np.arange(p + params.k + 1)
+    S, r = couplings.row_terms(p, ms)
+    # c_{m,n} ||zeta^p||^2 / (||z^m||^2 ||w^n||^2) = S r_m[p] / C
+    coeffs = S[0] * r[0] / math.sqrt(couplings.c2)
+    return [
+        (m, p + params.k - m, c)
+        for m, s, c in zip(ms.tolist(), S[0].tolist(), coeffs.tolist())
+        if s != 0.0
+    ]
 
 
 def chain2_series_oracle(nu, terms=4000):
@@ -257,9 +295,37 @@ def husimi_grid_oracle(A, index, ws):
 
 def covariant_symbol_oracle(A, z):
     """(covariant symbol, rounding scale) at the points z: e^T A conj(e) of
-    the scaled basis values e by :func:`column_form_oracle`."""
+    the scaled basis values e by :func:`column_form_oracle`.
+
+    R_nu(A)(z) = A(z,z)(1-|z|^2)^nu = <A k_z, k_z> for the normalized
+    coherent state k_z; |R_nu(A)| <= ||A|| up to the truncation tail of A.
+    """
     e = scaled_basis_values(A.weight, np.asarray(z, dtype=complex), A.degree)
     return column_form_oracle(e, A.matrix, np.conj(e))
+
+
+def toeplitz_quadrature_oracle(values, nu, degree, quadrature):
+    """T_f on degrees <= degree, entry-wise by quadrature: entries
+    (nu-1) int f e_n conj(e_m) (1-|z|^2)^nu d iota, with f given by its
+    ``values`` on the quadrature nodes; Hermitian iff f is real on them."""
+    e = scaled_basis_values(nu, quadrature.nodes, degree)
+    weighted = quadrature.weights * values  # (1-u)^nu already folded into e twice
+    mat = (nu - 1.0) * np.einsum("nz,z,mz->mn", e, weighted, np.conj(e))
+    hermitian = bool(np.all(np.abs(np.imag(values)) < 1e-14))
+    if hermitian:
+        mat = 0.5 * (mat + mat.conj().T)
+    return TruncatedOperator(nu, mat, hermitian)
+
+
+def berezin_quadrature_oracle(values, nu, z, quadrature):
+    """B_nu(f)(z) for one point z, integrating f's ``values`` on the
+    quadrature nodes against the kernel, assembled in log domain; real when
+    the imaginary part is below rounding."""
+    x = quadrature.nodes
+    log_ker = (nu * np.log1p(-abs(z) ** 2) + nu * np.log1p(-np.abs(x) ** 2)
+               - 2.0 * nu * np.log(np.abs(1.0 - z * np.conj(x))))
+    out = np.sum(quadrature.weights * np.exp(log_ker) * values)
+    return out.real if abs(out.imag) < 1e-13 * (1.0 + abs(out.real)) else out
 
 
 def eigen_residual_oracle(nu, lam, samples, radial_count, angular_count, boundary=1.0):

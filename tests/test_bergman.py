@@ -1,17 +1,14 @@
-"""Truncated Bergman spaces: norms, kernels, coherent vectors, group action."""
+"""Truncated Bergman spaces: norms, coherent states, group action."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from diskchannels.bergman import (
     TruncatedOperator,
-    TruncationTailError,
-    coherent_vector,
     group_action_matrix,
-    kernel_eval,
     log_monomial_norm_sq,
     scaled_basis_values,
     transported_basis_vectors,
@@ -40,46 +37,64 @@ class TestMonomialNorms:
             assert ratio == pytest.approx(1.0, abs=20.0 / j)
 
 
+def coherent_column(nu, w, degree):
+    """(coefficients of K_w/||K_w|| in the orthonormal basis, mass above
+    ``degree``): the conjugate of the scaled basis values at w."""
+    v = np.conj(scaled_basis_values(nu, w, degree)[:, 0])
+    return v, max(0.0, 1.0 - float(np.sum(np.abs(v) ** 2)))
+
+
 class TestKernel:
+    """K(x, y) (1-|x|^2)^{nu/2} (1-|y|^2)^{nu/2} = sum_m s_m(x) conj(s_m(y))
+    for the scaled basis values s, K(x, y) = (1 - x conj(y))^{-nu}."""
+
     def test_right_argument_zero(self):
-        assert kernel_eval(3, 0.4 + 0.1j, 0.0) == pytest.approx(1.0, abs=0)
+        # K(x, 0) = 1: only s_0(0) = 1 is nonzero at the origin
+        s = scaled_basis_values(3, [0.4 + 0.1j, 0.0], 40)
+        expect = (1 - abs(0.4 + 0.1j) ** 2) ** 1.5
+        assert np.vdot(s[:, 1], s[:, 0]) == pytest.approx(expect, rel=1e-15)
 
     def test_series_oracle(self):
         nu, x, y, N = 3, 0.5 + 0.2j, -0.3 + 0.4j, 200
+        s = scaled_basis_values(nu, [x, y], N)
+        fold = ((1 - abs(x) ** 2) * (1 - abs(y) ** 2)) ** (nu / 2)
+        kernel = (1 - x * np.conj(y)) ** -nu * fold
         i = np.arange(N + 1)
         coeff = np.exp(gammaln(nu + i) - gammaln(nu) - gammaln(i + 1.0))
-        series = np.sum(coeff * (x * np.conj(y)) ** i)
         r = abs(x * np.conj(y))
-        tail = abs(coeff[-1]) * r ** (N + 1) / (1 - r)  # geometric tail bound
-        assert abs(kernel_eval(nu, x, y) - series) <= tail + 1e-14
+        tail = abs(coeff[-1]) * r ** (N + 1) / (1 - r) * fold  # geometric tail bound
+        assert abs(np.vdot(s[:, 1], s[:, 0]) - kernel) <= tail + 1e-14
 
     def test_reproducing_property(self):
-        # quadrature of <p, K_w> = p(w) for polynomials of degree <= 30
-        nu = 3
+        # quadrature of <p, K_w> = p(w) for polynomials of degree <= 30, with
+        # K_w's coefficients read from the scaled basis values at w
+        nu, degree = 3, 30
         q = build_quadrature(120, 80, 2.0)
         rng = np.random.default_rng(7)
-        coeffs = rng.normal(size=31) + 1j * rng.normal(size=31)
+        coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
         w = 0.4 - 0.25j
 
         def poly(z):
             return sum(c * z**j for j, c in enumerate(coeffs))
 
         z = q.nodes
-        # conj(K_w(z)) = (1 - conj(z) w)^{-nu} = K(w, z)
-        inner = (nu - 1) * q.integrate(
-            poly(z) * kernel_eval(nu, w, z) * (1 - np.abs(z) ** 2) ** nu
-        )
+        # sum_m s_m(w) conj(s_m(z)) = K(w, z) (1-|w|^2)^{nu/2} (1-|z|^2)^{nu/2},
+        # exact on a polynomial of degree <= 30 by orthogonality
+        s_w = scaled_basis_values(nu, w, degree)[:, 0]
+        s_z = scaled_basis_values(nu, z, degree)
+        kernel = (s_w @ np.conj(s_z)) / (1 - abs(w) ** 2) ** (nu / 2)
+        inner = (nu - 1) * q.integrate(poly(z) * kernel * (1 - np.abs(z) ** 2) ** (nu / 2))
         assert inner == pytest.approx(poly(w), rel=1e-10)
 
 
 class TestCoherentVector:
     def test_origin(self):
-        v, tail = coherent_vector(4, 0.0, 10)
+        v, tail = coherent_column(4, 0.0, 10)
         assert v[0] == 1.0 and np.all(v[1:] == 0) and tail == 0.0
 
     def test_norm_within_tail(self):
         for w in (0.3, 0.5 * np.exp(1.3j), 0.8j):
-            v, tail = coherent_vector(3, w, 64)
+            v, tail = coherent_column(3, w, 64)
             t = abs(w) ** 2
             # explicit geometric series tail for sum_{i>N} (nu)_i/i! t^i (1-t)^nu
             nsq = np.sum(np.abs(v) ** 2)
@@ -90,7 +105,10 @@ class TestCoherentVector:
             assert tail <= geo * 1.01 + 1e-15
 
     def test_self_inner_product(self):
-        v, tail = coherent_vector(5, 0.6, 128)
+        # the mass up to degree N is the negative binomial sum
+        # sum_{i<=N} (nu)_i/i! t^i (1-t)^nu = I_{1-t}(nu, N+1)
+        v, tail = coherent_column(5, 0.6, 128)
+        assert np.vdot(v, v).real == pytest.approx(betainc(5, 129, 0.64), abs=1e-14)
         assert abs(np.vdot(v, v) - 1.0) <= tail + 1e-14
 
 
@@ -148,9 +166,10 @@ class TestGroupActionMatrix:
         assert np.abs(np.diag(conj) - np.diag(A)).max() < 1e-13
 
     def test_tail_signal(self):
-        g = transporter(0.9)
-        with pytest.raises(TruncationTailError):
-            group_action_matrix(g, 2, 24, tail_tol=1e-10)
+        # the largest column mass above the cut is returned for the caller
+        op, tail = group_action_matrix(transporter(0.9), 2, 24)
+        assert tail > 1e-10
+        assert tail == np.max(1.0 - np.sum(np.abs(op.matrix) ** 2, axis=0))
 
     def test_base_point_domain(self):
         with pytest.raises(ValueError):

@@ -99,6 +99,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
             parse_config(BASE.replace("psi = 0,0,1\n", "") + line + "\n")
 
+    def test_negative_tol_abs_names_the_off_value(self):
+        # 0 is a valid value, the one that turns the gate off
+        with pytest.raises(ConfigError, match=r"^tol_abs: must be >= 0 \(0 disables the gate\)$"):
+            parse_config(BASE + "tol_abs = -1e-3\n")
+        assert parse_config(BASE + "tol_abs = 0\n").tol_abs == 0.0
+
     def test_channel_limit_needs_integer_mu(self):
         # the exact Gauss-Jacobi Husimi target needs an integer weight
         with pytest.raises(ConfigError, match="mu:"):
@@ -688,6 +694,9 @@ class TestCli:
             ("constants", "kmax", -1),
             ("constants", "threads", 0),
             ("kernel-chain", "threads", -2),
+            ("channel-limit", "seed", -1),
+            ("husimi-check", "seed", -1),
+            ("kernel-chain", "seed", -1),
         ],
     )
     def test_size_below_range_is_config_error(
@@ -719,6 +728,18 @@ class TestCli:
         assert cli_main(["constants", "--config", cfg, "--threads", threads]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: threads: must be >= 1")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment", ["channel-limit", "husimi-check", "kernel-chain"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, experiment):
+        # numpy's generators refuse a negative seed: a rank-r-random input
+        # raised from np.random.default_rng, and every kernel-chain or
+        # husimi-check row failed with exit 2
+        cfg = self._write(
+            tmp_path, f"experiment = {experiment}\nnu_list = 3\ninput_state = rank-r-random\n")
+        assert cli_main([experiment, "--config", cfg, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed: must be >= 0")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["", ",", " , "])

@@ -1,4 +1,5 @@
-"""The package's import surface: the export lists, and no scipy at run time.
+"""The package's import surface: the export lists, what reaches each export,
+and no scipy at run time.
 
 pytest's own process already holds scipy (the oracles use it), so the scipy
 check runs in a fresh interpreter whose import system refuses scipy: it
@@ -6,8 +7,10 @@ imports the package and the command line, and runs every experiment through
 ``cli.main``.
 """
 
+import ast
 import importlib
 import inspect
+import re
 import subprocess
 import sys
 import textwrap
@@ -17,7 +20,9 @@ import pytest
 
 import diskchannels
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+MODULES = ["bergman", "channel", "disk", "experiments", "specfun", "spectral", "transforms"]
 
 # one small config per experiment; channel-limit once with a diagonal input
 # (the output diagonal) and once with a dense one (the banded channel)
@@ -84,8 +89,7 @@ def test_runtime_runs_every_experiment_without_scipy(tmp_path):
     assert len(list(tmp_path.glob("*.json"))) == len(CONFIGS)
 
 
-@pytest.mark.parametrize("name", ["bergman", "channel", "disk", "experiments",
-                                  "specfun", "spectral", "transforms"])
+@pytest.mark.parametrize("name", MODULES)
 def test_module_exports_exactly_its_public_functions_and_classes(name):
     module = importlib.import_module(f"diskchannels.{name}")
     public = {
@@ -100,3 +104,44 @@ def test_module_exports_exactly_its_public_functions_and_classes(name):
 def test_package_exports_resolve():
     assert len(set(diskchannels.__all__)) == len(diskchannels.__all__)
     assert [name for name in diskchannels.__all__ if not hasattr(diskchannels, name)] == []
+
+
+def _names_read(path, strings=False):
+    """The names a Python file reads: each name, attribute and, with
+    ``strings``, each string constant that is an identifier (the tracer
+    looks names up by string).  Imports are not reads, so a re-export does
+    not count, and neither does the body of a top-level definition for its
+    own name."""
+    names = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        found = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif (strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and node.value.isidentifier()):
+                found.add(node.value)
+        found.discard(getattr(top, "name", None))
+        names |= found
+    return names
+
+
+def test_every_export_has_a_user():
+    # the contract: the package's other modules, the acceptance suite, the
+    # README (its example, or a layout row naming the user) and the benchmark
+    read = set().union(
+        *(_names_read(path) for path in (SRC / "diskchannels").glob("*.py")),
+        _names_read(ROOT / "tests" / "test_acceptance.py"),
+        *(_names_read(path, strings=True) for path in (ROOT / "bench").glob("*.py")),
+    )
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    orphans = [
+        f"{module.__name__}.{name}"
+        for module in [diskchannels, *(importlib.import_module(f"diskchannels.{m}")
+                                       for m in MODULES)]
+        for name in module.__all__
+        if name not in read and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert orphans == []

@@ -1,4 +1,4 @@
-"""Eigenfunctions, spherical functions, multipliers, and chain integrals."""
+"""Eigenfunctions, the eigen-relation residual, and chain integrals."""
 
 import math
 import tracemalloc
@@ -16,7 +16,6 @@ from oracles import (
 
 from diskchannels import specfun
 from diskchannels.disk import gauss_jacobi
-from diskchannels.specfun import berezin_eigenvalue
 from diskchannels.spectral import (
     _chain_chunk_sums,
     _chain_weight_sums,
@@ -25,9 +24,6 @@ from diskchannels.spectral import (
     chained_kernel_integral,
     eigen_relation_residual,
     eigenfunction,
-    inverse_multiplier,
-    inverse_multiplier_bound,
-    spherical_function,
 )
 
 
@@ -53,35 +49,6 @@ class TestEigenfunction:
     def test_boundary_point_validated(self):
         with pytest.raises(ValueError):
             eigenfunction(1.0, 0.5, 0.1)
-
-
-class TestSphericalFunction:
-    def test_center_values(self):
-        assert spherical_function(0, 1.3, 0.0) == pytest.approx(1.0, abs=1e-12)
-        for n in (1, -2, 5):
-            assert abs(spherical_function(n, 1.3, 0.0)) < 1e-12
-
-    def test_bounded_by_one(self):
-        rng = np.random.default_rng(0)
-        zs = 0.9 * np.sqrt(rng.random(20)) * np.exp(2j * np.pi * rng.random(20))
-        for n in (0, 1, 3):
-            for lam in (0.0, 1.0, 4.0):
-                vals = spherical_function(n, lam, zs)
-                assert np.all(np.abs(vals) <= 1.0 + 1e-12)
-
-    def test_domain_guard(self):
-        with pytest.raises(ValueError):
-            spherical_function(0, 1.0, 0.999)
-
-    def test_base_function_real_and_radial(self):
-        lam = 1.7
-        for r in (0.2, 0.5, 0.8):
-            vals = [
-                spherical_function(0, lam, r * np.exp(1j * t))
-                for t in (0.0, 1.1, 2.5, 4.0)
-            ]
-            assert max(abs(v.imag) for v in vals) < 1e-11
-            assert max(abs(v - vals[0]) for v in vals) < 1e-10
 
 
 class TestEigenRelation:
@@ -186,33 +153,6 @@ class TestEigenRelation:
             eigen_relation_residual(4, 0.0, [0.1], 8, 0)
         with pytest.raises(ValueError, match="lam"):
             eigen_relation_residual(4, [], [0.1], 8, 8)
-
-
-class TestInverseMultiplier:
-    def test_equal_weights(self):
-        assert inverse_multiplier(5, 5, 1.3) == pytest.approx(1.0, rel=1e-14)
-
-    def test_uniform_bound(self):
-        for nu0 in (2, 3, 5):
-            for nu in (nu0, nu0 + 3, nu0 + 20, nu0 + 100):
-                bound = inverse_multiplier_bound(nu, nu0)
-                for lam in np.linspace(0.0, 30.0, 121):
-                    assert inverse_multiplier(nu, nu0, lam) <= bound * (1 + 1e-12)
-
-    def test_factorization(self):
-        for (nu, nu0, lam) in [(8, 4, 0.7), (30, 2, 3.0), (100, 7, 12.0)]:
-            lhs = inverse_multiplier(nu, nu0, lam) * berezin_eigenvalue(nu, lam)
-            assert lhs == pytest.approx(berezin_eigenvalue(nu0, lam), rel=1e-12)
-
-    def test_eigenline_convergence_slope(self):
-        nu0, lam = 4, 2.0
-        nus = np.array([32, 64, 128, 256, 512])
-        diffs = [
-            abs(inverse_multiplier(nu, nu0, lam) - berezin_eigenvalue(nu0, lam))
-            for nu in nus
-        ]
-        slope = np.polyfit(np.log(nus), np.log(diffs), 1)[0]
-        assert slope == pytest.approx(-1.0, abs=0.1)
 
 
 class TestChainIntegral:
