@@ -234,6 +234,15 @@ class _Couplings:
         return CarriedCumprod(
             p_max + 1, (1.0, nu + k), (self.params.target_weight, k + 1.0), self.first)
 
+    def r0_at(self, x) -> np.ndarray:
+        """r_0 at real x > -1 for an integer mu, as mu + 2k ratios:
+        C^2 (nu)_{mu+2k} / ((x+1)_k (nu+k+x)_{mu+k})."""
+        mu, nu, k = self.params.mu, self.params.nu, self.params.k
+        if not float(mu).is_integer():
+            raise ValueError(f"r_0 at real points needs an integer mu, got {mu!r}")
+        return math.prod([(nu + i) / (nu + k + i + x) for i in range(int(mu) + k)]
+                         + [(nu + mu + k + i) / (x + 1.0 + i) for i in range(k)], start=self.c2)
+
     def terms(self, ps, ms, r0, space=None, out=None) -> tuple[np.ndarray, np.ndarray]:
         """(S, r) on the grid of output indices ``ps`` (rows) by input
         degrees ``ms`` (columns), given ``r0`` = r_0 at ``ps`` as (mantissa,
@@ -303,15 +312,6 @@ def isometry_weights(params: ChannelParams, p: int, n=None) -> np.ndarray:
         n = np.arange(p + params.k + 1)
     S, r = _Couplings(params).row_terms(p, p + params.k - np.asarray(n))
     return (S * np.sqrt(r))[0]
-
-
-def _weight_grid(params: ChannelParams, p_max: int, m_max: int) -> np.ndarray:
-    """V[p, m] = w^{(p)}_{m, p+k-m} for 0 <= p <= p_max, 0 <= m <= m_max, as
-    one grid: the reference that the blocks of :func:`_channel_blocks`
-    reproduce."""
-    couplings = _Couplings(params)
-    return couplings.weights(np.arange(p_max + 1), np.arange(m_max + 1),
-                             couplings.r0(p_max).take(p_max + 1))
 
 
 def _block_bounds(n: int, b: int) -> list[tuple[int, int]]:
@@ -445,13 +445,14 @@ def diagonal_response(params: ChannelParams, m: int, p) -> np.ndarray:
     return diagonal_output_spectrum(params, unit, int(np.max(p, initial=0)))[p]
 
 
-def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarray:
+def diagonal_output_spectrum(params: ChannelParams, diag, cut: int, nodes=None):
     """Output diagonal of T(A) for a diagonal input A, entries p = 0..cut.
 
     For diagonal A the output is exactly diagonal (grade conservation), so
-    this is its full spectrum up to the cut — no matrix is materialized,
-    which matters for weight sweeps where cut ~ 64 nu.  For any A it is the
-    diagonal of T(A), which depends only on the diagonal of A.
+    this is its full spectrum up to the cut — no matrix is materialized.  A
+    weight sweep needs a cut of a few nu only: past it the runner sums the
+    spectrum by its continuation, which ``nodes`` evaluates.  For any A it
+    is the diagonal of T(A), which depends only on the diagonal of A.
 
     With n = p + k - m and s the target weight, lambda_p(m) = S(m,n)^2 r_m[p]
     where r_m[p] = r_0[p] ((mu)_m/m!) prod_{i=1..m} step[p+k+1-i],
@@ -472,6 +473,12 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
     r_0, so the output is the only array that grows with the cut; every
     entry goes through the operations it would in one block.
 
+    Every factor is rational in p, so the recurrence also gives lambda(x) at
+    real x.  ``nodes`` (reals at least the top degree, which they all read,
+    for an integer mu: :meth:`_Couplings.r0_at`) run as one more block, whose
+    tables hold the n = x + k - m of each degree; (out, lambda at the nodes)
+    is returned.
+
     (mu)_m/m! is never formed: a degree's coefficient is its weight over the
     top degree's, w = prod (m+1)/(mu+m) < 1, carried as a mantissa and a
     binary exponent.  Taken from the top down, a degree whose w falls more
@@ -489,10 +496,11 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
     diag = np.asarray(diag, dtype=float)
     k, mu, nu = params.k, params.mu, params.nu
     out = np.zeros(cut + 1)
+    at_nodes = None if nodes is None else np.zeros(np.shape(nodes))
     support = np.flatnonzero(diag)
     if support.size == 0:
-        return out
-    m_top = min(int(support[-1]), cut + k)
+        return out if nodes is None else (out, at_nodes)
+    m_top = int(support[-1]) if nodes is not None else min(int(support[-1]), cut + k)
     terms = _derivative_terms(params)
     # w = ((mu)_m/m!) / ((mu)_{m_top}/m_top!) = w_mant[m] 2**w_exp[m]
     w_mant, w_exp = [0.0] * m_top + [0.5], [0] * m_top + [1]
@@ -509,26 +517,35 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
             tops.append(m)
             exps.append(w_exp[m])
     bottoms = [top + 1 for top in tops[1:]] + [0]
-    r0 = _Couplings(params).r0(cut)
-    work = np.empty(min(cut + 1, BLOCK))
+    couplings = _Couplings(params)
+    r0 = couplings.r0(cut)
+    work = np.empty(max(min(cut + 1, BLOCK), 0 if nodes is None else at_nodes.size))
     part = np.empty_like(work) if k > 1 else None  # the terms j = 1..k-1 of S
     later = np.empty_like(work) if len(tops) > 1 else None  # a later group's acc
 
-    def horner(acc, p0, top, bottom, acc_exp):
-        """Degrees ``top`` down to 0 on the block acc of out[p0:], adding
-        the terms of the degrees ``top`` down to ``bottom``."""
-        p1 = p0 + acc.size
+    def block_levels(p0, top):
+        """level(m) = (lo, step, (n)_{k-j}, j < k) of out[p0 + lo : p1]."""
+        p1 = min(p0 + BLOCK, cut + 1)
         n_lo = max(0, p0 + k - top)  # the n = p + k - m of the block
         n_all = np.arange(n_lo, p1 + k, dtype=float)
         step = n_all / (nu + n_all - 1.0)
         fall_n = [_falling(n_all, k - j) for j in range(k)]
-        for m in range(top, -1, -1):
+
+        def level(m):
             lo = max(0, m - k - p0)  # lambda_p(m) = 0 for p < m - k
+            n = slice(p0 + lo + k - m - n_lo, p1 + k - m - n_lo)
+            return lo, step[n], [f[n] for f in fall_n]
+        return level
+
+    def horner(acc, top, bottom, acc_exp, level):
+        """Degrees ``top`` down to 0 on the block acc, adding the terms of
+        the degrees ``top`` down to ``bottom``."""
+        for m in range(top, -1, -1):
+            lo, step, fall_n = level(m)
             if lo >= acc.size:
                 continue
-            n = slice(p0 + lo + k - m - n_lo, p1 + k - m - n_lo)
             if m < top:
-                acc[lo:] *= step[n]
+                acc[lo:] *= step
             if m < bottom or diag[m] == 0.0:
                 continue
             # S scaled by the root of the coefficient, so that its square is
@@ -538,9 +555,9 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
             c = [root * coeff * _falling(m, j) for j, coeff in terms]
             S = work[lo : acc.size]
             if k:
-                np.multiply(fall_n[0][n], c[0], out=S)
+                np.multiply(fall_n[0], c[0], out=S)
                 for j in range(1, k):
-                    S += np.multiply(fall_n[j][n], c[j], out=part[lo : acc.size])
+                    S += np.multiply(fall_n[j], c[j], out=part[lo : acc.size])
                 S += c[k]
             else:
                 S.fill(c[0])
@@ -568,20 +585,28 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int) -> np.ndarra
         expo += shift
         np.ldexp(mant, expo, out=acc)
 
-    for p0 in range(0, cut + 1, BLOCK):
-        block = out[p0 : p0 + BLOCK]
+    def run(block, levels, block_r0):
+        """Every group on the block, given levels(top) and block_r0(size)."""
         for g, (top, bottom, acc_exp) in enumerate(zip(tops, bottoms, exps)):
             acc = block if g == 0 else later[: block.size]
             if g:
                 acc.fill(0.0)
-            horner(acc, p0, top, bottom, acc_exp)
+            horner(acc, top, bottom, acc_exp, levels(top))
             if g == 0:  # once the first group's tables are freed
-                r0_block = r0.take(block.size)
+                r0_block = block_r0(block.size)
             finish(acc, acc_exp, *r0_block)
             if g:
                 block += acc
-        del r0_block  # before the next block's tables and r_0
-    return out
+
+    for p0 in range(0, cut + 1, BLOCK):
+        run(out[p0 : p0 + BLOCK], lambda top: block_levels(p0, top), r0.take)
+    if nodes is not None:
+        # row m of each node table is at the n = x + k - m of degree m
+        n = (np.asarray(nodes, dtype=float) + k) - np.arange(m_top + 1.0)[:, None]
+        step, *fall_n = [n / (nu + n - 1.0)] + [_falling(n, k - j) for j in range(k)]
+        run(at_nodes, lambda top: lambda m: (0, step[m], [f[m] for f in fall_n]),
+            lambda size: (couplings.r0_at(nodes), None))
+    return out if nodes is None else (out, at_nodes)
 
 
 # A degree whose weight falls more than this many binary places below its

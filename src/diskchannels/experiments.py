@@ -31,7 +31,7 @@ from .channel import (
 )
 # unused here: bench/tracing.py wraps these three names in this module
 from .channel import apply_channel, diagonal_response, response_tail_bound  # noqa: F401
-from .disk import build_quadrature
+from .disk import build_quadrature, gauss_jacobi
 from .spectral import (
     chain2_tensor_quadrature,
     chained_kernel_integral,
@@ -379,20 +379,51 @@ def _husimi_target(cfg: ExperimentConfig, state: TruncatedOperator) -> tuple[flo
     return _husimi_integral(state, k, cfg.psi), "quadrature-target"
 
 
+# sum_{p >= L} f(p) = int_L^inf f + sum_j G_j Delta^j f(L), Gregory's rule
+# (Dahlquist and Bjorck, Numerical Methods in Scientific Computing, vol. 1,
+# SIAM 2008): a diagonal row's rest through Delta^5 on _REST_NODES[0] nodes,
+# its check through Delta^6 on _REST_NODES[1]
+_GREGORY = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192)
+_REST_NODES = (48, 64)
+
+
 def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
-    state, (target, note) = context
-    cut = cfg.truncation_l or max(64 * nu, 4096)
-    params = ChannelParams(cfg.mu, float(nu), cfg.k, output_degree=cut)
+    state, (target, note) = context[:2]
     diag_in = np.real(np.diag(state.matrix))
-    out_diag = diagonal_output_spectrum(params, diag_in, cut)
-    if state.is_diagonal:
-        measured = power_sum(cfg.psi, out_diag) / nu
+    d, cut, diagonal = state.degree, cfg.truncation_l, state.is_diagonal
+    if diagonal:
+        cut = max(cut, d, 64) if cut else max(2 * nu, 64, 2 * (d + cfg.k))
     else:
+        cut = cut or max(64 * nu, 4096)
+    params = ChannelParams(cfg.mu, float(nu), cfg.k, output_degree=cut)
+    if diagonal:
+        # p < L term by term; past L, lambda(x) is rational in x.  Gregory's
+        # corrections read p = L..L+6, the integral the nodes u in (0, 1) at
+        # x = L + (nu + L)(1/u - 1), where lambda has no pole near [0, 1].  The
+        # rest is an estimate: tail_bound adds its gap to the check rule and
+        # the gap of the rest of psi(x) = x to the exact dropped trace below
+        u, _, log_w = context[2]  # the nodes of both rules, one after the other
+        scale, n0 = nu + cut, _REST_NODES[0]
+        out_diag, lam = diagonal_output_spectrum(
+            params, diag_in, cut + len(_GREGORY) - 1, cut + scale * (1.0 / u - 1.0))
+        captured, ends, weight = out_diag[:cut], out_diag[cut:], scale * np.exp(log_w) / u**2
+        # the corrections through each Delta^j, of psi and of psi(x) = x
+        diffs, upto = np.array([np.polyval(cfg.psi[::-1], ends), ends]), [0.0]
+        for g in _GREGORY:
+            upto.append(upto[-1] + g * diffs[:, 0])
+            diffs = np.diff(diffs)
+        psi_nodes = weight * np.polyval(cfg.psi[::-1], lam)
+        rest_psi = float(np.sum(psi_nodes[:n0]) + upto[-2][0])
+        rest_check = float(np.sum(psi_nodes[n0:]) + upto[-1][0])
+        rest_trace = float(weight[:n0] @ lam[:n0] + upto[-2][1])
+        measured = (power_sum(cfg.psi, captured) + rest_psi) / nu
+    else:
+        captured = diagonal_output_spectrum(params, diag_in, cut)
         # sum_j a_j Tr T(A)^j from the bands, a block at a time: the sum of
         # psi over the spectrum
         measured = _channel_trace(state, params, cfg.psi) / nu
-    # Tr T(A) = trace_factor Tr A, so the cut drops trace_factor Tr A minus the
-    # captured sum; |psi(x)| <= (sum_j |a_j|) x on [0, 1] bounds psi's share.
+    # Tr T(A) = trace_factor Tr A, so the captured sum (p <= c) drops that
+    # minus itself; |psi(x)| <= (sum_j |a_j|) x on [0, 1] bounds psi's share.
     # Rounding of the captured sum, whose entries diagonal_output_spectrum forms
     # as lambda_p(m) = S^2 r_m[p] from products over consecutive integers, each
     # factor a few roundings (units of eps, first order):
@@ -417,22 +448,23 @@ def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
     #   the root times the k + 1 coefficients of S (twice in the square), the
     #   square and the multiply by r_0: at most 8 roundings (4).  The sums: a
     #   term is added at each level from its degree down to 0, at most dim
-    #   adds of nonnegative terms, then summed over p <= cut:
-    #   (cut + 2 dim + 8) eps trace_factor Tr A.  With r_m[p] that is 4p per
-    #   entry plus (cut + 5.5 dim + 7k + 9), within the (cut + 6 dim + 7k + 12)
+    #   adds of nonnegative terms, then summed over p <= c, the last captured
+    #   index: (c + 2 dim + 8) eps trace_factor Tr A.  With r_m[p] that is 4p
+    #   per entry plus (c + 5.5 dim + 7k + 9), within the (c + 6 dim + 7k + 12)
     #   below.
     total = params.trace_factor * float(np.sum(diag_in))
-    allowance = (
-        4 * float(out_diag @ np.arange(cut + 1.0))
-        + (cut + 6 * diag_in.size + 7 * cfg.k + 12) * total
+    rounding = np.finfo(float).eps * (
+        4 * float(captured @ np.arange(captured.size + 0.0))
+        + (captured.size - 1 + 6 * diag_in.size + 7 * cfg.k + 12) * total
         + 3 * (2 * cfg.k + 2) * _abs_sum_trace(params, diag_in)
     )
-    trace_tail = max(total - float(np.sum(out_diag)), 0.0) + np.finfo(float).eps * allowance
+    dropped = total - float(np.sum(captured))
     psi_slope = sum(abs(a) for a in cfg.psi[1:])
-    return ReportRow(
-        nu=nu, measured=measured, target=target,
-        tail_bound=psi_slope * trace_tail / nu, note=note,
-    )
+    if diagonal:
+        tail = psi_slope * (abs(rest_trace - dropped) + rounding) + abs(rest_psi - rest_check)
+    else:
+        tail = psi_slope * (max(dropped, 0.0) + rounding)
+    return ReportRow(nu=nu, measured=measured, target=target, tail_bound=tail / nu, note=note)
 
 
 def _row_toeplitz_trace(cfg: ExperimentConfig, nu: int) -> ReportRow:
@@ -555,9 +587,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     context = None
     if config.experiment == "channel-limit":
-        # the input and its limit target are shared by every row
+        # the input, its limit target and, for a diagonal input, the rules
+        # on [0, 1] of its continued rest are shared by every row
         state = _input_state(config)
-        context = (state, _husimi_target(config, state))
+        rules = [gauss_jacobi(count, 0.0) for count in _REST_NODES] if state.is_diagonal else []
+        context = (state, _husimi_target(config, state),
+                   [np.concatenate(part) for part in zip(*rules)])
 
     def run(batch: tuple[int, ...]) -> list[ReportRow]:
         start = time.perf_counter()

@@ -230,7 +230,7 @@ class _ChainGenerators:
 def _chain_chunk_sums(
     n: int, nus: Sequence[float], sampler_seed: int, sample_count: int, chunk: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_chain_weight_sums` over chunk ``chunk`` of the draws.
+    """:func:`_chain_sums` over chunk ``chunk`` of the draws.
 
     The stream of ``sampler_seed`` is cut into chunks of 2^16 samples (the
     last one holds the rest of ``sample_count``); a chunk of m samples reads
@@ -251,26 +251,6 @@ def _chain_chunk_sums(
             rng.random(out=row)
 
     return _chain_sums(nus, n, m, draw)
-
-
-def _chain_weight_sums(
-    nus: Sequence[float], radial: np.ndarray, angular: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sum of w, sum of w^2) per weight over the chains of n points drawn
-    from the uniforms ``radial`` and ``angular``, both of shape (n, m).
-
-    The uniforms are copied a block at a time into the pass of
-    :func:`_chain_sums`, never written.
-    """
-    radial = np.asarray(radial, dtype=float)
-    angular = np.asarray(angular, dtype=float)
-
-    def copy(lo, radial_block, angular_block):
-        hi = lo + radial_block.shape[1]
-        radial_block[...] = radial[:, lo:hi]
-        angular_block[...] = angular[:, lo:hi]
-
-    return _chain_sums(nus, len(radial), radial.shape[1], copy)
 
 
 def _chain_sums(

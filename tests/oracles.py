@@ -4,7 +4,10 @@ Everything here evaluates defining integrals or brute-force sums directly and
 stays away from the library's coefficient algebra, except the second
 readings of the channel's coupling terms (:func:`projection_coefficients`,
 :func:`pk_star_vector`), which the tests check against identities that the
-library's own routes do not use.
+library's own routes do not use, and the whole-grid and sequential
+readings of the library's own kernels (:func:`weight_grid`,
+:func:`chain_weight_sums`), which its blocked and chunked routes must
+reproduce.
 """
 
 import math
@@ -22,7 +25,7 @@ from diskchannels.bergman import (
 from diskchannels.channel import _Couplings, _derivative_sum
 from diskchannels.disk import gauss_jacobi, transporter_coefficients
 from diskchannels.specfun import berezin_eigenvalue, channel_constant_sq
-from diskchannels.spectral import _graded_angles, eigenfunction
+from diskchannels.spectral import _chain_sums, _graded_angles, eigenfunction
 
 
 def berezin_eigenvalue_loggamma(nu, lam):
@@ -181,6 +184,32 @@ def chain_estimate_oracle(n, nu, seed, sample_count):
         total += float(np.sum(np.exp(log_w)))
         done += m
     return total / sample_count
+
+
+def weight_grid(params, p_max, m_max):
+    """V[p, m] = w^{(p)}_{m, p+k-m} for 0 <= p <= p_max, 0 <= m <= m_max, as
+    one grid of the library's coupling terms: the reference that the channel
+    blocks, a block of output indices at a time, reproduce."""
+    couplings = _Couplings(params)
+    return couplings.weights(np.arange(p_max + 1), np.arange(m_max + 1),
+                             couplings.r0(p_max).take(p_max + 1))
+
+
+def chain_weight_sums(nus, radial, angular):
+    """(sum of w, sum of w^2) per weight over the chains of n points drawn
+    from the uniforms ``radial`` and ``angular``, both of shape (n, m),
+    through the library's chain pass with the uniforms copied a block at a
+    time (never written): the sequential reading that the chunked draws of
+    the Monte Carlo estimate reproduce."""
+    radial = np.asarray(radial, dtype=float)
+    angular = np.asarray(angular, dtype=float)
+
+    def copy(lo, radial_block, angular_block):
+        hi = lo + radial_block.shape[1]
+        radial_block[...] = radial[:, lo:hi]
+        angular_block[...] = angular[:, lo:hi]
+
+    return _chain_sums(nus, len(radial), radial.shape[1], copy)
 
 
 def _rising(x, j):

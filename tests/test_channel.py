@@ -23,6 +23,7 @@ from oracles import (
     projection_coefficients,
     projection_integral_oracle,
     random_psd,
+    weight_grid,
 )
 
 from diskchannels import channel, specfun
@@ -33,7 +34,6 @@ from diskchannels.channel import (
     _channel_trace,
     _Couplings,
     _derivative_sum,
-    _weight_grid,
     apply_channel,
     banded_trace,
     diagonal_output_spectrum,
@@ -382,7 +382,7 @@ def dense_channel_reference(A, params):
     if len(nz_rows) == 0:
         return out
     m_top = min(d, L + k)
-    V = _weight_grid(params, L, m_top)
+    V = weight_grid(params, L, m_top)
     offsets = np.unique(nz_cols - nz_rows)
     if A.hermitian:
         offsets = offsets[offsets >= 0]
@@ -599,7 +599,7 @@ class TestStreamedRows:
         # band by band against the formula on the weight grid of the whole
         # cut (the dense reference would take 9.7 GB here)
         L, d = params.default_output_degree(), A.degree
-        V = _weight_grid(params, L, d)
+        V = weight_grid(params, L, d)
         for off, band in B.bands.items():
             m_lo, m_hi = max(0, off), min(d, d + off)
             ms = np.arange(m_lo, m_hi + 1)

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 import time
-from decimal import Decimal
 from pathlib import Path
 
 import mpmath as mp
@@ -258,8 +257,8 @@ class TestRunners:
         assert rep.fitted_order_stderr is not None
 
     def test_tail_honesty_brackets_untruncated_trace(self):
-        # mu >= 3, psi = x: measured + tail_bound must bracket the exact
-        # untruncated value (mu+nu+2k-1)/(nu(mu-1))
+        # mu >= 3, psi = x, an explicit cut: measured is the exact untruncated
+        # value (mu+nu+2k-1)/(nu(mu-1)) to within tail_bound
         rep = run_experiment(
             parse_config(
                 """
@@ -276,45 +275,39 @@ timing = off
         )
         for r in rep.rows:
             untruncated = (3 + r.nu + 2 - 1) / (r.nu * (3 - 1))
-            assert r.measured <= untruncated <= r.measured + r.tail_bound
+            assert abs(r.measured - untruncated) <= r.tail_bound <= 1e-10
 
-    @pytest.mark.parametrize("mu,nu", [(2, 50), (2, 800), (3, 800)])
+    @pytest.mark.parametrize("mu,nu", [(2, 2), (2, 3), (2, 50), (2, 800),
+                                       (3, 2), (3, 3), (3, 50), (3, 800)])
     def test_trace_tail_covers_exact_dropped_trace(self, mu, nu):
-        # k = 0, lowest state: lambda_p = (nu)_p/(mu+nu)_p, and the trace
-        # dropped at the auto cut telescopes to
-        # trace_factor (nu)_{cut+1}/(mu+nu-1)_{cut+1}; 40 digits
-        rep = run_experiment(parse_config(
-            BASE.replace("mu = 2", f"mu = {mu}").replace("8,16,32,64", str(nu))
-            .replace("psi = 0,0,1", "psi = 0,1")
-        ))
-        (row,) = rep.rows
-        cut = max(64 * nu, 4096)
-        with mp.workdps(40):
-            a, b = mp.mpf(nu), mp.mpf(mu + nu - 1)
-            dropped = (b / (mu - 1)) * mp.exp(
-                mp.loggamma(a + cut + 1) - mp.loggamma(a)
-                - mp.loggamma(b + cut + 1) + mp.loggamma(b)
-            )
-            tail = mp.mpf(row.tail_bound) * nu
-            assert tail >= dropped
-            assert (tail - dropped) / dropped <= 1e-6
+        # k = 0, lowest state: lambda_p = (nu)_p/(mu+nu)_p, so the untruncated
+        # sums are sum_p lambda_p = trace_factor and sum_p lambda_p^2 =
+        # 3F2(nu, nu, 1; mu+nu, mu+nu; 1); the row sums p < L and continues
+        # the rest, and must land within its tail_bound of both
+        text = (BASE.replace("mu = 2", f"mu = {mu}").replace("8,16,32,64", str(nu)))
+        (square,) = run_experiment(parse_config(text)).rows
+        (trace,) = run_experiment(parse_config(text.replace("psi = 0,0,1", "psi = 0,1"))).rows
+        with mp.workdps(30):
+            untruncated = mp.hyp3f2(nu, nu, 1, mu + nu, mu + nu, 1) / nu
+            assert abs(square.measured - untruncated) <= square.tail_bound <= 1e-10
+        trace_factor = (mu + nu - 1) / (mu - 1)
+        assert abs(trace.measured - trace_factor / nu) <= trace.tail_bound <= 1e-10
 
     def test_trace_tail_covers_exact_dropped_trace_toeplitz(self):
-        # the toeplitz state of degree 64 at k = 1, nu = 50 (as in diag-sweep): its
-        # rows m >= 1 cross the zeros of S = m/mu - n/nu below the auto cut,
-        # where rounding is relative to T, not lambda; 40 digits, each row by
-        # its recurrence in p
-        rep = run_experiment(parse_config(
-            "experiment = channel-limit\nmu = 2\nk = 1\nnu_list = 50\n"
-            "input_state = toeplitz\nf = radial:0,0,1\ntruncation_n = 64\n"
-            "psi = 0,1\ntiming = off\n"
-        ))
-        (row,) = rep.rows
-        diag = np.real(np.diag(_input_state(rep.config).matrix))
-        dropped = dropped_trace_oracle(2, 50, 1, diag, cut=4096)
-        tail = Decimal(row.tail_bound) * 50
-        assert tail >= dropped
-        assert (tail - dropped) / dropped <= Decimal("1e-6")
+        # the toeplitz state of degree 64 at k = 1 (as in diag-sweep): its rows
+        # m >= 1 cross the zeros of S = m/mu - n/nu past the auto cut, inside
+        # the continued rest.  psi = x^2 against the sum to 1024 nu plus its
+        # (512 times smaller) rest, psi = x against trace_factor Tr A, Tr A = 1
+        for nu in (50, 800):
+            text = ("experiment = channel-limit\nmu = 2\nk = 1\n"
+                    f"nu_list = {nu}\ninput_state = toeplitz\nf = radial:0,0,1\n"
+                    "truncation_n = 64\npsi = 0,0,1\ntiming = off\n")
+            (square,) = run_experiment(parse_config(text)).rows
+            (far,) = run_experiment(parse_config(text + f"truncation_l = {1024 * nu}\n")).rows
+            assert abs(square.measured - far.measured) <= square.tail_bound <= 1e-10
+            (trace,) = run_experiment(parse_config(text.replace("psi = 0,0,1", "psi = 0,1"))).rows
+            trace_factor = (2 + nu + 2 - 1) / (2 - 1)
+            assert abs(trace.measured - trace_factor / nu) <= trace.tail_bound <= 1e-10
 
     def test_channel_limit_random_state(self):
         rep = run_experiment(
@@ -363,9 +356,11 @@ timing = off
 
     @pytest.mark.parametrize("state", ["lowest", "toeplitz", "rank-r-random"])
     def test_tail_bound_is_library_trace_tail(self, state):
-        # the row's trace tail (from Tr T(A) = trace_factor Tr A) lies inside
-        # output_trace_interval's independent bracket: above the exact far
-        # sum, below the tail estimate and the rigorous bound at the cut
+        # a dense row's trace tail (from Tr T(A) = trace_factor Tr A) lies
+        # inside output_trace_interval's independent bracket: above the exact
+        # far sum, below the tail estimate and the rigorous bound at the cut.
+        # A diagonal row at the auto cut is within its tail_bound of the
+        # untruncated sum of psi = x/2 - x^2 + 2x^3
         cfg = parse_config(
             f"""
 experiment = channel-limit
@@ -377,7 +372,7 @@ f = radial:0,0,1
 truncation_n = 30
 state_dim = 8
 psi = 0,0.5,-1,2
-truncation_l = 300
+truncation_l = {300 if state == "rank-r-random" else 0}
 quadrature_radial = 40
 quadrature_angular = 32
 seed = 2
@@ -390,11 +385,26 @@ timing = off
         for row in rep.rows:
             assert row.error == ""
             params = ChannelParams(cfg.mu, float(row.nu), cfg.k)
-            tail = row.tail_bound * row.nu / 3.5
-            far = float(np.sum(diagonal_output_spectrum(params, diag, 2400)[301:]))
-            # the rigorous bound is at the cut whatever extend_to is
-            _, estimate, bound = output_trace_interval(state_op, params, 300, 2400)
-            assert far <= tail <= min(estimate, bound)
+            if state == "rank-r-random":
+                tail = row.tail_bound * row.nu / 3.5
+                far = float(np.sum(diagonal_output_spectrum(params, diag, 2400)[301:]))
+                # the rigorous bound is at the cut whatever extend_to is
+                _, estimate, bound = output_trace_interval(state_op, params, 300, 2400)
+                assert far <= tail <= min(estimate, bound)
+                continue
+            # the spectrum to 64 cut plus the rest of its linear part, from the
+            # 40-digit dropped trace at the cut; past 64 cut the spectrum falls
+            # (checked on the window) below lam, so its x^2 and x^3 parts add
+            # at most lam (1 + 2 lam) times the dropped trace
+            cut, far_cut = 2048, 64 * 2048
+            lam = diagonal_output_spectrum(params, diag, far_cut)
+            assert np.all(np.diff(lam[cut:]) <= 0.0)
+            dropped = float(dropped_trace_oracle(3, row.nu, 2, diag, cut)) - math.fsum(
+                lam[cut + 1 :])
+            psi_sum = math.fsum(0.5 * lam - lam**2 + 2 * lam**3)
+            untruncated = (psi_sum + 0.5 * dropped) / row.nu
+            assert lam[-1] * (1 + 2 * lam[-1]) * dropped / row.nu <= 1e-15
+            assert abs(row.measured - untruncated) <= row.tail_bound <= 1e-10
 
     def test_toeplitz_trace_converges(self):
         rep = run_experiment(

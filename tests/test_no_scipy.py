@@ -145,3 +145,19 @@ def test_every_export_has_a_user():
         if name not in read and not re.search(rf"\b{name}\b", readme)
     ]
     assert orphans == []
+
+
+def test_every_private_definition_has_a_user_in_the_library():
+    # a module-level private function or class that nothing in src/ reads
+    # outside its own definition serves only the tests: it belongs in
+    # tests/oracles.py, where the export guard above can see it
+    files = sorted((SRC / "diskchannels").glob("*.py"))
+    read = set().union(*(_names_read(path) for path in files))
+    orphans = [
+        f"{path.stem}.{top.name}"
+        for path in files
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and top.name.startswith("_") and top.name not in read
+    ]
+    assert orphans == []

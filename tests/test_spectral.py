@@ -11,6 +11,7 @@ from oracles import (
     chain2_complex_quadrature_oracle,
     chain2_series_oracle,
     chain_estimate_oracle,
+    chain_weight_sums,
     eigen_residual_oracle,
 )
 
@@ -18,7 +19,6 @@ from diskchannels import specfun
 from diskchannels.disk import gauss_jacobi
 from diskchannels.spectral import (
     _chain_chunk_sums,
-    _chain_weight_sums,
     _link_modulus_sq,
     chain2_tensor_quadrature,
     chained_kernel_integral,
@@ -250,7 +250,7 @@ class TestChainIntegral:
             for start in range(0, count, 2**16):
                 m = min(2**16, count - start)
                 radial = rng.random((n, m))
-                sequential.append(_chain_weight_sums(nus, radial, rng.random((n, m))))
+                sequential.append(chain_weight_sums(nus, radial, rng.random((n, m))))
             for chunk in reversed(range(3)):
                 sums, sums_sq = _chain_chunk_sums(n, nus, seed, count, chunk)
                 assert sums.tolist() == sequential[chunk][0].tolist()
@@ -273,7 +273,7 @@ class TestChainIntegral:
         # at nu = 1.0001, 1 - |z|^2 = 0.5^10000 underflows to 0: the points
         # sit on the circle, and equal angles give a zero link
         with pytest.raises(FloatingPointError, match="nu = 1.0001$"):
-            _chain_weight_sums([4.0, 1.0001], np.full((2, 3), 0.5), np.zeros((2, 3)))
+            chain_weight_sums([4.0, 1.0001], np.full((2, 3), 0.5), np.zeros((2, 3)))
 
     def test_reused_workspace_changes_no_result(self):
         # a thread's workspace outlives its chunks: a partial chunk, another
@@ -287,7 +287,7 @@ class TestChainIntegral:
         def run(step):
             if step is None:
                 with pytest.raises(FloatingPointError, match="nu = 1.0001$"):
-                    _chain_weight_sums([4.0, 6.0, 1.0001], np.full((3, 3), 0.5),
+                    chain_weight_sums([4.0, 6.0, 1.0001], np.full((3, 3), 0.5),
                                        np.zeros((3, 3)))
                 return None
             n, nus, chunk = step
@@ -408,7 +408,7 @@ def _sequential_chunk_sums(n, nus, chunk, seed, count):
         radial = rng.random((n, m))
         angular = rng.random((n, m))
     kept = radial.copy(), angular.copy()
-    sums, sums_sq = _chain_weight_sums(nus, radial, angular)
+    sums, sums_sq = chain_weight_sums(nus, radial, angular)
     assert np.array_equal(radial, kept[0]) and np.array_equal(angular, kept[1])
     return sums.tolist(), sums_sq.tolist()
 
