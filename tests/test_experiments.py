@@ -284,7 +284,7 @@ timing = off
         # sums are sum_p lambda_p = trace_factor and sum_p lambda_p^2 =
         # 3F2(nu, nu, 1; mu+nu, mu+nu; 1); the row sums p < L and continues
         # the rest, and must land within its tail_bound of both
-        text = (BASE.replace("mu = 2", f"mu = {mu}").replace("8,16,32,64", str(nu)))
+        text = BASE.replace("mu = 2", f"mu = {mu}").replace("8,16,32,64", str(nu))
         (square,) = run_experiment(parse_config(text)).rows
         (trace,) = run_experiment(parse_config(text.replace("psi = 0,0,1", "psi = 0,1"))).rows
         with mp.workdps(30):
@@ -392,10 +392,11 @@ timing = off
                 _, estimate, bound = output_trace_interval(state_op, params, 300, 2400)
                 assert far <= tail <= min(estimate, bound)
                 continue
-            # the spectrum to 64 cut plus the rest of its linear part, from the
-            # 40-digit dropped trace at the cut; past 64 cut the spectrum falls
-            # (checked on the window) below lam, so its x^2 and x^3 parts add
-            # at most lam (1 + 2 lam) times the dropped trace
+            # the spectrum to the far cut plus the linear part of its rest, from
+            # the 40-digit dropped trace at the cut; the spectrum falls on the
+            # window between them and is taken to keep falling, so the x^2 and
+            # x^3 parts of the rest add at most lam (1 + 2 lam) times the
+            # dropped trace, lam its last entry
             cut, far_cut = 2048, 64 * 2048
             lam = diagonal_output_spectrum(params, diag, far_cut)
             assert np.all(np.diff(lam[cut:]) <= 0.0)
