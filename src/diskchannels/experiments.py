@@ -10,6 +10,7 @@ a closed key set; unknown keys are errors, and identical configs (with
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from .bergman import TruncatedOperator
 from .channel import (
     ChannelParams,
     _abs_sum_trace,
+    _Couplings,
     _channel_trace,
     diagonal_output_spectrum,
     isometry_weights,
@@ -107,8 +109,6 @@ class ExperimentConfig:
             validate_weight(self.mu)
         except ValueError as exc:
             raise ConfigError(f"mu: {exc}") from None
-        if self.experiment == "channel-limit" and not float(self.mu).is_integer():
-            raise ConfigError("mu: channel-limit Husimi targets need an integer weight")
         if self.k < 0:
             raise ConfigError("k: must be >= 0")
         if self.truncation_n < 0 or self.truncation_l < 0:
@@ -153,6 +153,14 @@ class ExperimentConfig:
             raise ConfigError(
                 "input_state: must be lowest, rank-r-random, or toeplitz"
             )
+        if self.experiment == "channel-limit" and not float(self.mu).is_integer():
+            # a random state of one degree is diagonal too
+            if self.input_state != "rank-r-random" or min(self.state_dim, self.truncation_n + 1) == 1:
+                raise ConfigError("mu: channel-limit needs an integer mu for a diagonal input: "
+                                  "the continued rest's r_0(x) is a product of mu + 2k ratios")
+            if any(self.psi[3:]):
+                raise ConfigError("mu: channel-limit needs an integer mu for psi of degree >= 3: "
+                                  "its Husimi target needs the group action at an integer weight")
         return self
 
 
@@ -358,24 +366,56 @@ def _husimi_integral(state: TruncatedOperator, k: int, psi) -> float:
                 for j, a in enumerate(psi) if j >= 1 and a != 0.0), 0.0)
 
 
+def _schur_integral(state: TruncatedOperator, k: int, psi) -> float:
+    """int psi(H_w^k(state)) d iota for psi of degree <= 2 at any weight w, by
+    Schur orthogonality: H^2 = <(A x A) pi2(g) v, pi2(g) v>, v = e_k x e_k,
+    and pi2 = pi x pi holds each H_{2w+2j} once, its projection Q_j = P_j* P_j
+    with P_j the isometry of ChannelParams(w, w, j) and formal degree
+    2w + 2j - 1 (w - 1 for int H = Tr A/(w - 1)), so int H^2 d iota is
+    sum_{j <= 2k} ||Q_j v||^2 Tr((A x A) Q_j) / (2w + 2j - 1).  ||Q_j v|| =
+    |W_j[2k - j, k]|, Tr((A x A) Q_j) = sum_p w_p^T (A[m, m'] A[n, n']) w_p,
+    w_p the row W_j[p, m] = w^{(p)}_{m, n}, n = p + j - m, and A[n, n'] is
+    window p + j of the flipped A padded by d zeros, a view that steps down
+    its diagonal; the terms are formed a slab of <= 2^16 entries at a time."""
+    A, d, w = state.matrix, state.degree, state.weight
+    x = np.real(np.diag(A)) if state.is_diagonal else A
+    pad = np.zeros((3 * d + 1,) * x.ndim, x.dtype)
+    pad[(slice(d, 2 * d + 1),) * x.ndim] = x[(slice(None, None, -1),) * x.ndim]
+    windows = np.lib.stride_tricks.as_strided(  # windows[q][m, m'] = x[q - m, q - m']
+        pad, (2 * d + 1, *x.shape), (sum(pad.strides), *pad.strides), writeable=False)[::-1]
+    a1, a2 = (*psi[1:3], 0.0, 0.0)[:2]
+    ms, square = np.arange(max(d, k) + 1), 0.0
+    for j in range(2 * k + 1 if a2 else 0):
+        rows = max(2 * d - j, 2 * k - j) + 1
+        couplings = _Couplings(ChannelParams(w, w, j))
+        W = couplings.weights(np.arange(rows), ms, couplings.r0(rows - 1).take(rows))
+        norm, W = W[2 * k - j, k], W[: max(2 * d + 1 - j, 0), : d + 1]
+        trace, step = 0.0, max(1, (1 << 16) // x.size)
+        for p0 in range(0, len(W), step):
+            w_p = W[p0 : p0 + step]
+            slab = x * windows[p0 + j : p0 + j + len(w_p)]
+            slab = (slab @ w_p[:, :, None])[:, :, 0] if x.ndim == 2 else slab * w_p
+            trace += float(np.real(np.sum(w_p * slab)))
+        square += norm * norm * trace / (2 * w + 2 * j - 1.0)
+    return float(a1 * np.real(np.trace(A)) / (w - 1.0) + a2 * square)
+
+
 def _husimi_target(cfg: ExperimentConfig, state: TruncatedOperator) -> tuple[float, str]:
-    """int psi(H_mu^k(state)) d iota: closed form for the lowest state, the
-    exact rule of :func:`_husimi_integral` otherwise (labeled in the note)."""
+    """int psi(H_mu^k(state)) d iota, labeled in the note: closed form for the
+    lowest state, :func:`_schur_integral` for psi of degree <= 2, else the
+    exact rule of :func:`_husimi_integral` (integer weight)."""
     mu, k = cfg.mu, cfg.k
     if cfg.input_state == "lowest":
-        # H(w) = ((mu)_k/k!) u^k (1-u)^mu; moment of x^j is Beta(jk+1, j mu - 1)
-        total = 0.0
-        c = math.exp(math.lgamma(mu + k) - math.lgamma(mu) - math.lgamma(k + 1.0))
-        for j, a in enumerate(cfg.psi):
-            if j == 0 or a == 0.0:
-                continue
-            # moment of x^j: c^j B(jk+1, j mu - 1), finite for every mu > 1
-            total += a * c**j * math.exp(
-                math.lgamma(j * k + 1.0)
-                + math.lgamma(j * mu - 1.0)
-                - math.lgamma(j * k + j * mu)
-            )
+        # H(w) = c u^k (1-u)^mu, c = (mu)_k/k!: the moment of x^j is
+        # c^j B(jk+1, j mu - 1), finite for every mu > 1
+        total, c = 0.0, math.exp(math.lgamma(mu + k) - math.lgamma(mu) - math.lgamma(k + 1.0))
+        for j, a in enumerate(cfg.psi[1:], 1):
+            if a != 0.0:
+                total += a * c**j * math.exp(math.lgamma(j * k + 1.0) + math.lgamma(j * mu - 1.0)
+                                             - math.lgamma(j * k + j * mu))
         return total, "closed-form"
+    if not any(cfg.psi[3:]):
+        return _schur_integral(state, k, cfg.psi), "schur-target"
     return _husimi_integral(state, k, cfg.psi), "quadrature-target"
 
 
@@ -385,6 +425,17 @@ def _husimi_target(cfg: ExperimentConfig, state: TruncatedOperator) -> tuple[flo
 # its check through Delta^6 on _REST_NODES[1]
 _GREGORY = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192)
 _REST_NODES = (48, 64)
+
+
+@functools.cache
+def _rest_rules() -> tuple[np.ndarray, ...]:
+    """Both rules of the continued rest on [0, 1], one after the other, as
+    read-only nodes u, 1 - u and log weights, built on first use."""
+    parts = tuple(np.concatenate(part)
+                  for part in zip(*(gauss_jacobi(count, 0.0) for count in _REST_NODES)))
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
@@ -590,9 +641,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # the input, its limit target and, for a diagonal input, the rules
         # on [0, 1] of its continued rest are shared by every row
         state = _input_state(config)
-        rules = [gauss_jacobi(count, 0.0) for count in _REST_NODES] if state.is_diagonal else []
         context = (state, _husimi_target(config, state),
-                   [np.concatenate(part) for part in zip(*rules)])
+                   _rest_rules() if state.is_diagonal else None)
 
     def run(batch: tuple[int, ...]) -> list[ReportRow]:
         start = time.perf_counter()

@@ -210,8 +210,16 @@ class _Carry:
 def _first_exit(products: np.ndarray) -> int | None:
     """The first row (first axis) with a product of magnitude >= 2^1000, or
     nonzero and below the normal range, or NaN; None if there is none."""
-    if products.size == 0 or (products.min() >= _NORMAL and products.max() < 2.0**1000):
-        return None  # every product positive and in range, the common case
+    low = products.min(initial=np.inf)
+    if low == 0.0:  # zero factors, as in a clamped step: the least nonzero product decides
+        low = products.min(where=products != 0.0, initial=np.inf)
+    if low >= _NORMAL and products.max(initial=0.0) < 2.0**1000:
+        return None  # every product zero or positive and in range, the common case
+    return _exit_row(products)
+
+
+def _exit_row(products: np.ndarray) -> int | None:
+    """:func:`_first_exit` past its range test, entry by entry."""
     size = np.abs(products)
     out = ~((size < 2.0**1000) & ((size >= _NORMAL) | (size == 0.0)))
     rows = out.reshape(len(out), -1).any(axis=1)

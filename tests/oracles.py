@@ -333,6 +333,25 @@ def covariant_symbol_oracle(A, z):
     return column_form_oracle(e, A.matrix, np.conj(e))
 
 
+def husimi_any_weight_oracle(A, index, z):
+    """H^index(A) at the points z for any weight mu, from the series of
+    U e_index, U f = phi'^{mu/2} f o phi, phi(t) = (t - z)/(1 - conj(z) t):
+    U e_k = c_k (1-|z|^2)^{mu/2} (t - z)^k (1 - conj(z) t)^{-mu-k} with
+    c_k = ((mu)_k/k!)^{1/2}, whose binomial series needs no group action and
+    so no integer weight; t^m is e_m/c_m."""
+    mu, d, k = A.weight, A.degree, index
+    z = np.asarray(z, dtype=complex)
+    n = np.arange(d + 1)
+    rising = np.concatenate(([1.0], np.cumprod((mu + k + n[:-1]) / (n[:-1] + 1.0))))
+    series = rising[:, None] * np.conj(z)[None, :] ** n[:, None]
+    poly = np.zeros((d + 1, z.size), dtype=complex)
+    for i in range(min(k, d) + 1):
+        poly[i:] += math.comb(k, i) * (-z) ** (k - i) * series[: d + 1 - i]
+    log_c = 0.5 * np.array([lpoch(mu, m) - math.lgamma(m + 1.0) for m in range(max(d, k) + 1)])
+    vecs = poly * np.exp(log_c[k] - log_c[: d + 1])[:, None] * (1.0 - abs(z) ** 2) ** (mu / 2)
+    return np.real(column_form_oracle(np.conj(vecs), A.matrix, vecs)[0])
+
+
 def toeplitz_quadrature_oracle(values, nu, degree, quadrature):
     """T_f on degrees <= degree, entry-wise by quadrature: entries
     (nu-1) int f e_n conj(e_m) (1-|z|^2)^nu d iota, with f given by its

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -11,9 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import chain2_series_oracle, dropped_trace_oracle
+from oracles import (
+    chain2_series_oracle,
+    covariant_symbol_oracle,
+    dropped_trace_oracle,
+    husimi_any_weight_oracle,
+    lowest_state,
+    random_psd,
+)
 
-from diskchannels import experiments, specfun
+from diskchannels import bergman, experiments, specfun
 from diskchannels.channel import (
     ChannelParams,
     diagonal_output_spectrum,
@@ -27,7 +35,9 @@ from diskchannels.experiments import (
     ExperimentReport,
     ReportRow,
     _husimi_integral,
+    _husimi_target,
     _input_state,
+    _schur_integral,
     emit_report,
     parse_config,
     report_from_json,
@@ -105,9 +115,20 @@ class TestConfigParsing:
         assert parse_config(BASE + "tol_abs = 0\n").tol_abs == 0.0
 
     def test_channel_limit_needs_integer_mu(self):
-        # the exact Gauss-Jacobi Husimi target needs an integer weight
-        with pytest.raises(ConfigError, match="mu:"):
-            parse_config(BASE.replace("mu = 2", "mu = 2.5"))
+        # refused at a non-integer mu: a diagonal input's continued rest (a
+        # random state of one degree is diagonal) and psi of degree >= 3,
+        # whose target is the Gauss-Jacobi Husimi rule
+        half = BASE.replace("mu = 2", "mu = 2.5")
+        random = half.replace("input_state = lowest", "input_state = rank-r-random")
+        for text in (half, half.replace("lowest", "toeplitz\nf = radial:0,0,1"),
+                     random + "state_dim = 1\n", random + "truncation_n = 0\n"):
+            with pytest.raises(ConfigError, match="mu: .*diagonal input.*mu \\+ 2k ratios"):
+                parse_config(text)
+        with pytest.raises(ConfigError, match="mu: .*degree >= 3.*group action"):
+            parse_config(random.replace("psi = 0,0,1", "psi = 0,0,1,0.5"))
+        # accepted: a dense input with psi of degree <= 2, or an integer mu
+        assert parse_config(random + "state_dim = 2\n").mu == 2.5
+        assert parse_config(random.replace("psi = 0,0,1", "psi = 0,1,1,0")).mu == 2.5
         assert parse_config(BASE.replace("mu = 2", "mu = 3.0")).mu == 3.0
         other = BASE.replace("channel-limit", "e-identity").replace("mu = 2", "mu = 2.5")
         assert parse_config(other).mu == 2.5
@@ -328,8 +349,8 @@ timing = off
             )
         )
         assert all(not r.error for r in rep.rows)
-        assert all(r.note == "quadrature-target" for r in rep.rows)
-        # errors still shrink toward the quadrature target
+        assert all(r.note == "schur-target" for r in rep.rows)
+        # errors still shrink toward the target
         assert rep.rows[1].abs_error < rep.rows[0].abs_error
 
     def test_channel_limit_random_state_at_nu_800(self):
@@ -625,8 +646,9 @@ class TestHusimiIntegral:
             # 3*5 + 1 angles
             ("mu = 3\nk = 2\ninput_state = rank-r-random\nstate_dim = 6\n"
              "state_rank = 2\npsi = 0,1,-1,2\n", 14, 16),
-            # diagonal, d = 64, k = 1, J = 2, mu = 2: floor((2*65 + 2)/2) + 1 radii
-            (TOEPLITZ_64, 67, 1),
+            # diagonal, d = 64, k = 1, J = 3, mu = 2: floor((3*65 + 2*2)/2) + 1
+            # radii (psi of degree <= 2 takes the Schur target, with no rule)
+            (TOEPLITZ_64 + "psi = 0,0,1,0.5\n", 100, 1),
         ],
         ids=["random", "toeplitz"],
     )
@@ -669,6 +691,113 @@ class TestHusimiIntegral:
         for r in rep.rows:
             assert r.error == ""
             assert r.abs_error <= tol
+
+
+# the channel-limit states of the benchmark's dense-sweep (by seed) and
+# diag-sweep, and of the runner tests above
+DENSE_SWEEP = ("mu = 2\nk = 1\ninput_state = rank-r-random\nstate_dim = 24\nstate_rank = 3\n"
+               "truncation_l = 2048\npsi = 0,0,1\nseed = {}\n")
+SCHUR_CASES = {
+    **{f"dense-sweep-{seed}": DENSE_SWEEP.format(seed) for seed in range(1, 11)},
+    "toeplitz": TOEPLITZ_64,
+    **{f"random-{mu}-{k}-{d}": f"mu = {mu}\nk = {k}\ninput_state = rank-r-random\n"
+       f"state_dim = {d + 1}\npsi = 0,-0.5,2\nseed = 2\n"
+       for mu, k, d in [(3, 0, 9), (3, 2, 11), (2, 0, 5)]},
+    "random": RANDOM_23,
+    "small": "mu = 2\nk = 1\ninput_state = rank-r-random\nstate_dim = 6\nstate_rank = 2\nseed = 3\n",
+    "random-mu-3": "mu = 3\nk = 1\ninput_state = rank-r-random\nstate_rank = 2\n"
+                   "state_dim = 8\nseed = 4\n",
+}
+
+
+class TestSchurTarget:
+    @pytest.mark.parametrize("text", SCHUR_CASES.values(), ids=SCHUR_CASES.keys())
+    def test_matches_the_quadrature_target(self, text):
+        cfg, state = _state(text)
+        exact = _husimi_integral(state, cfg.k, cfg.psi)
+        assert _husimi_target(cfg, state) == (pytest.approx(exact, rel=1e-13), "schur-target")
+
+    def test_matches_the_quadrature_target_at_degree_400(self):
+        # test_toeplitz_state_sweep's state: at degree 400 the Gauss-Jacobi
+        # values themselves spread over 2.7e-13 relative across rules of 403
+        # to 600 radii, and the sum lies inside that spread
+        cfg, state = _state(TOEPLITZ_64.replace("= 64", "= 400"))
+        target, _ = _husimi_target(cfg, state)
+        assert target == pytest.approx(_husimi_integral(state, cfg.k, cfg.psi), rel=3e-13)
+
+    @pytest.mark.parametrize("mu", [1.5, 2.5, 3.7, 11.25])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_lowest_state_at_any_weight(self, mu, k):
+        # ((mu)_k/k!)^2 B(2k+1, 2mu-1), also where no Husimi rule can run
+        exact = (mp.rf(mu, k) / mp.factorial(k)) ** 2 * mp.beta(2 * k + 1, 2 * mu - 1)
+        assert _schur_integral(lowest_state(mu), k, (0.0, 0.0, 1.0)) == pytest.approx(
+            float(exact), rel=1e-13)
+
+    def test_index_zero_is_the_squared_covariant_symbol(self):
+        # at k = 0, H is the covariant symbol (at -w, the same integral), so
+        # H^2 = (1-u)^{2 mu} times a polynomial of degree 2d in z and in
+        # conj z: a rule in (1-u)^{2 mu - 2} with d + 1 radii and 2d + 1
+        # angles is exact, here with room to spare
+        mu, d = 2.5, 9
+        state = random_psd(mu, d + 1, 3, seed=5)
+        quad = build_quadrature(2 * d + 8, 4 * d + 8, 2 * mu)
+        symbol, _ = covariant_symbol_oracle(state, quad.nodes)
+        exact = float(np.real(quad.integrate(np.real(symbol) ** 2)))
+        for psi in [(0.0, 0.0, 1.0), (0.0, 2.0, -0.5)]:
+            assert _schur_integral(state, 0, psi) == pytest.approx(
+                psi[1] / (mu - 1.0) + psi[2] * exact, rel=1e-12)
+
+    @pytest.mark.parametrize("mu, k, d", [(2.0, 1, 5), (2.5, 1, 5), (2.5, 2, 4), (3.7, 1, 3)])
+    def test_squared_husimi_function_at_any_weight(self, mu, k, d):
+        # H = (1-u)^mu times a polynomial of degree d + k in z and in conj z,
+        # from the binomial series of U e_k (no group action): a rule in
+        # (1-u)^{2 mu - 2} with 2(d + k) + 8 radii and 4(d + k) + 8 angles is
+        # exact for H^2; at mu = 2 the oracle meets the Husimi rule too
+        state = random_psd(mu, d + 1, 3, seed=7)
+        quad = build_quadrature(2 * (d + k) + 8, 4 * (d + k) + 8, 2 * mu)
+        exact = float(np.real(quad.integrate(husimi_any_weight_oracle(state, k, quad.nodes) ** 2)))
+        assert _schur_integral(state, k, (0.0, 0.0, 1.0)) == pytest.approx(exact, rel=1e-13)
+        if mu == 2.0:
+            assert _husimi_integral(state, k, (0.0, 0.0, 1.0)) == pytest.approx(exact, rel=1e-13)
+
+    def test_memory_is_bounded_at_state_dim_256(self):
+        # the flipped copy padded by d zeros, (3d + 1)^2 complex entries
+        # (9.0 MiB at d = 255), the weight grid of 511 x 256 entries and its
+        # buffers, and slabs of at most 2^16 entries; unblocked, the products
+        # would be 511 x 256^2 complex entries (535 MB)
+        cfg, state = _state(RANDOM_23.replace("= 24", "= 256"))
+        assert state.degree == 255
+        tracemalloc.start()
+        try:
+            value = _schur_integral(state, cfg.k, cfg.psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value) and value > 0.0
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_rows_run_no_husimi_rule(self, monkeypatch):
+        # neither a dense nor a diagonal input reaches the quadrature, the
+        # Husimi grid or the transport recursion
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        for module, name in [(experiments, "husimi_grid"), (experiments, "build_quadrature"),
+                             (bergman, "transported_basis_vectors")]:
+            monkeypatch.setattr(module, name, refuse)
+        for text in (DENSE_SWEEP.format(1) + "nu_list = 10,20,40\n",
+                     TOEPLITZ_64 + "psi = 0,0,1\nnu_list = 50\n"):
+            report = run_experiment(parse_config(f"experiment = channel-limit\n{text}timing = off\n"))
+            assert [(r.error, r.note) for r in report.rows] == [("", "schur-target")] * len(report.rows)
+
+    def test_non_integer_weight_row(self):
+        # mu = 2.5: the dense row runs, and its error falls as nu grows
+        report = run_experiment(parse_config(
+            "experiment = channel-limit\nnu_list = 10,20,40\ntiming = off\n"
+            + DENSE_SWEEP.format(1).replace("mu = 2", "mu = 2.5")))
+        assert [r.error for r in report.rows] == [""] * 3
+        errors = [r.abs_error for r in report.rows]
+        assert errors[0] > errors[1] > errors[2] > 0.0
 
 
 class TestCli:
@@ -863,7 +992,7 @@ timing = off
             )
         )
         assert all(not r.error for r in rep.rows)
-        assert all(r.note == "quadrature-target" for r in rep.rows)
+        assert all(r.note == "schur-target" for r in rep.rows)
         errs = [r.abs_error for r in rep.rows]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 

@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import berezin_eigenvalue_loggamma
 
+from diskchannels import specfun
+from diskchannels.experiments import parse_config, run_experiment
 from diskchannels.specfun import (
     BLOCK,
     CarriedCumprod,
+    _first_exit,
     _log_gamma_form,
     berezin_eigenvalue,
     channel_constant_sq,
@@ -185,6 +188,38 @@ def first_exit(values):
     size = np.abs(values)
     out = ~((size < 2.0**1000) & ((size >= np.finfo(float).tiny) | (size == 0.0)))
     return int(np.argmax(out)) if out.any() else len(values)
+
+
+class TestFirstExit:
+    @given(values=st.lists(st.sampled_from(
+        [0.0, -0.0, 1.0, -3.0, 2.0**-1030, -(2.0**-1030), 2.0**999, 2.0**1000, math.inf,
+         math.nan]), min_size=3, max_size=12), width=st.integers(1, 3))
+    def test_rows_are_decided_entry_by_entry(self, values, width):
+        # zeros, signs and every way out of the range, on grids of 1-3 columns
+        grid = np.array(values[: len(values) // width * width]).reshape(-1, width)
+        exit_at = first_exit(grid.ravel())
+        assert _first_exit(grid) == (None if exit_at == grid.size else exit_at // width)
+
+    def test_dense_sweep_grids_skip_the_entrywise_test(self, monkeypatch):
+        # the coupling grids' clamped zero factors leave the other products
+        # in range, so no range test of the benchmark's dense-sweep config
+        # (seed 1) falls back to the entry-by-entry test
+        calls = {"tests": 0, "entrywise": 0}
+
+        def counted(name, original):
+            def call(products):
+                calls[name] += 1
+                return original(products)
+            return call
+
+        monkeypatch.setattr(specfun, "_first_exit", counted("tests", specfun._first_exit))
+        monkeypatch.setattr(specfun, "_exit_row", counted("entrywise", specfun._exit_row))
+        report = run_experiment(parse_config(
+            "experiment = channel-limit\nmu = 2\nk = 1\ninput_state = rank-r-random\n"
+            "state_dim = 24\nstate_rank = 3\ntruncation_l = 2048\npsi = 0,0,1\n"
+            "nu_list = 10,20,40\nseed = 1\ntiming = off\n"))
+        assert all(not row.error for row in report.rows)
+        assert calls["tests"] > 0 and calls["entrywise"] == 0, calls
 
 
 class TestCarriedCumprod:
