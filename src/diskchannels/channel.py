@@ -463,21 +463,22 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int, nodes=None):
         acc_m = acc_{m+1} step[p+k-m] + diag[m] ((mu)_m/m!) S(m,n)^2,
         out = r_0 acc_0,
 
-    on the entries p >= m - k where lambda_p(m) can be nonzero: one multiply
-    per entry per degree, and for a nonzero diag[m] the k + 1 term sum of S
-    (:func:`_derivative_sum`, from falling factorials (n)_{k-j}) with its
-    terms scaled by the root of the coefficient, its square and the add or
-    subtract, in one work buffer: five passes at k = 1.  The loop runs on
-    blocks of BLOCK output indices, each with its own tables of step and
-    (n)_{k-j} over the n of every degree and the next block of the carried
-    r_0, so the output is the only array that grows with the cut; every
-    entry goes through the operations it would in one block.
+    on the entries p >= m - k where lambda_p(m) can be nonzero.  A term is
+    the square of the k + 1 term sum of S (:func:`_derivative_sum`, from
+    falling factorials (n)_{k-j}) with coefficients c_j scaled by the root
+    of the degree's coefficient, whose sign picks the add or subtract.  On
+    each block of BLOCK output indices the rows of the degrees are strided
+    windows of 1-D tables of step and (n)_{k-j}: a few whole-table operations
+    form the term rows of a chunk of degrees (at most BLOCK entries), then
+    each degree multiplies its step row into the acc and adds its term row.
+    Only the output grows with the cut, and every entry goes through the
+    operations it would in one block.
 
     Every factor is rational in p, so the recurrence also gives lambda(x) at
     real x.  ``nodes`` (reals at least the top degree, which they all read,
-    for an integer mu: :meth:`_Couplings.r0_at`) run as one more block, whose
-    tables hold the n = x + k - m of each degree; (out, lambda at the nodes)
-    is returned.
+    for an integer mu: :meth:`_Couplings.r0_at`) are more columns of the
+    last block, whose rows continue the integer ones from tables of the
+    n = x + k - m of each degree; (out, lambda at the nodes) is returned.
 
     (mu)_m/m! is never formed: a degree's coefficient is its weight over the
     top degree's, w = prod (m+1)/(mu+m) < 1, carried as a mantissa and a
@@ -495,13 +496,12 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int, nodes=None):
     """
     diag = np.asarray(diag, dtype=float)
     k, mu, nu = params.k, params.mu, params.nu
-    out = np.zeros(cut + 1)
-    at_nodes = None if nodes is None else np.zeros(np.shape(nodes))
+    x = 0 if nodes is None else np.size(nodes)
+    out = np.zeros(cut + 1 + x)  # the values at the nodes follow the output
     support = np.flatnonzero(diag)
     if support.size == 0:
-        return out if nodes is None else (out, at_nodes)
+        return out if nodes is None else (out[: cut + 1], out[cut + 1 :])
     m_top = int(support[-1]) if nodes is not None else min(int(support[-1]), cut + k)
-    terms = _derivative_terms(params)
     # w = ((mu)_m/m!) / ((mu)_{m_top}/m_top!) = w_mant[m] 2**w_exp[m]
     w_mant, w_exp = [0.0] * m_top + [0.5], [0] * m_top + [1]
     for m in range(m_top - 1, -1, -1):
@@ -517,55 +517,73 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int, nodes=None):
             tops.append(m)
             exps.append(w_exp[m])
     bottoms = [top + 1 for top in tops[1:]] + [0]
-    couplings = _Couplings(params)
+    # per group, at row top - m: c_j and the add or subtract of m's term (None without)
+    groups = []
+    for top, bottom, acc_exp in zip(tops, bottoms, exps):
+        m = np.arange(top, bottom - 1, -1)
+        coef = np.ldexp(diag[m] * np.take(w_mant, m), np.take(w_exp, m) - acc_exp)
+        root = np.sqrt(np.abs(coef))
+        c = np.zeros((k + 1, top + 1))
+        c[:, : m.size] = [root * coeff * _falling(m, j) for j, coeff in _derivative_terms(params)]
+        ops = [None if d == 0.0 else np.add if v > 0.0 else np.subtract
+               for d, v in zip(diag[m].tolist(), coef.tolist())] + [None] * bottom
+        groups.append((top, acc_exp, c, ops))
+    couplings, space = _Couplings(params), _Buffers()  # the call's block buffers
     r0 = couplings.r0(cut)
-    work = np.empty(max(min(cut + 1, BLOCK), 0 if nodes is None else at_nodes.size))
-    part = np.empty_like(work) if k > 1 else None  # the terms j = 1..k-1 of S
-    later = np.empty_like(work) if len(tops) > 1 else None  # a later group's acc
+    if x:  # row i of the node tables of step and (n)_{k-j}: n = x + k - m, m = m_top - i
+        n = (np.asarray(nodes, dtype=float) + k) - np.arange(m_top, -1, -1.0)[:, None]
+        at_nodes = [_falling(n, k - j) for j in range(k)]
+        at_nodes, r0_nodes = [np.divide(n, nu + n - 1.0, out=n), *at_nodes], couplings.r0_at(nodes)
 
-    def block_levels(p0, top):
-        """level(m) = (lo, step, (n)_{k-j}, j < k) of out[p0 + lo : p1]."""
-        p1 = min(p0 + BLOCK, cut + 1)
-        n_lo = max(0, p0 + k - top)  # the n = p + k - m of the block
-        n_all = np.arange(n_lo, p1 + k, dtype=float)
-        step = n_all / (nu + n_all - 1.0)
-        fall_n = [_falling(n_all, k - j) for j in range(k)]
-
-        def level(m):
-            lo = max(0, m - k - p0)  # lambda_p(m) = 0 for p < m - k
-            n = slice(p0 + lo + k - m - n_lo, p1 + k - m - n_lo)
-            return lo, step[n], [f[n] for f in fall_n]
-        return level
-
-    def horner(acc, top, bottom, acc_exp, level):
-        """Degrees ``top`` down to 0 on the block acc, adding the terms of
-        the degrees ``top`` down to ``bottom``."""
-        for m in range(top, -1, -1):
-            lo, step, fall_n = level(m)
-            if lo >= acc.size:
-                continue
-            if m < top:
-                acc[lo:] *= step
-            if m < bottom or diag[m] == 0.0:
-                continue
-            # S scaled by the root of the coefficient, so that its square is
-            # the term up to the coefficient's sign
-            coef = math.ldexp(diag[m] * w_mant[m], w_exp[m] - acc_exp)
-            root = math.sqrt(abs(coef))
-            c = [root * coeff * _falling(m, j) for j, coeff in terms]
-            S = work[lo : acc.size]
-            if k:
-                np.multiply(fall_n[0], c[0], out=S)
-                for j in range(1, k):
-                    S += np.multiply(fall_n[j], c[j], out=part[lo : acc.size])
-                S += c[k]
-            else:
-                S.fill(c[0])
-            S *= S
-            if coef > 0.0:
-                acc[lo:] += S
-            else:
-                acc[lo:] -= S
+    def horner(acc, p0, size, top, c, ops):
+        """Degrees ``top`` down to 0 on acc: entries p0 + i, i < size, then nodes."""
+        cols = acc.size
+        # row top - m of a table's window (rows overlap: row r is t[r : r + size])
+        # is at the n of degree m and p = p0..; n < 0 (p < m - k, never read) is 0
+        n = np.maximum(np.arange(p0 + k - top, p0 + size + k, dtype=float), 0.0)
+        fall_n = [_falling(n, k - j) for j in range(k)]
+        np.divide(n, nu + n - 1.0, out=n)  # step
+        step, *fall_n = [np.ndarray((top + 1, size), buffer=t, strides=(8, 8))
+                         for t in [n, *fall_n]]
+        per = max(1, BLOCK // cols)  # degrees per chunk
+        S = space.get("S", (per, cols))
+        at = [t[m_top - top :] for t in at_nodes] if cols > size else None  # row top - m
+        # with a ufunc buffer shorter than a row, numpy broadcasts a column of
+        # one value per row unbuffered: three times as fast on these tables
+        bufsize = np.setbufsize(16)
+        try:
+            for hi in range(top, -1, -per):
+                i0, i1 = top - hi, min(top - hi + per, top + 1)  # rows of degrees hi down
+                steps = step[i0:i1]
+                if cols > size and i1 > 1:  # [integer | node] step rows
+                    steps = np.concatenate((steps, at[0][i0:i1]), 1,
+                                           out=space.get("steps", (per, cols))[: i1 - i0])
+                terms = S[: i1 - i0] if any(ops[i0:i1]) else steps  # else never added
+                if terms is not steps:  # the chunk's term rows
+                    # c_j, as a scalar for one row, which numpy takes faster
+                    cs = c[:, i0] if i1 - i0 == 1 else c[:, i0:i1, None]
+                    if k == 0:
+                        terms[:] = cs[0]
+                    for j in range(k):  # c_j (n)_{k-j}, integer then node columns
+                        part = terms if j == 0 else space.get("part", (per, cols))[: i1 - i0]
+                        np.multiply(fall_n[j][i0:i1], cs[j], out=part[:, :size])
+                        if cols > size:
+                            np.multiply(at[1 + j][i0:i1], cs[j], out=part[:, size:])
+                        if j:
+                            terms += part
+                    if k:
+                        terms += cs[k]
+                    terms *= terms
+                for m, op, srow, trow in zip(range(hi, -1, -1), ops[i0:i1], steps, terms):
+                    row, lo = acc, min(m - k - p0, size)  # lambda_p(m) = 0 for p < m - k
+                    if lo > 0:
+                        row, srow, trow = acc[lo:], srow[lo:], trow[lo:]
+                    if m < top:
+                        row *= srow
+                    if op:
+                        op(row, trow, out=row)
+        finally:
+            np.setbufsize(bufsize)
 
     def finish(acc, acc_exp, r0_mant, r0_exp):
         """acc = r_0 acc 2**acc_exp / w_0, in place."""
@@ -585,28 +603,22 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int, nodes=None):
         expo += shift
         np.ldexp(mant, expo, out=acc)
 
-    def run(block, levels, block_r0):
-        """Every group on the block, given levels(top) and block_r0(size)."""
-        for g, (top, bottom, acc_exp) in enumerate(zip(tops, bottoms, exps)):
-            acc = block if g == 0 else later[: block.size]
+    for p0 in range(0, cut + 1, BLOCK):
+        size = min(BLOCK, cut + 1 - p0)
+        block = out[p0 : p0 + size + (x if p0 + size > cut else 0)]  # the last with the nodes
+        for g, (top, acc_exp, c, ops) in enumerate(groups):
+            acc = block if g == 0 else space.get("later", block.shape)
             if g:
                 acc.fill(0.0)
-            horner(acc, top, bottom, acc_exp, levels(top))
+            horner(acc, p0, size, top, c, ops)
             if g == 0:  # once the first group's tables are freed
-                r0_block = block_r0(block.size)
-            finish(acc, acc_exp, *r0_block)
+                r0_block = r0.take(size)
+            finish(acc[:size], acc_exp, *r0_block)
+            if block.size > size:
+                finish(acc[size:], acc_exp, r0_nodes, None)
             if g:
                 block += acc
-
-    for p0 in range(0, cut + 1, BLOCK):
-        run(out[p0 : p0 + BLOCK], lambda top: block_levels(p0, top), r0.take)
-    if nodes is not None:
-        # row m of each node table is at the n = x + k - m of degree m
-        n = (np.asarray(nodes, dtype=float) + k) - np.arange(m_top + 1.0)[:, None]
-        step, *fall_n = [n / (nu + n - 1.0)] + [_falling(n, k - j) for j in range(k)]
-        run(at_nodes, lambda top: lambda m: (0, step[m], [f[m] for f in fall_n]),
-            lambda size: (couplings.r0_at(nodes), None))
-    return out if nodes is None else (out, at_nodes)
+    return out if nodes is None else (out[: cut + 1], out[cut + 1 :])
 
 
 # A degree whose weight falls more than this many binary places below its

@@ -10,6 +10,7 @@ fails (the report is still written) or the command line is malformed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .experiments import (
@@ -21,6 +22,7 @@ from .experiments import (
 )
 
 
+@functools.cache  # built by the first main call, kept for the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diskchannels",

@@ -6,8 +6,8 @@ readings of the channel's coupling terms (:func:`projection_coefficients`,
 :func:`pk_star_vector`), which the tests check against identities that the
 library's own routes do not use, and the whole-grid and sequential
 readings of the library's own kernels (:func:`weight_grid`,
-:func:`chain_weight_sums`), which its blocked and chunked routes must
-reproduce.
+:func:`chain_weight_sums`, :func:`output_spectrum_per_degree`), which its
+blocked and chunked routes must reproduce.
 """
 
 import math
@@ -22,9 +22,15 @@ from diskchannels.bergman import (
     scaled_basis_values,
     transported_basis_vectors,
 )
-from diskchannels.channel import _Couplings, _derivative_sum
+from diskchannels.channel import (
+    _TERM_BITS,
+    _Couplings,
+    _derivative_sum,
+    _derivative_terms,
+    _falling,
+)
 from diskchannels.disk import gauss_jacobi, transporter_coefficients
-from diskchannels.specfun import berezin_eigenvalue, channel_constant_sq
+from diskchannels.specfun import BLOCK, berezin_eigenvalue, channel_constant_sq
 from diskchannels.spectral import _chain_sums, _graded_angles, eigenfunction
 
 
@@ -210,6 +216,128 @@ def chain_weight_sums(nus, radial, angular):
         angular_block[...] = angular[:, lo:hi]
 
     return _chain_sums(nus, len(radial), radial.shape[1], copy)
+
+
+def output_spectrum_per_degree(params, diag, cut, nodes=None):
+    """:func:`diskchannels.channel.diagonal_output_spectrum` by its
+    per-degree Horner loop: on each block of BLOCK output indices, every
+    degree reads its slices of the block's tables and forms its own term
+    where it adds it, and the nodes run as one more pass over every degree.
+    The library's chunked table loop must give the same bits."""
+    diag = np.asarray(diag, dtype=float)
+    k, mu, nu = params.k, params.mu, params.nu
+    out = np.zeros(cut + 1)
+    at_nodes = None if nodes is None else np.zeros(np.shape(nodes))
+    support = np.flatnonzero(diag)
+    if support.size == 0:
+        return out if nodes is None else (out, at_nodes)
+    m_top = int(support[-1]) if nodes is not None else min(int(support[-1]), cut + k)
+    terms = _derivative_terms(params)
+    # w = ((mu)_m/m!) / ((mu)_{m_top}/m_top!) = w_mant[m] 2**w_exp[m]
+    w_mant, w_exp = [0.0] * m_top + [0.5], [0] * m_top + [1]
+    for m in range(m_top - 1, -1, -1):
+        w_mant[m], e = math.frexp(w_mant[m + 1] * ((m + 1.0) / (mu + m)))
+        w_exp[m] = w_exp[m + 1] + e
+    # the groups' top degrees and binary exponents e, from the top down: a
+    # group's true acc, in units of (mu)_{m_top}/m_top!, is the stored one
+    # times 2**e, e = 0 for the first group and the exponent of its top's w
+    # for the others
+    tops, exps = [m_top], [0]
+    for m in support[support <= m_top][::-1].tolist():
+        if w_exp[m] - exps[-1] < -_TERM_BITS:
+            tops.append(m)
+            exps.append(w_exp[m])
+    bottoms = [top + 1 for top in tops[1:]] + [0]
+    couplings = _Couplings(params)
+    r0 = couplings.r0(cut)
+    work = np.empty(max(min(cut + 1, BLOCK), 0 if nodes is None else at_nodes.size))
+    part = np.empty_like(work) if k > 1 else None  # the terms j = 1..k-1 of S
+    later = np.empty_like(work) if len(tops) > 1 else None  # a later group's acc
+
+    def block_levels(p0, top):
+        """level(m) = (lo, step, (n)_{k-j}, j < k) of out[p0 + lo : p1]."""
+        p1 = min(p0 + BLOCK, cut + 1)
+        n_lo = max(0, p0 + k - top)  # the n = p + k - m of the block
+        n_all = np.arange(n_lo, p1 + k, dtype=float)
+        step = n_all / (nu + n_all - 1.0)
+        fall_n = [_falling(n_all, k - j) for j in range(k)]
+
+        def level(m):
+            lo = max(0, m - k - p0)  # lambda_p(m) = 0 for p < m - k
+            n = slice(p0 + lo + k - m - n_lo, p1 + k - m - n_lo)
+            return lo, step[n], [f[n] for f in fall_n]
+        return level
+
+    def horner(acc, top, bottom, acc_exp, level):
+        """Degrees ``top`` down to 0 on the block acc, adding the terms of
+        the degrees ``top`` down to ``bottom``."""
+        for m in range(top, -1, -1):
+            lo, step, fall_n = level(m)
+            if lo >= acc.size:
+                continue
+            if m < top:
+                acc[lo:] *= step
+            if m < bottom or diag[m] == 0.0:
+                continue
+            # S scaled by the root of the coefficient, so that its square is
+            # the term up to the coefficient's sign
+            coef = math.ldexp(diag[m] * w_mant[m], w_exp[m] - acc_exp)
+            root = math.sqrt(abs(coef))
+            c = [root * coeff * _falling(m, j) for j, coeff in terms]
+            S = work[lo : acc.size]
+            if k:
+                np.multiply(fall_n[0], c[0], out=S)
+                for j in range(1, k):
+                    S += np.multiply(fall_n[j], c[j], out=part[lo : acc.size])
+                S += c[k]
+            else:
+                S.fill(c[0])
+            S *= S
+            if coef > 0.0:
+                acc[lo:] += S
+            else:
+                acc[lo:] -= S
+
+    def finish(acc, acc_exp, r0_mant, r0_exp):
+        """acc = r_0 acc 2**acc_exp / w_0, in place."""
+        shift = acc_exp - w_exp[0]
+        if r0_exp is None and abs(shift) <= 64:
+            # an entry whose product r_0 acc is subnormal is below 2**-957
+            acc *= r0_mant
+            acc *= math.ldexp(1.0 / w_mant[0], shift)
+            return
+        # the mantissas are multiplied and the binary exponents of acc, r_0
+        # and w_0 added exactly
+        mant, expo = np.frexp(acc)
+        mant *= r0_mant
+        mant *= 1.0 / w_mant[0]
+        if r0_exp is not None:
+            expo += r0_exp
+        expo += shift
+        np.ldexp(mant, expo, out=acc)
+
+    def run(block, levels, block_r0):
+        """Every group on the block, given levels(top) and block_r0(size)."""
+        for g, (top, bottom, acc_exp) in enumerate(zip(tops, bottoms, exps)):
+            acc = block if g == 0 else later[: block.size]
+            if g:
+                acc.fill(0.0)
+            horner(acc, top, bottom, acc_exp, levels(top))
+            if g == 0:  # once the first group's tables are freed
+                r0_block = block_r0(block.size)
+            finish(acc, acc_exp, *r0_block)
+            if g:
+                block += acc
+
+    for p0 in range(0, cut + 1, BLOCK):
+        run(out[p0 : p0 + BLOCK], lambda top: block_levels(p0, top), r0.take)
+    if nodes is not None:
+        # row m of each node table is at the n = x + k - m of degree m
+        n = (np.asarray(nodes, dtype=float) + k) - np.arange(m_top + 1.0)[:, None]
+        step, *fall_n = [n / (nu + n - 1.0)] + [_falling(n, k - j) for j in range(k)]
+        run(at_nodes, lambda top: lambda m: (0, step[m], [f[m] for f in fall_n]),
+            lambda size: (couplings.r0_at(nodes), None))
+    return out if nodes is None else (out, at_nodes)
 
 
 def _rising(x, j):

@@ -19,6 +19,7 @@ from oracles import (
     covariant_symbol_oracle,
     gammaform_eigenvalue_oracle,
     lowest_state,
+    output_spectrum_per_degree,
     pk_star_vector,
     projection_coefficients,
     projection_integral_oracle,
@@ -44,7 +45,14 @@ from diskchannels.channel import (
     response_tail_bound,
     sqrt_series_coefficients,
 )
-from diskchannels.experiments import _random_state, _row_channel_limit, parse_config
+from diskchannels.experiments import (
+    _GREGORY,
+    _input_state,
+    _random_state,
+    _rest_rules,
+    _row_channel_limit,
+    parse_config,
+)
 from diskchannels.specfun import (
     BLOCK,
     CarriedCumprod,
@@ -521,6 +529,19 @@ def digest(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
+def runner_row_call(state: str, nu: int):
+    """The arguments of a diagonal channel-limit row's diagonal_output_spectrum
+    call (mu = 2, k = 1) for the degree-64 toeplitz state or the lowest state."""
+    keys = {"toeplitz": "input_state = toeplitz\nf = radial:0,0,1\ntruncation_n = 64\n",
+            "lowest": "input_state = lowest\n"}[state]
+    cfg = parse_config(f"experiment = channel-limit\nmu = 2\nk = 1\nnu_list = {nu}\n" + keys)
+    A = _input_state(cfg)
+    cut = max(2 * nu, 64, 2 * (A.degree + cfg.k))
+    u = _rest_rules()[0]
+    return (ChannelParams(cfg.mu, float(nu), cfg.k, output_degree=cut), np.real(np.diag(A.matrix)),
+            cut + len(_GREGORY) - 1, cut + (nu + cut) * (1.0 / u - 1.0))
+
+
 def band_input(hermitian: bool):
     """A degree-6 input at cut 3 BLOCK + 5: Hermitian with every offset, or
     general with offsets -4..2 and different weights."""
@@ -568,6 +589,28 @@ class TestStreamedRows:
         diag[[0, 300]] = 1.0
         out = diagonal_output_spectrum(ChannelParams(1000, 5, 1), diag, CUT_3_BLOCKS)
         assert digest(out) == "ce716c39dce31917"
+
+    @pytest.mark.parametrize("state,nu,expected", [
+        ("toeplitz", 50, ("b632d1cb04875fbf", "03f52a4961aadd5c")),
+        ("toeplitz", 800, ("ff7afba604d9a882", "474743c7a9352438")),
+        ("lowest", 50, ("8ada562a221b0bd6", "76e8ced10eddc8a2")),
+        ("lowest", 800, ("21ef61eb00c69285", "5cbbdc7758f6cb35")),
+    ])
+    def test_output_spectrum_bits_at_the_rest_nodes(self, state, nu, expected):
+        # the runner's diagonal rows: the spectrum to the cut plus Gregory's
+        # ends, and lambda at the rules' nodes past it
+        out, at_nodes = diagonal_output_spectrum(*runner_row_call(state, nu))
+        assert (digest(out), digest(at_nodes)) == expected
+
+    def test_output_spectrum_bits_at_nodes_across_a_rescale(self):
+        # degree 0's weight is 2^-921 of degree 4000's: two groups, each
+        # with the node columns on the last of four blocks
+        diag = np.zeros(4001)
+        diag[[0, 4000]] = 1.0
+        nodes = 4000.25 + 1.5 * np.arange(112)
+        params = ChannelParams(150, 5, 1)
+        out, at_nodes = diagonal_output_spectrum(params, diag, CUT_3_BLOCKS, nodes)
+        assert (digest(out), digest(at_nodes)) == ("b28650d6cc4e8435", "0e74a27975d78c47")
 
     @pytest.mark.parametrize("coeffs,nu,scaled,expected", [
         ([0, 0, 1], 2.0, False, "ea5d6910fcadfb27"),
@@ -840,6 +883,33 @@ def coupling_cases(draw):
     return params, m, p
 
 
+@st.composite
+def output_spectrum_cases(draw):
+    """(params, diag, cut, nodes, block): a diagonal input with signed
+    entries and zeros, of one group of degrees or of far-apart degrees at
+    mu = 1000 in two or more; nodes past the top degree for an integer mu."""
+    k, rng = draw(st.integers(0, 3)), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    far = draw(st.booleans())
+    if far:
+        mu, nu = 1000, draw(st.sampled_from([5.0, 40.0]))
+        degrees = draw(st.sampled_from([[0, 300], [0, 1, 299, 300], [0, 1000, 2000, 3000]]))
+        diag = np.zeros(degrees[-1] + 1)
+        diag[degrees] = rng.normal(size=len(degrees))
+    else:
+        mu = draw(st.sampled_from([2, 3, 2.5, 3.5]))
+        nu = draw(st.sampled_from([2.0, 3.5, 40.0, 800.0]))
+        size = draw(st.integers(1, 40))
+        diag = rng.normal(size=size) * (rng.random(size) < 0.6)
+    cut = draw(st.one_of(st.integers(0, 300),
+                         st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, CUT_3_BLOCKS])))
+    nodes = None
+    if float(mu).is_integer() and draw(st.booleans()):
+        top = int(np.flatnonzero(diag)[-1]) if np.any(diag) else 0
+        nodes = top + rng.random(draw(st.sampled_from([1, 5, 112]))) * (cut + 10.0)
+    block = BLOCK if far or cut > 300 else draw(st.sampled_from([7, 64, BLOCK]))
+    return ChannelParams(mu, nu, k), diag, cut, nodes, block
+
+
 class TestCouplingKernel:
     @given(case=coupling_cases())
     @settings(max_examples=120, deadline=None)
@@ -946,6 +1016,42 @@ class TestCouplingKernel:
             finally:
                 tracemalloc.stop()
             assert peak <= 8 * (cut + 1) + 8 * 8 * (BLOCK + 64) + 2**16
+
+    def test_output_spectrum_memory_with_the_rest_nodes(self):
+        # the runner's 112 rest nodes are more columns of the last block:
+        # the bound above plus the node tables, a row of step and of each
+        # (n)_{k-j} per degree
+        cut = 400_000
+        diag = toeplitz_diagonal(radial_poly([0.0, 0.0, 1.0]), 2.0, 64)
+        params = ChannelParams(2, 800.0, 1)
+        u = _rest_rules()[0]
+        nodes = cut + (800.0 + cut) * (1.0 / u - 1.0)
+        tracemalloc.start()
+        try:
+            diagonal_output_spectrum(params, diag, cut, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        node_tables = diag.size * nodes.size * (params.k + 1) * 8
+        assert peak <= 8 * (cut + 1) + 8 * 8 * (BLOCK + 64) + 2**16 + node_tables
+
+    @given(case=output_spectrum_cases())
+    @settings(max_examples=60, deadline=None)
+    # four groups of degrees, k = 2 and 112 nodes on the last of four blocks
+    @example(case=(ChannelParams(1000, 5.0, 2), np.bincount([0, 1000, 2000, 3000]) * -0.5,
+                   CUT_3_BLOCKS, 3000.5 + 40.0 * np.arange(112), BLOCK))
+    def test_output_spectrum_is_the_per_degree_loop(self, case):
+        # the chunked table loop against the per-degree Horner loop, bit for
+        # bit, at the library's BLOCK or, for short inputs, at blocks and
+        # chunks of a few entries
+        params, diag, cut, nodes, block = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(channel, "BLOCK", block)
+            got = diagonal_output_spectrum(params, diag, cut, nodes)
+        ref = output_spectrum_per_degree(params, diag, cut, nodes)
+        if nodes is None:
+            got, ref = (got,), (ref,)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
     @pytest.mark.parametrize(
         "mu,nu,k,diag",

@@ -21,7 +21,7 @@ from oracles import (
     random_psd,
 )
 
-from diskchannels import bergman, experiments, specfun
+from diskchannels import bergman, cli, experiments, specfun
 from diskchannels.channel import (
     ChannelParams,
     diagonal_output_spectrum,
@@ -931,6 +931,28 @@ class TestCli:
         report = json.loads(Path(out).read_text())
         assert report["config"]["seed"] == 3
         assert [row["nu"] for row in report["rows"]] == [2, 3]
+
+    def test_parser_is_built_once_per_process(self, tmp_path):
+        cfg = self._write(tmp_path, "experiment = constants\nnu_list = 2\ntiming = off\n")
+        cli.build_parser.cache_clear()
+        assert cli_main(["constants", "--config", cfg]) == 0
+        assert cli_main(["constants", "--config", cfg, "--seed", "2"]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_exit_codes_from_the_kept_parser(self, tmp_path, capsys):
+        # a usage error exits with 2 and a config error returns 1, each time
+        # from the parser that the first call built
+        good = self._write(tmp_path, "experiment = constants\nnu_list = 2\ntiming = off\n")
+        bad = self._write(tmp_path, "experiment = constants\nnu_list = 2\nbogus = 1\n", "bad.txt")
+        cli.build_parser.cache_clear()
+        assert cli_main(["constants", "--config", good]) == 0
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["constants"])
+            assert exc.value.code == 2
+            assert cli_main(["constants", "--config", bad]) == 1
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_missing_config_file(self, tmp_path):
         assert cli_main(["constants", "--config", str(tmp_path / "nope.txt")]) == 1
