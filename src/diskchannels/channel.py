@@ -214,10 +214,9 @@ class _Couplings:
     table built whole; the cumprod along m leaves the range at the first m
     where a product of its block of p does, so only such a grid can round
     differently from one built whole.
-    :func:`diagonal_output_spectrum` reads the same r_0 and step and runs the
-    recurrence as Horner's rule in m.  r_m[p] is within (4p + 3.5m + 7k)
-    eps relative of exact, one eps more there (derived at the trace-tail
-    allowance of ``experiments._row_channel_limit``).
+    :func:`diagonal_output_spectrum` runs the recurrence as Horner's rule in
+    m.  r_m[p] is within (4p + 4m + 7k) eps relative of exact, or 7m where
+    mu + j rounds (derived at ``experiments._row_channel_limit``).
     """
 
     def __init__(self, params: ChannelParams):
@@ -244,31 +243,34 @@ class _Couplings:
                          + [(nu + mu + k + i) / (x + 1.0 + i) for i in range(k)], start=self.c2)
 
     def terms(self, ps, ms, r0, space=None, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """(S, r) on the grid of output indices ``ps`` (rows) by input
-        degrees ``ms`` (columns), given ``r0`` = r_0 at ``ps`` as (mantissa,
-        exponent): r = r_m[p], and S = 0 unless m, n >= 0.  S is written
-        into ``out`` if given; the grid's other arrays are buffers of
-        ``space`` (a :class:`_Buffers`, fresh ones if None), so S and r hold
-        until its next use."""
+        """(S, r) on the grid of ascending output indices ``ps`` (rows) by
+        input degrees ``ms`` (columns), given ``r0`` = r_0 at ``ps`` as
+        (mantissa, exponent): r = r_m[p], and S = 0 unless m, n >= 0.  S is
+        written into ``out`` if given; the grid's other arrays are buffers
+        of ``space`` (a :class:`_Buffers`, fresh ones if None), so S and r
+        hold until its next use."""
         space = _Buffers() if space is None else space
         k, nu, mu = self.params.k, self.params.nu, self.params.mu
         ps, ms = np.asarray(ps, dtype=float), np.asarray(ms)
         n = space.get("n", (ps.size, ms.size))
         np.subtract(ps[:, None] + k, ms, out=n)
-        invalid = np.less(n, 0.0, out=space.get("invalid", n.shape, bool))
+        # n < 0 only on the rows p < max(m) - k, the leading ones (or m < 0)
+        top = int(ms.max(initial=0))
+        lead = ps.size if ms.min(initial=0) < 0 else int(np.searchsorted(ps, top - k))
+        invalid = np.less(n[:lead], 0.0, out=space.get("invalid", (lead, ms.size), bool))
         invalid |= ms < 0
-        np.copyto(n, 0.0, where=invalid)
+        np.copyto(n[:lead], 0.0, where=invalid)
         S = _derivative_sum(self.params, ms, n, space, out)
-        np.copyto(S, 0.0, where=invalid)
+        np.copyto(S[:lead], 0.0, where=invalid)
         # the recurrence runs down m, one row per m: row m multiplies
         # step[n + 1] (mu+m-1)/m; a step to n < 0 reads step[0] = 0, and the
         # weight there is 0 anyway.  S's two work arrays are free again: they
         # take the factors and their denominators, then the table
-        j = np.arange(1, max(int(ms.max(initial=0)), 0) + 1)[:, None]
+        j = np.arange(1, max(top, 0) + 1)[:, None]
         factors = space.get("fall", (j.size, ps.size))
         np.subtract(ps + (k + 1), j, out=factors)
-        t = np.maximum(factors, 0.0, out=factors)  # n + 1
-        den = np.add(t, nu, out=space.get("shift", t.shape))
+        np.maximum(factors[:, :lead], 0.0, out=factors[:, :lead])  # n + 1, on p's columns
+        den = np.add(factors, nu, out=space.get("shift", factors.shape))
         den -= 1.0
         factors /= den
         factors *= (mu + j - 1.0) / j
@@ -326,36 +328,37 @@ def _block_bounds(n: int, b: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], n]))
 
 
-def _channel_blocks(A: TruncatedOperator, params: ChannelParams):
-    """(bandwidth, blocks) of T(A): ``blocks`` yields (t0, t1, bands) for
-    the blocks of band-storage indices t of :func:`_block_bounds`, with
-    bands[off] the entries t0 <= t < t1 of band off (fewer where it ends).
+def _offset_plan(A: TruncatedOperator, m_top: int) -> list:
+    """(off, m_lo, m_hi, pairs) per offset off = m - m' = p - q of A's nonzero
+    entries with degrees at most ``m_top``, min(degree, L + k): the entries
+    A[m - off, m], m_lo <= m <= m_hi, as (re, im) rows."""
+    nz_rows, nz_cols = np.nonzero(np.abs(A.matrix) > 0)
+    offsets = np.unique(nz_cols - nz_rows)
+    offsets = offsets[offsets >= 0] if A.hermitian else offsets  # the lower triangle mirrors
+    spans = [(off, max(0, off), min(m_top, m_top + off)) for off in offsets.tolist()]
+    diags = [A.matrix[np.arange(lo, hi + 1) - off, np.arange(lo, hi + 1)] for off, lo, hi in spans]
+    return [(*span, d.view(float).reshape(-1, 2)) for span, d in zip(spans, diags) if np.any(d)]
+
+
+def _channel_blocks(A: TruncatedOperator, params: ChannelParams, plan=None):
+    """(bandwidth, blocks) of T(A), given A's :func:`_offset_plan` at its
+    degree if at hand: ``blocks`` yields (t0, t1, bands) for the blocks of
+    band-storage indices t of :func:`_block_bounds`, with bands[off] the
+    entries t0 <= t < t1 of band off (fewer where it ends).
 
     Entry (q, p) of the output is sum_m V[p, m] A[m - (p-q), m] V[q, m - (p-q)];
     band off = p - q stores it at t = min(p, q), so a block reads the weight
     rows [t0, t1 + b), b the bandwidth: the rows of the block before it past
-    t1, kept, and the new rows, whose r_0 continues the carried table.
+    t1, kept, and the new rows, whose r_0 continues the carried table.  A band
+    is one real product of the weights' products with A's (re, im) columns.
     """
     if A.weight != params.mu:
-        raise ValueError(
-            f"operator lives at weight {A.weight}, channel expects mu={params.mu}"
-        )
+        raise ValueError(f"operator lives at weight {A.weight}, channel expects mu={params.mu}")
     L = params.default_output_degree()
     m_top = min(A.degree, L + params.k)
-    nz_rows, nz_cols = np.nonzero(np.abs(A.matrix) > 0)
-    offsets = np.unique(nz_cols - nz_rows)  # off = m - m' = p - q
-    if A.hermitian:
-        offsets = offsets[offsets >= 0]  # the lower triangle is the mirror
-    plan = []
-    for off in offsets.tolist():
-        # both m and m - off stay on the grid (m_top <= d)
-        m_lo, m_hi = max(0, off), min(m_top, m_top + off)
-        if m_lo > m_hi or abs(off) > L:
-            continue
-        ms = np.arange(m_lo, m_hi + 1)
-        diag = A.matrix[ms - off, ms]  # entries with m - m' = off
-        if np.any(np.abs(diag) > 0):
-            plan.append((off, m_lo, m_hi, diag))
+    if plan is None or m_top < A.degree:
+        plan = _offset_plan(A, m_top)
+    plan = [entry for entry in plan if abs(entry[0]) <= L]
     b = max((abs(off) for off, *_ in plan), default=0)
 
     def blocks():
@@ -364,14 +367,12 @@ def _channel_blocks(A: TruncatedOperator, params: ChannelParams):
         ms = np.arange(m_top + 1)
         bounds = _block_bounds(L + 1, b)
         # the weight rows [t0, t1 + b) of the longest block, and the products
-        # of two of their column ranges, complex as A's entries are, of which
-        # only the real parts are written
+        # of two of their column ranges
         space = _thread_buffers()
         M = m_top + 1
         V = space.get("V", (max(min(t1 + b, L + 1) - t0 for t0, t1 in bounds), M))
         flat = V.reshape(-1)
-        prod = space.get("prod", (V.size,), complex)
-        prod.imag = 0.0
+        prod = space.get("prod", (V.size,))
         v_lo = v_hi = 0  # V[: v_hi - v_lo] holds the weight rows [v_lo, v_hi)
         for t0, t1 in bounds:
             hi = min(t1 + b, L + 1)
@@ -382,7 +383,7 @@ def _channel_blocks(A: TruncatedOperator, params: ChannelParams):
                                   out=V[keep : hi - t0], space=space)
             v_lo, v_hi = t0, hi
             bands = {}
-            for off, m_lo, m_hi, diag in plan:
+            for off, m_lo, m_hi, pairs in plan:
                 size = min(t1, L + 1 - abs(off)) - t0
                 if size > 0:
                     # V[p, m] V[q, m - off] at rows p = t + off, q = t for
@@ -391,8 +392,9 @@ def _channel_blocks(A: TruncatedOperator, params: ChannelParams):
                     # read back as rows of M with the first m_hi - m_lo + 1 used
                     width, shift = m_hi - m_lo + 1, abs(off) * (M + 1)
                     count = (size - 1) * M + width
-                    np.multiply(flat[:count], flat[shift : shift + count], out=prod.real[:count])
-                    bands[off] = prod[: size * M].reshape(size, M)[:, :width] @ diag
+                    np.multiply(flat[:count], flat[shift : shift + count], out=prod[:count])
+                    band = prod[: size * M].reshape(size, M)[:, :width] @ pairs
+                    bands[off] = band.view(complex)[:, 0]
             yield t0, t1, bands
 
     return b, blocks() if plan else iter(())
@@ -421,13 +423,24 @@ def apply_channel(A: TruncatedOperator, params: ChannelParams) -> BandedOperator
     return BandedOperator(params.target_weight, L, bands, hermitian=A.hermitian)
 
 
-def _channel_trace(A: TruncatedOperator, params: ChannelParams, psi) -> float | complex:
+def _channel_trace(A: TruncatedOperator, params: ChannelParams, psi, plan=None, captured=False):
     """sum_j a_j Tr T(A)^j: :func:`banded_trace` of :func:`apply_channel`
     (bit for bit unless T(A) is diagonal), with T(A)'s bands read a block of
-    output indices at a time, so its memory does not grow with the cut."""
+    output indices at a time, so its memory does not grow with the cut; with
+    ``captured``, (that, (sum_t Re B_tt, sum_t t Re B_tt))."""
     psi = _check_psi(psi)
-    b, blocks = _channel_blocks(A, params)
-    return _blocks_trace(blocks, params.default_output_degree() + 1, b, A.hermitian, psi)
+    b, blocks = _channel_blocks(A, params, plan)
+    sums = [0.0, 0.0]
+
+    def counted():
+        for t0, t1, bands in blocks:
+            diag = bands.get(0, np.zeros(0)).real  # band 0 of a Hermitian B is real
+            sums[0] += float(np.sum(diag))
+            sums[1] += float(diag @ np.arange(t0, t0 + diag.size, dtype=float))
+            yield t0, t1, bands
+
+    trace = _blocks_trace(counted(), params.default_output_degree() + 1, b, A.hermitian, psi)
+    return (trace, tuple(sums)) if captured else trace
 
 
 def diagonal_response(params: ChannelParams, m: int, p) -> np.ndarray:
@@ -518,15 +531,20 @@ def diagonal_output_spectrum(params: ChannelParams, diag, cut: int, nodes=None):
             exps.append(w_exp[m])
     bottoms = [top + 1 for top in tops[1:]] + [0]
     # per group, at row top - m: c_j and the add or subtract of m's term (None without)
-    groups = []
+    groups, derivs = [], _derivative_terms(params)
     for top, bottom, acc_exp in zip(tops, bottoms, exps):
-        m = np.arange(top, bottom - 1, -1)
-        coef = np.ldexp(diag[m] * np.take(w_mant, m), np.take(w_exp, m) - acc_exp)
-        root = np.sqrt(np.abs(coef))
+        if top == bottom:  # one degree: the same operations on scalars, which numpy takes slower
+            coef = math.ldexp(diag[top] * w_mant[top], w_exp[top] - acc_exp)
+            m, root, signs = float(top), math.sqrt(abs(coef)), [(diag[top], coef)]
+        else:
+            m = np.arange(top, bottom - 1, -1)
+            coef = np.ldexp(diag[m] * np.take(w_mant, m), np.take(w_exp, m) - acc_exp)
+            root, signs = np.sqrt(np.abs(coef)), zip(diag[m].tolist(), coef.tolist())
         c = np.zeros((k + 1, top + 1))
-        c[:, : m.size] = [root * coeff * _falling(m, j) for j, coeff in _derivative_terms(params)]
+        parts = [root * coeff * _falling(m, j) for j, coeff in derivs]
+        c[:, : top + 1 - bottom] = np.reshape(parts, (k + 1, -1))
         ops = [None if d == 0.0 else np.add if v > 0.0 else np.subtract
-               for d, v in zip(diag[m].tolist(), coef.tolist())] + [None] * bottom
+               for d, v in signs] + [None] * bottom
         groups.append((top, acc_exp, c, ops))
     couplings, space = _Couplings(params), _Buffers()  # the call's block buffers
     r0 = couplings.r0(cut)

@@ -27,6 +27,7 @@ from .channel import (
     _abs_sum_trace,
     _Couplings,
     _channel_trace,
+    _offset_plan,
     diagonal_output_spectrum,
     isometry_weights,
     power_sum,
@@ -468,48 +469,49 @@ def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
         rest_check = float(np.sum(psi_nodes[n0:]) + upto[-1][0])
         rest_trace = float(weight[:n0] @ lam[:n0] + upto[-2][1])
         measured = (power_sum(cfg.psi, captured) + rest_psi) / nu
+        count, captured_sum = cut, float(np.sum(captured))
+        moment = float(captured @ np.arange(captured.size + 0.0))
     else:
-        captured = diagonal_output_spectrum(params, diag_in, cut)
-        # sum_j a_j Tr T(A)^j from the bands, a block at a time: the sum of
-        # psi over the spectrum
-        measured = _channel_trace(state, params, cfg.psi) / nu
+        # Tr psi(T(A)) from the bands, a block at a time, and band 0's sums
+        plan = context[2] if len(context) > 2 else None  # the run's, built once
+        value, (captured_sum, moment) = _channel_trace(state, params, cfg.psi, plan, True)
+        measured, count = value / nu, cut + 1
     # Tr T(A) = trace_factor Tr A, so the captured sum (p <= c) drops that
     # minus itself; |psi(x)| <= (sum_j |a_j|) x on [0, 1] bounds psi's share.
-    # Rounding of the captured sum, whose entries diagonal_output_spectrum forms
-    # as lambda_p(m) = S^2 r_m[p] from products over consecutive integers, each
-    # factor a few roundings (units of eps, first order):
+    # Rounding of the captured sum, of entries lambda_p = sum_m A[m,m] S^2
+    # r_m[p] from products over consecutive integers (eps, first order):
     # - r_0[p]: C^2 (nu)_k/k! as a product of k factors of three (7k), then p
     #   cumprod steps of four roundings, (1+p)(nu+k+p)/((s+p)(k+1+p)) and the
     #   multiply, plus the rounded parameters nu + k and s (4p).
-    # - r_m[p]: Horner's rule multiplies degree m's term by the m steps
-    #   n/(nu + n - 1) of the levels below it (2m).  Its weight (mu)_m/m! is
-    #   w_m/w_0, running products of the ratios (m+1)/(mu+m) that carry a
-    #   binary exponent; w_0 continues the product from w_m, so the quotient
-    #   holds only the m factors below m (1.5m), and 1/w_0 is formed and
-    #   multiplied once (1).  As m < dim, r_m[p] is within
-    #   (4p + 3.5 dim + 7k + 1) eps relative.
     # - S: k + 1 terms of alternating sign whose coefficients are short
     #   products, off by gamma T with gamma = (2k + 2) eps, T the sum of the
     #   terms' absolute values.  Near a zero of S that is not relative to
     #   lambda (toeplitz input, nu = 800, m = 63: lambda = 0 at p = 25,262),
     #   but the entry is off by at most 3 gamma r T^2, whose sum over every p
     #   _abs_sum_trace gives exactly.
-    # - an entry's products: the coefficient diag[m] w_m, its square root
-    #   (half the coefficient's rounding plus its own, twice in the square),
-    #   the root times the k + 1 coefficients of S (twice in the square), the
-    #   square and the multiply by r_0: at most 8 roundings (4).  The sums: a
-    #   term is added at each level from its degree down to 0, at most dim
-    #   adds of nonnegative terms, then summed over p <= c, the last captured
-    #   index: (c + 2 dim + 8) eps trace_factor Tr A.  With r_m[p] that is 4p
-    #   per entry plus (c + 5.5 dim + 7k + 9), within the (c + 6 dim + 7k + 12)
-    #   below.
+    # - diagonal input (integer mu, diagonal_output_spectrum): Horner's steps
+    #   n/(nu + n - 1) (2m), the weight (mu)_m/m! = w_m/w_0 of running ratios
+    #   (m+1)/(mu+m) (1.5m) and 1/w_0 (1); the coefficient A[m,m] w_m, its
+    #   root, the root times S's coefficients, the square and the multiply by
+    #   r_0 (8, a rounding before the square counted twice); the adds at the
+    #   levels below the degree (dim).
+    # - dense input (band 0 of _channel_blocks): the m steps
+    #   (t/(t + nu - 1)) ((mu + j - 1)/j), t = n + 1, of r_m's cumprod (4m;
+    #   7m where mu + j rounds, as for a mu outside Z/2, the - 1 at most
+    #   doubling that as mu + j - 1 > j); the weight S r^{1/2} (the root and
+    #   the multiply, twice), its square and the multiply by A[m,m] (6); the
+    #   sum over m (dim - 1).
+    # With the sum over p (c) and trace_factor Tr A (dim + 1, or dim + 5),
+    # that is 4 sum_p p lambda_p plus (c + 5.5 dim + 7k + 10), (c + 6 dim +
+    # 7k + 2) or (c + 9 dim + 7k + 3) times the total, within the bounds below.
     total = params.trace_factor * float(np.sum(diag_in))
+    per_degree = 6 if (2 * cfg.mu).is_integer() else 9
     rounding = np.finfo(float).eps * (
-        4 * float(captured @ np.arange(captured.size + 0.0))
-        + (captured.size - 1 + 6 * diag_in.size + 7 * cfg.k + 12) * total
+        4 * moment
+        + (count - 1 + per_degree * diag_in.size + 7 * cfg.k + 12) * total
         + 3 * (2 * cfg.k + 2) * _abs_sum_trace(params, diag_in)
     )
-    dropped = total - float(np.sum(captured))
+    dropped = total - captured_sum
     psi_slope = sum(abs(a) for a in cfg.psi[1:])
     if diagonal:
         tail = psi_slope * (abs(rest_trace - dropped) + rounding) + abs(rest_psi - rest_check)
@@ -638,11 +640,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     context = None
     if config.experiment == "channel-limit":
-        # the input, its limit target and, for a diagonal input, the rules
-        # on [0, 1] of its continued rest are shared by every row
+        # the input, its limit target and the rules on [0, 1] of a diagonal
+        # input's continued rest, or a dense one's offset plan, serve every row
         state = _input_state(config)
         context = (state, _husimi_target(config, state),
-                   _rest_rules() if state.is_diagonal else None)
+                   _rest_rules() if state.is_diagonal else _offset_plan(state, state.degree))
 
     def run(batch: tuple[int, ...]) -> list[ReportRow]:
         start = time.perf_counter()

@@ -7,7 +7,9 @@ readings of the channel's coupling terms (:func:`projection_coefficients`,
 library's own routes do not use, and the whole-grid and sequential
 readings of the library's own kernels (:func:`weight_grid`,
 :func:`chain_weight_sums`, :func:`output_spectrum_per_degree`), which its
-blocked and chunked routes must reproduce.
+blocked and chunked routes must reproduce, and the complex route of the
+channel's bands (:func:`complex_matvec_bands`), which its real one must meet
+within the rounding of a dot product.
 """
 
 import math
@@ -199,6 +201,29 @@ def weight_grid(params, p_max, m_max):
     couplings = _Couplings(params)
     return couplings.weights(np.arange(p_max + 1), np.arange(m_max + 1),
                              couplings.r0(p_max).take(p_max + 1))
+
+
+def complex_matvec_bands(A, params):
+    """{off: (band, scale)} of T(A) on the weight grid of the whole cut, each
+    band a complex matvec, as the channel formed them before its real
+    products: the weight products V[t + off, m] V[t, m - off] (off >= 0;
+    rows t and t - off below) as the real parts of a complex buffer, times
+    A's entries A[m - off, m].  ``scale`` is sum_m |V V| |A[m - off, m]|."""
+    L, d = params.default_output_degree(), A.degree
+    m_top = min(d, L + params.k)
+    V = weight_grid(params, L, m_top)
+    bands = {}
+    for off in range(0 if A.hermitian else -m_top, m_top + 1):
+        m_lo, m_hi, size = max(0, off), min(m_top, m_top + off), L + 1 - abs(off)
+        ms = np.arange(m_lo, m_hi + 1)
+        diag = A.matrix[ms - off, ms]
+        if size <= 0 or not np.any(diag):
+            continue
+        p0 = max(off, 0)
+        prod = np.zeros((size, ms.size), dtype=complex)
+        prod.real = V[p0 : p0 + size, ms] * V[p0 - off : p0 - off + size, ms - off]
+        bands[off] = (prod @ diag, np.abs(prod.real) @ np.abs(diag))
+    return bands
 
 
 def chain_weight_sums(nus, radial, angular):

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 from oracles import (
+    complex_matvec_bands,
     coupling_response_oracle,
     covariant_symbol_oracle,
     gammaform_eigenvalue_oracle,
@@ -26,6 +27,7 @@ from oracles import (
     random_psd,
     weight_grid,
 )
+from pinned import on_every_target, pinned_bits
 
 from diskchannels import channel, specfun
 from diskchannels.bergman import BandedOperator, TruncatedOperator, log_monomial_norm_sq
@@ -378,9 +380,11 @@ class TestSchattenBounds:
 def dense_channel_reference(A, params):
     """The dense scatter loop apply_channel ran before it returned bands.
 
-    One change: m_hi keeps m - off on the weight grid.  The loop read past
+    Two changes: m_hi keeps m - off on the weight grid.  The loop read past
     the grid (IndexError) when cut + k < degree and A has entries below the
-    diagonal; wherever it ran, the clipped range is the same.
+    diagonal; wherever it ran, the clipped range is the same.  And a band is
+    the real product of the weight products with A's entries as (re, im)
+    columns, as apply_channel forms it (the loop took a complex matvec).
     """
     L = params.default_output_degree()
     k = params.k
@@ -404,7 +408,8 @@ def dense_channel_reference(A, params):
             continue
         base = np.arange(L + 1 - abs(off))
         ps, qs = (base + off, base) if off >= 0 else (base, base - off)
-        block = (V[ps][:, ms] * V[qs][:, ms - off]) @ diag
+        block = ((V[ps][:, ms] * V[qs][:, ms - off]) @ diag.view(float).reshape(-1, 2)
+                 ).view(complex)[:, 0]
         out[qs, ps] = block
         if A.hermitian and off > 0:
             out[ps, qs] = np.conj(block)
@@ -627,18 +632,24 @@ class TestStreamedRows:
 
     @pytest.mark.parametrize("hermitian,expected", [
         # the Hermitian case's short last block joins the one before (b = 6);
-        # on its own, band 5 would end in a one-row product
-        (True, {0: "8e706709ca269bbb", 1: "687d848ed0b198dd", 2: "0d60c42a18c0afe3",
-                3: "1d599ae1a22d42eb", 4: "a1f778d71bb89c93", 5: "699a305fcd35a7b1",
-                6: "d1b01dff8dc81fc5"}),
-        (False, {-4: "a35b82aa2f1ae16b", -3: "356a1b66bac50f35", -2: "c6c2c19f0b1f58ec",
-                 -1: "7e3730ca7a177e53", 0: "d0e6e34fc9cf6b2e", 1: "9045893c89bb2457",
-                 2: "0e43f823e6fecd70"}),
+        # on its own, band 5 would end in a one-row product.  The bands'
+        # products go through OpenBLAS (tests/pinned.py), whose SkylakeX and
+        # Haswell kernels round the Hermitian ones apart
+        (True, on_every_target({
+            "SkylakeX": {0: "65328330c8699aaf", 1: "55a478eed163bb67", 2: "29422fe8cf947650",
+                         3: "840406e86565164d", 4: "332b40206b298414", 5: "0e43c7ad90ec294b",
+                         6: "d1b01dff8dc81fc5"},
+            "Haswell": {0: "4fcdde500edc4165", 1: "80fe525a54a91f95", 2: "a19e136d49e669d9",
+                        3: "a622d07545670f3a", 4: "2e9d62cde64a3311", 5: "6070f1936252b215",
+                        6: "d1b01dff8dc81fc5"}})),
+        (False, on_every_target(dict.fromkeys(("SkylakeX", "Haswell"), {
+            -4: "4de4def7af59db36", -3: "19b780c806b8ecf2", -2: "94399ec32616214e",
+            -1: "c579bbde95a1f99b", 0: "735ddb582a09834f", 1: "5cceb3efa0164629",
+            2: "1a8b0e72bf32c6bd"}))),
     ])
     def test_band_bits_across_blocks(self, hermitian, expected):
         A, params = band_input(hermitian)
         B = apply_channel(A, params)
-        assert {off: digest(band) for off, band in B.bands.items()} == expected
         # band by band against the formula on the weight grid of the whole
         # cut (the dense reference would take 9.7 GB here)
         L, d = params.default_output_degree(), A.degree
@@ -647,10 +658,35 @@ class TestStreamedRows:
             m_lo, m_hi = max(0, off), min(d, d + off)
             ms = np.arange(m_lo, m_hi + 1)
             size, p0 = L + 1 - abs(off), max(off, 0)
-            ref = (V[p0 : p0 + size, m_lo : m_hi + 1]
-                   * V[p0 - off : p0 - off + size, m_lo - off : m_hi - off + 1]
-                   ) @ A.matrix[ms - off, ms]
+            ref = ((V[p0 : p0 + size, m_lo : m_hi + 1]
+                    * V[p0 - off : p0 - off + size, m_lo - off : m_hi - off + 1]
+                    ) @ A.matrix[ms - off, ms].view(float).reshape(-1, 2)).view(complex)[:, 0]
             assert band.tobytes() == ref.tobytes(), off
+        assert {off: digest(band) for off, band in B.bands.items()} == pinned_bits(expected)
+
+    @given(
+        hermitian=st.booleans(), real=st.booleans(), d=st.integers(0, 8),
+        cut=st.integers(0, CUT_3_BLOCKS), mu=st.sampled_from([2, 2.5, 3]),
+        nu=st.integers(2, 60), k=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_real_band_products_meet_the_complex_matvec(
+            self, hermitian, real, d, cut, mu, nu, k, seed):
+        # both routes sum the same weight products times A's entries over
+        # at most w = d + 1 degrees, each in its own order, so each is within
+        # gamma_w sum_m |V V| |a_m| of the exact sum of its real and of its
+        # imaginary parts, and the two within 2 gamma_w <= gamma_{2w} of each
+        # other; a real input has diagonals with zero imaginary parts
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(d + 1, d + 1)) + (0 if real else 1j) * rng.normal(size=(d + 1, d + 1))
+        A = TruncatedOperator(mu, g + g.conj().T if hermitian else g, hermitian=hermitian)
+        params = ChannelParams(mu, nu, k, output_degree=cut)
+        got, want = apply_channel(A, params).bands, complex_matvec_bands(A, params)
+        assert got.keys() == want.keys()
+        u = np.finfo(float).eps / 2
+        gamma = 2 * (d + 1) * u / (1 - 2 * (d + 1) * u)
+        for off, (band, scale) in want.items():
+            assert np.all(np.abs(got[off] - band) <= gamma * scale), off
 
     @pytest.mark.parametrize("hermitian", [True, False])
     @pytest.mark.parametrize("psi", [[0, 1.0], [0, 0.3, -1.0], [0, 0, 0.5, 1.0],
@@ -705,6 +741,25 @@ class TestStreamedRows:
                 tracemalloc.stop()
             beyond.append(peak - 16 * (cut + 1))
         assert beyond[1] <= beyond[0] + 2**16
+
+    def test_dense_row_peak_is_flat_in_the_cut(self):
+        # the item-1 row again: its captured trace is band 0 of the blocks
+        # that its channel trace forms, so the row holds no array of the
+        # cut's length and its peak at 64 BLOCK is its peak at 4 BLOCK
+        text = ("experiment = channel-limit\ninput_state = rank-r-random\nseed = 1\n"
+                "mu = 2\nk = 1\npsi = 0,0,1\nnu_list = 800\ntruncation_l = {}\n")
+        peaks = []
+        for cut in (4 * BLOCK, 64 * BLOCK):
+            cfg = parse_config(text.format(cut))
+            state = _random_state(cfg, cfg.mu)
+            _drop_thread_buffers()
+            tracemalloc.start()
+            try:
+                _row_channel_limit(cfg, 800, (state, (0.0, "")))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**16
 
     def test_warm_rows_reuse_the_block_buffers(self):
         # a second row on the thread builds no weight grid, work array or

@@ -21,7 +21,7 @@ from oracles import (
     random_psd,
 )
 
-from diskchannels import bergman, cli, experiments, specfun
+from diskchannels import bergman, channel, cli, experiments, specfun
 from diskchannels.channel import (
     ChannelParams,
     diagonal_output_spectrum,
@@ -374,6 +374,32 @@ timing = off
         (row,) = rep.rows
         assert row.error == ""
         assert math.isfinite(row.measured) and row.measured > 0.0
+
+    @pytest.mark.parametrize("cut,built", [(300, [5]), (2, [5, 3, 3, 3])])
+    def test_dense_rows_read_band_0_of_one_plan(self, monkeypatch, cut, built):
+        # a dense row takes its captured trace from band 0 of the blocks it
+        # forms, never from the output diagonal, and the run builds the
+        # input's offset plan once; a row rebuilds it only where L + k falls
+        # below the input's degree (5), at its own top degree
+        tops = []
+        plan = channel._offset_plan
+
+        def counted(A, m_top):
+            tops.append(m_top)
+            return plan(A, m_top)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense row read the output diagonal")
+
+        for module in (channel, experiments):
+            monkeypatch.setattr(module, "_offset_plan", counted)
+        monkeypatch.setattr(experiments, "diagonal_output_spectrum", refuse)
+        rep = run_experiment(parse_config(
+            "experiment = channel-limit\nmu = 2\nk = 1\nnu_list = 10,20,40\n"
+            "input_state = rank-r-random\nstate_dim = 6\npsi = 0,0,1\nseed = 1\n"
+            f"truncation_l = {cut}\n"))
+        assert [row.error for row in rep.rows] == ["", "", ""]
+        assert tops == built
 
     @pytest.mark.parametrize("state", ["lowest", "toeplitz", "rank-r-random"])
     def test_tail_bound_is_library_trace_tail(self, state):

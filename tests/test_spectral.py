@@ -14,6 +14,7 @@ from oracles import (
     chain_weight_sums,
     eigen_residual_oracle,
 )
+from pinned import pinned_bits
 
 from diskchannels import specfun
 from diskchannels.disk import gauss_jacobi
@@ -112,7 +113,7 @@ class TestEigenRelation:
         got = tuple(eigen_relation_residual(nu, lam, samples, radial_count,
                                             angular_count).hex()
                     for lam in (0.0, 1.0, 2.0))
-        assert got == _pinned_bits(PINNED_RESIDUAL_BITS)[args]
+        assert got == pinned_bits(PINNED_RESIDUAL_BITS)[args]
 
     def test_residual_memory_is_its_rule_and_a_block(self):
         # the grid is evaluated a block of whole angular columns at a time,
@@ -350,7 +351,7 @@ class TestChainIntegral:
     def test_estimate_bits_are_pinned(self, n):
         # (estimate, half-width) per weight as float.hex, recorded from the
         # allocating pass that preceded the per-thread workspace
-        bits = _pinned_bits(PINNED_CHAIN_BITS)
+        bits = pinned_bits(PINNED_CHAIN_BITS)
         got = chained_kernel_integral(n, [4.0, 16.0], 11, 150000)
         assert [(e.hex(), h.hex()) for e, h in got] == bits[n]
 
@@ -363,7 +364,7 @@ class TestChainIntegral:
         # that preceded the row blocks; 51 rows of 32 angles end on a partial
         # block, and on 7 radii and 9 angle pairs one 49 x 9 matvec over the
         # block would round differently from the seven 7 x 9 per-row matvecs
-        bits = _pinned_bits(PINNED_QUADRATURE_BITS)
+        bits = pinned_bits(PINNED_QUADRATURE_BITS)
         assert chain2_tensor_quadrature(*args).hex() == bits[args]
 
     @pytest.mark.parametrize("args, limit", [((8, 200, 512), 2 * 2**20), ((8,), 2**20)])
@@ -413,20 +414,6 @@ def _sequential_chunk_sums(n, nus, chunk, seed, count):
     return sums.tolist(), sums_sq.tolist()
 
 
-def _pinned_bits(table):
-    """The entry of ``table`` for this machine's dispatch target of numpy's
-    float64 exp, log and sin, on which the last bits of the chain estimate
-    and of the quadrature hang; skips where none was recorded."""
-    introspect = pytest.importorskip("numpy.lib.introspect")
-    found = introspect.opt_func_info(func_name="^(exp|log|sin)$", signature="float64")
-    targets = {found[name]["dd"]["current"] for name in ("exp", "log", "sin")}
-    bits = table.get(targets.pop()) if len(targets) == 1 else None
-    if bits is None or np.__version__ != "2.4.6":
-        pytest.skip(f"no bits recorded for numpy {np.__version__} "
-                    f"float64 exp/log/sin on {found}")
-    return bits
-
-
 _X86_V4_BITS = {
     2: [("0x1.751f58edebf0ep+0", "0x1.d0c0c47f014e4p-6"),
         ("0x1.5e909e89bf7bap+0", "0x1.01923974cef2bp-6")],
@@ -440,12 +427,15 @@ _X86_V3_BITS = {
         ("0x1.f0f202e642e8ap+0", "0x1.704cca5334777p-5")],
 }
 # chained_kernel_integral(n, [4.0, 16.0], 11, 150000) with numpy 2.4.6 on
-# x86-64, by the dispatch target of its float64 exp, log and sin: AVX-512
-# has its own exp and log; the AVX2 and baseline targets give the same bits
+# x86-64, by the dispatch target of its float64 exp, log and sin and the
+# OpenBLAS core (tests/pinned.py): AVX-512 has its own exp and log; the AVX2
+# and baseline targets give the same bits, and so do the SkylakeX and
+# Haswell kernels
 PINNED_CHAIN_BITS = {
-    "X86_V4": _X86_V4_BITS,
-    "X86_V3": _X86_V3_BITS,
-    "baseline(X86_V2)": _X86_V3_BITS,
+    (target, core): bits
+    for target, bits in [("X86_V4", _X86_V4_BITS), ("X86_V3", _X86_V3_BITS),
+                         ("baseline(X86_V2)", _X86_V3_BITS)]
+    for core in ("SkylakeX", "Haswell")
 }
 
 # chain2_tensor_quadrature(*args), keyed like PINNED_CHAIN_BITS; AVX-512
@@ -472,10 +462,28 @@ _X86_V3_QUADRATURE_BITS = {
     (48,): "0x1.56f3e20076b53p+0",
     (800,): "0x1.556da4302bfaap+0",
 }
+# OpenBLAS's Haswell kernel, which an AVX2-only or AMD Zen machine runs,
+# moves the last bit at five or seven grids
+_X86_V4_HASWELL_QUADRATURE_BITS = {
+    **_X86_V4_QUADRATURE_BITS,
+    (16,): "0x1.5a7066e8c89d5p+0",
+    (24,): "0x1.58a72d47056bcp+0",
+    (32,): "0x1.57cadd8e14f0cp+0",
+    (200,): "0x1.55b6fe0f01ce8p+0",
+    (8, 7, 17): "0x1.60484cc3fc2e6p+0",
+}
+_X86_V3_HASWELL_QUADRATURE_BITS = {
+    **_X86_V4_HASWELL_QUADRATURE_BITS,
+    (200,): "0x1.55b6fe0f01ce9p+0",
+    (800,): "0x1.556da4302bfa9p+0",
+}
 PINNED_QUADRATURE_BITS = {
-    "X86_V4": _X86_V4_QUADRATURE_BITS,
-    "X86_V3": _X86_V3_QUADRATURE_BITS,
-    "baseline(X86_V2)": _X86_V3_QUADRATURE_BITS,
+    ("X86_V4", "SkylakeX"): _X86_V4_QUADRATURE_BITS,
+    ("X86_V3", "SkylakeX"): _X86_V3_QUADRATURE_BITS,
+    ("baseline(X86_V2)", "SkylakeX"): _X86_V3_QUADRATURE_BITS,
+    ("X86_V4", "Haswell"): _X86_V4_HASWELL_QUADRATURE_BITS,
+    ("X86_V3", "Haswell"): _X86_V3_HASWELL_QUADRATURE_BITS,
+    ("baseline(X86_V2)", "Haswell"): _X86_V3_HASWELL_QUADRATURE_BITS,
 }
 
 
@@ -502,10 +510,34 @@ _BASELINE_RESIDUAL_BITS = {
     (16, 40, 128): ('0x1.9800000000000p-46', '0x1.88895e37548aep-46', '0x1.7321c3d105e25p-46'),
     (3, 57, 131): ('0x1.b6826e0000000p-30', '0x1.7f025c0113b65p-31', '0x1.1f331e005af15p-30'),
 }
+# the same on OpenBLAS's Haswell kernel, which moves every grid
+_X86_V4_HASWELL_RESIDUAL_BITS = {
+    (2, 400, 128): ('0x1.11bb1cc000000p-27', '0x1.6e531e0029f5cp-29', '0x1.2c34440000daep-28'),
+    (4, 134, 128): ('0x1.d400000000000p-45', '0x1.3af05d6a65739p-45', '0x1.4b91d9fcbf0f2p-46'),
+    (8, 58, 128): ('0x1.e600000000000p-46', '0x1.ce5210475c543p-46', '0x1.95539ccd30e09p-46'),
+    (16, 40, 128): ('0x1.9200000000000p-46', '0x1.8643d4d061cf2p-46', '0x1.6e7f21f6a822ep-46'),
+    (3, 57, 131): ('0x1.b6826a0000000p-30', '0x1.7f025c0113c4bp-31', '0x1.1f331c005e397p-30'),
+}
+_X86_V3_HASWELL_RESIDUAL_BITS = {
+    **_X86_V4_HASWELL_RESIDUAL_BITS,
+    (2, 400, 128): ('0x1.11bb1d0000000p-27', '0x1.6e531e0029f7bp-29', '0x1.2c34440000daep-28'),
+    (4, 134, 128): ('0x1.d400000000000p-45', '0x1.3ad86ba1a1a58p-45', '0x1.4b97f65b25aa4p-46'),
+    (3, 57, 131): ('0x1.b6826a0000000p-30', '0x1.7f0260010de5ap-31', '0x1.1f331c005e330p-30'),
+}
+_BASELINE_HASWELL_RESIDUAL_BITS = {
+    (2, 400, 128): ('0x1.11bb1d0000000p-27', '0x1.6e531f0029c22p-29', '0x1.2c34444000cd8p-28'),
+    (4, 134, 128): ('0x1.d400000000000p-45', '0x1.3d2d5405170f5p-45', '0x1.4ce6524c49499p-46'),
+    (8, 58, 128): ('0x1.e800000000000p-46', '0x1.ce9fce07df0f0p-46', '0x1.9a6b6fc8d33afp-46'),
+    (16, 40, 128): ('0x1.9800000000000p-46', '0x1.887228213e601p-46', '0x1.7321c3d105e25p-46'),
+    (3, 57, 131): ('0x1.b6826e0000000p-30', '0x1.7f0260010de5ap-31', '0x1.1f331e005bd62p-30'),
+}
 PINNED_RESIDUAL_BITS = {
-    "X86_V4": _X86_V4_RESIDUAL_BITS,
-    "X86_V3": _X86_V3_RESIDUAL_BITS,
-    "baseline(X86_V2)": _BASELINE_RESIDUAL_BITS,
+    ("X86_V4", "SkylakeX"): _X86_V4_RESIDUAL_BITS,
+    ("X86_V3", "SkylakeX"): _X86_V3_RESIDUAL_BITS,
+    ("baseline(X86_V2)", "SkylakeX"): _BASELINE_RESIDUAL_BITS,
+    ("X86_V4", "Haswell"): _X86_V4_HASWELL_RESIDUAL_BITS,
+    ("X86_V3", "Haswell"): _X86_V3_HASWELL_RESIDUAL_BITS,
+    ("baseline(X86_V2)", "Haswell"): _BASELINE_HASWELL_RESIDUAL_BITS,
 }
 
 
