@@ -24,8 +24,9 @@ def blas_core():
         fn = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
     except (IndexError, OSError, AttributeError):
         return None
-    fn.restype = ctypes.c_char_p
-    return fn().decode()
+    fn.argtypes, fn.restype = [], ctypes.c_char_p
+    name = fn()
+    return name.decode() if name else None
 
 
 def pinned_bits(table):
@@ -34,11 +35,12 @@ def pinned_bits(table):
     introspect = pytest.importorskip("numpy.lib.introspect")
     found = introspect.opt_func_info(func_name="^(exp|log|sin)$", signature="float64")
     targets = {found[name]["dd"]["current"] for name in ("exp", "log", "sin")}
+    target = targets.pop() if len(targets) == 1 else found  # one target, else all of them
     core = blas_core()
-    bits = table.get((targets.pop(), core)) if len(targets) == 1 else None
+    bits = table.get((target, core)) if isinstance(target, str) else None
     if bits is None or np.__version__ != "2.4.6":
-        pytest.skip(f"no bits recorded for numpy {np.__version__} float64 exp/log/sin "
-                    f"on {found} with the OpenBLAS core {core}")
+        pytest.skip(f"no bits recorded for numpy {np.__version__} with float64 exp/log/sin "
+                    f"at the target {target} and the OpenBLAS core {core}")
     return bits
 
 
