@@ -439,8 +439,31 @@ def _rest_rules() -> tuple[np.ndarray, ...]:
     return parts
 
 
+def _continued_rest(psi, nu: int, cut: int, spectrum):
+    """(lambda_p for p < cut, rest of psi, its gap to the check rule, rest of
+    psi(x) = x) of a diagonal row; ``spectrum(top, x)`` gives lambda_p, p <= top,
+    and lambda, rational, at real x.  Gregory's corrections read p = cut..cut+6,
+    the integral the nodes u in (0, 1) at x = cut + (nu + cut)(1/u - 1), where
+    lambda has no pole near [0, 1].  The rest is an estimate: a row's
+    tail_bound adds the gap and the rest of x's gap to the exact dropped trace."""
+    u, _, log_w = _rest_rules()  # the nodes of both rules, one after the other
+    scale, n0 = nu + cut, _REST_NODES[0]
+    out, lam = spectrum(cut + len(_GREGORY) - 1, cut + scale * (1.0 / u - 1.0))
+    captured, ends, weight = out[:cut], out[cut:], scale * np.exp(log_w) / u**2
+    # the corrections through each Delta^j, of psi and of psi(x) = x
+    diffs, upto = np.array([np.polyval(psi[::-1], ends), ends]), [0.0]
+    for g in _GREGORY:
+        upto.append(upto[-1] + g * diffs[:, 0])
+        diffs = np.diff(diffs)
+    psi_nodes = weight * np.polyval(psi[::-1], lam)
+    rest_psi = float(np.sum(psi_nodes[:n0]) + upto[-2][0])
+    rest_check = float(np.sum(psi_nodes[n0:]) + upto[-1][0])
+    rest_trace = float(weight[:n0] @ lam[:n0] + upto[-2][1])
+    return captured, rest_psi, abs(rest_psi - rest_check), rest_trace
+
+
 def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
-    state, (target, note) = context[:2]
+    state, (target, note), plan = context
     diag_in = np.real(np.diag(state.matrix))
     d, cut, diagonal = state.degree, cfg.truncation_l, state.is_diagonal
     if diagonal:
@@ -449,31 +472,13 @@ def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
         cut = cut or max(64 * nu, 4096)
     params = ChannelParams(cfg.mu, float(nu), cfg.k, output_degree=cut)
     if diagonal:
-        # p < L term by term; past L, lambda(x) is rational in x.  Gregory's
-        # corrections read p = L..L+6, the integral the nodes u in (0, 1) at
-        # x = L + (nu + L)(1/u - 1), where lambda has no pole near [0, 1].  The
-        # rest is an estimate: tail_bound adds its gap to the check rule and
-        # the gap of the rest of psi(x) = x to the exact dropped trace below
-        u, _, log_w = context[2]  # the nodes of both rules, one after the other
-        scale, n0 = nu + cut, _REST_NODES[0]
-        out_diag, lam = diagonal_output_spectrum(
-            params, diag_in, cut + len(_GREGORY) - 1, cut + scale * (1.0 / u - 1.0))
-        captured, ends, weight = out_diag[:cut], out_diag[cut:], scale * np.exp(log_w) / u**2
-        # the corrections through each Delta^j, of psi and of psi(x) = x
-        diffs, upto = np.array([np.polyval(cfg.psi[::-1], ends), ends]), [0.0]
-        for g in _GREGORY:
-            upto.append(upto[-1] + g * diffs[:, 0])
-            diffs = np.diff(diffs)
-        psi_nodes = weight * np.polyval(cfg.psi[::-1], lam)
-        rest_psi = float(np.sum(psi_nodes[:n0]) + upto[-2][0])
-        rest_check = float(np.sum(psi_nodes[n0:]) + upto[-1][0])
-        rest_trace = float(weight[:n0] @ lam[:n0] + upto[-2][1])
+        captured, rest_psi, gap, rest_trace = _continued_rest(
+            cfg.psi, nu, cut, lambda top, x: diagonal_output_spectrum(params, diag_in, top, x))
         measured = (power_sum(cfg.psi, captured) + rest_psi) / nu
         count, captured_sum = cut, float(np.sum(captured))
         moment = float(captured @ np.arange(captured.size + 0.0))
     else:
         # Tr psi(T(A)) from the bands, a block at a time, and band 0's sums
-        plan = context[2] if len(context) > 2 else None  # the run's, built once
         value, (captured_sum, moment) = _channel_trace(state, params, cfg.psi, plan, True)
         measured, count = value / nu, cut + 1
     # Tr T(A) = trace_factor Tr A, so the captured sum (p <= c) drops that
@@ -514,29 +519,36 @@ def _row_channel_limit(cfg: ExperimentConfig, nu: int, context) -> ReportRow:
     dropped = total - captured_sum
     psi_slope = sum(abs(a) for a in cfg.psi[1:])
     if diagonal:
-        tail = psi_slope * (abs(rest_trace - dropped) + rounding) + abs(rest_psi - rest_check)
+        tail = psi_slope * (abs(rest_trace - dropped) + rounding) + gap
     else:
         tail = psi_slope * (max(dropped, 0.0) + rounding)
     return ReportRow(nu=nu, measured=measured, target=target, tail_bound=tail / nu, note=note)
 
 
 def _row_toeplitz_trace(cfg: ExperimentConfig, nu: int) -> ReportRow:
-    f = radial_poly(cfg.f_coeffs)
+    f, top = radial_poly(cfg.f_coeffs), len(cfg.f_coeffs) - 1
     target = sum(
         a * _radial_moment(cfg.f_coeffs, j)
         for j, a in enumerate(cfg.psi)
         if j >= 1 and a != 0.0
     )
-    cut = cfg.truncation_l or 80 * nu
-    diag = toeplitz_diagonal(f, float(nu), cut)
-    measured = power_sum(cfg.psi, diag) / (nu - 1.0)
-    # entries decay like m^{-s} with s = decay * lowest psi power; the dropped
-    # psi mass is bounded by the integral test anchored at the last entry
-    j_min = min((j for j, a in enumerate(cfg.psi) if a != 0.0 and j >= 1), default=1)
-    s_min = f.min_decay * j_min
-    edge = abs(power_sum(cfg.psi, diag[-1:]))
-    tail = edge * (cut + 1.0) / max(s_min - 1.0, 1e-9) / (nu - 1.0)
-    return ReportRow(nu=nu, measured=measured, target=target, tail_bound=tail,
+    cut = max(cfg.truncation_l or 2 * nu, 64)
+    captured, rest_psi, gap, rest_trace = _continued_rest(
+        cfg.psi, nu, cut, lambda p, x: (toeplitz_diagonal(f, nu, p), toeplitz_diagonal(f, nu, x)))
+    measured = (power_sum(cfg.psi, captured) + rest_psi) / (nu - 1.0)
+    # Tr T_f = (nu - 1) int f d iota is infinite for a (1-|z|^2)^1 term, which
+    # drops the check.  Entry p is off by (3 top + 2) eps of its terms'
+    # absolute sum tau_p, the captured sum by (cut - 1) eps sum_p tau_p more
+    # and Tr T_f by (top + 2) eps Tr T_|f|; sum_p tau_p <= Tr T_|f| or cut sum|a_s|
+    if any(cfg.f_coeffs[:2]):
+        dropped, spread = rest_trace, cut * sum(map(abs, cfg.f_coeffs))
+    else:
+        dropped = (nu - 1.0) * _radial_moment(cfg.f_coeffs, 1) - float(np.sum(captured))
+        spread = (nu - 1.0) * _radial_moment(np.abs(cfg.f_coeffs), 1)
+    rounding = np.finfo(float).eps * (cut + 4 * top + 3) * spread
+    psi_slope = sum(abs(a) for a in cfg.psi[1:])
+    tail = psi_slope * (abs(rest_trace - dropped) + rounding) + gap
+    return ReportRow(nu=nu, measured=measured, target=target, tail_bound=tail / (nu - 1.0),
                      note="closed-form")
 
 
@@ -640,11 +652,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     context = None
     if config.experiment == "channel-limit":
-        # the input, its limit target and the rules on [0, 1] of a diagonal
-        # input's continued rest, or a dense one's offset plan, serve every row
+        # the input, its limit target and a dense input's offset plan serve every row
         state = _input_state(config)
         context = (state, _husimi_target(config, state),
-                   _rest_rules() if state.is_diagonal else _offset_plan(state, state.degree))
+                   None if state.is_diagonal else _offset_plan(state, state.degree))
 
     def run(batch: tuple[int, ...]) -> list[ReportRow]:
         start = time.perf_counter()

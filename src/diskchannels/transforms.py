@@ -17,14 +17,7 @@ import numpy as np
 from . import bergman
 from .bergman import TruncatedOperator
 from .disk import transporter_coefficients
-from .specfun import (
-    BLOCK,
-    CarriedCumprod,
-    channel_constant_sq,
-    from_scaled,
-    pochhammer,
-    validate_weight,
-)
+from .specfun import channel_constant_sq, pochhammer, validate_weight
 
 __all__ = [
     "DiskFunction",
@@ -44,12 +37,8 @@ class InsufficientDecayError(ValueError):
 
 @dataclass(frozen=True)
 class DiskFunction:
-    """f(z) = sum_s coeffs[s] (1-|z|^2)^s on the open unit disk.
+    """f(z) = sum_s coeffs[s] (1-|z|^2)^s on the open unit disk."""
 
-    ``min_decay`` is the smallest s with f = O((1-|z|^2)^s) at the boundary.
-    """
-
-    min_decay: float
     coeffs: tuple = ()
 
     def __call__(self, z):
@@ -64,15 +53,14 @@ class DiskFunction:
 
 def radial_poly(coeffs) -> DiskFunction:
     """f(z) = sum_s coeffs[s] (1-|z|^2)^s."""
-    coeffs = tuple(float(c) for c in coeffs)
-    decay = next((s for s, c in enumerate(coeffs) if c != 0.0), 0)
-    return DiskFunction(min_decay=float(decay), coeffs=coeffs)
+    return DiskFunction(tuple(float(c) for c in coeffs))
 
 
 def _check_decay(f: DiskFunction, nu: float):
-    if f.min_decay + nu < 2.0:
+    decay = next((s for s, c in enumerate(f.coeffs) if c != 0.0), 0)
+    if decay + nu < 2.0:
         raise InsufficientDecayError(
-            f"min_decay {f.min_decay} + weight {nu} < 2: not integrable"
+            f"decay {decay} + weight {nu} < 2: not integrable"
         )
 
 
@@ -85,26 +73,24 @@ def _column_form(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.
     return np.einsum("mz,mz->z", left, matrix @ right)
 
 
-def toeplitz_diagonal(f: DiskFunction, nu: float, degree: int) -> np.ndarray:
+def toeplitz_diagonal(f: DiskFunction, nu: float, degree: int | np.ndarray) -> np.ndarray:
     """Diagonal of T_f for radial-polynomial f, by exact Beta integrals.
 
-    Entry m: sum_s alpha_s (nu-1)(nu)_m Gamma(nu+s-1)/Gamma(nu+s+m), where
-    each term (nu-1)/(nu+s-1) (nu)_m/(nu+s)_m is a table over m, one cumprod
-    of the ratios (nu+m)/(nu+s+m), carried from block to block of BLOCK
-    entries (:class:`~diskchannels.specfun.CarriedCumprod`), so the output is
-    the only array of the degree's length.
+    Entry m: sum_s a_s (nu-1)(nu)_m Gamma(nu+s-1)/Gamma(nu+s+m)
+    = sum_s a_s (nu-1)/(nu+s-1) prod_{i<s} (nu+i)/(nu+m+i), rational in m.
+    An int ``degree`` gives the entries m = 0..degree, an array the entries
+    at the (real) m it holds.  Each term's product of s ratios below 1 runs
+    from the first ratio up, so it underflows only where the term does.
     """
     nu = validate_weight(nu)
     _check_decay(f, nu)
-    out = np.zeros(degree + 1)
+    m = np.arange(degree + 1.0) if np.ndim(degree) == 0 else np.asarray(degree, float)
+    out, prod = np.zeros(m.shape), np.ones(m.shape)
     for s, a in enumerate(f.coeffs):
-        if a == 0.0:
-            continue
-        table = CarriedCumprod(
-            degree + 1, (nu,), (nu + s,), (nu - 1.0) / (nu + s - 1.0))
-        for lo in range(0, degree + 1, BLOCK):
-            block = out[lo : lo + BLOCK]
-            block += a * from_scaled(*table.take(block.size))
+        if s:
+            prod *= (nu + s - 1.0) / (m + (nu + s - 1.0))
+        if a != 0.0:
+            out += a * (nu - 1.0) / (nu + s - 1.0) * prod
     return out
 
 

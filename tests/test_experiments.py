@@ -469,6 +469,30 @@ timing = off
         assert rep.rows[0].target == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert rep.fitted_order == pytest.approx(-1.0, abs=0.15)
 
+    def test_toeplitz_trace_meets_the_trigamma_closed_form(self):
+        # diag-sweep's toeplitz-trace config: lambda_p = (nu-1) nu/((nu+p)(nu+p+1))
+        # for f = (1-|z|^2)^2, so (nu-1)^{-1} sum_p lambda_p^2 is
+        # nu^2 (nu-1) (psi_1(nu) + psi_1(nu+1) - 2/nu)
+        rep = run_experiment(parse_config(
+            "experiment = toeplitz-trace\nf = radial:0,0,1\npsi = 0,0,1\n"
+            "nu_list = 50,100,200,400,800\ntiming = off\n"))
+        with mp.workdps(30):
+            for row in rep.rows:
+                nu = row.nu
+                exact = nu**2 * (nu - 1) * (mp.psi(1, nu) + mp.psi(1, nu + 1) - mp.mpf(2) / nu)
+                assert abs(row.measured - exact) <= row.tail_bound <= 1e-12
+
+    @pytest.mark.parametrize("f", ["0,0,1", "0,0,1,0.5", "0,1,1"])
+    def test_toeplitz_trace_rest_does_not_depend_on_the_cut(self, f):
+        # continued from the auto cut L = 2 nu and from 2L; f = (1-|z|^2) +
+        # (1-|z|^2)^2 has an infinite Tr T_f, so its rows make no trace check
+        for nu in (50, 200, 800):
+            text = (f"experiment = toeplitz-trace\nf = radial:{f}\npsi = 0,0,1\n"
+                    f"nu_list = {nu}\ntiming = off\n")
+            (near,) = run_experiment(parse_config(text)).rows
+            (far,) = run_experiment(parse_config(text + f"truncation_l = {4 * nu}\n")).rows
+            assert not near.error and abs(near.measured - far.measured) <= 1e-12 * near.measured
+
     def test_husimi_check_row(self):
         rep = run_experiment(
             parse_config(

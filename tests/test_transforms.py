@@ -133,6 +133,34 @@ class TestToeplitz:
         d = toeplitz_diagonal(radial_poly([0, 0, 1.0]), nu, 400000)
         assert float(np.sum(d)) == pytest.approx(nu - 1.0, abs=2e-4)
 
+    @pytest.mark.parametrize("coeffs,nu,ms", [
+        ([0, 0, 1.0], 800.0, np.r_[0:40, 1000:64001:3000, 63990:64001]),
+        ([0.5, 0.0, 0.25, 1.0], 800.0, np.r_[0:40, 1000:64001:3000, 63990:64001]),
+        # (3)_120/(3 + m)_120 crosses the subnormal threshold near m = 17,236
+        ([0.0] * 120 + [1.0], 3.0, np.r_[0:40, 1000:17000:2000, 17200:17280]),
+    ])
+    def test_diagonal_against_mpmath(self, coeffs, nu, ms):
+        # each term is a_s (nu-1)/(nu+s-1) prod_{i<s} (nu+i)/(nu+m+i): s
+        # divisions, s - 1 multiplies of the running product, two roundings
+        # of the coefficient and one multiply (the sums nu + m + i of integers
+        # are exact), then one add per further term; so an entry is off by at
+        # most (2 top + 1 + terms) eps of its terms' absolute sum, and real m,
+        # with one more rounding per factor, by (3 top + 1 + terms) eps
+        f, top = radial_poly(coeffs), len(coeffs) - 1
+        terms = sum(1 for a in coeffs if a != 0.0)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        real_ms = ms + 0.375
+        for at, got, count in [(ms, toeplitz_diagonal(f, nu, int(ms[-1]))[ms], 2 * top),
+                               (real_ms, toeplitz_diagonal(f, nu, real_ms), 3 * top)]:
+            for m, value in zip(at, got):
+                parts = [a * (nu - 1) / mp.mpf(nu + s - 1) * mp.rf(nu, s)
+                         / mp.rf(nu + mp.mpf(float(m)), s) for s, a in enumerate(coeffs) if a]
+                exact = mp.fsum(parts)
+                if exact < tiny:  # below the normal range: an underflow
+                    assert value < tiny
+                    continue
+                assert abs(value - exact) <= (count + 1 + terms) * eps * mp.fsum(map(abs, parts))
+
     def test_grid_route_matches_closed_form(self):
         nu, deg = 3, 16
         q = build_quadrature(100, 64, 2.0)
